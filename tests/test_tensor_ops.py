@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from xood.errors import DimensionError
 from xood.rng import Stream
@@ -57,6 +58,38 @@ def maxpool_loops(x, window, stride):
                       z * stride : z * stride + window]
             out[:, :, y, z] = patch.max(axis=(2, 3))
     return out
+
+
+def maxpool_windowed(x, window, stride):
+    """The sliding-window max the offset-slice kernel replaced; bitwise oracle."""
+    win = sliding_window_view(x, (window, window), axis=(2, 3))
+    return win[:, :, ::stride, ::stride].max(axis=(4, 5))
+
+
+def maxpool_backward_argmax(x, window, grad_out):
+    """The argmax/put_along_axis routing the offset-slice kernel replaced."""
+    n, c, h, w = x.shape
+    ho, wo = h // window, w // window
+    xw = (
+        x.reshape(n, c, ho, window, wo, window)
+        .transpose(0, 1, 2, 4, 3, 5)
+        .reshape(n, c, ho, wo, window * window)
+    )
+    idx = xw.argmax(axis=-1)
+    grad_win = np.zeros_like(xw)
+    np.put_along_axis(grad_win, idx[..., None], grad_out[..., None], axis=-1)
+    return (
+        grad_win.reshape(n, c, ho, wo, window, window)
+        .transpose(0, 1, 2, 4, 3, 5)
+        .reshape(n, c, h, w)
+    )
+
+
+def assert_bitwise(got, want):
+    assert got.dtype == want.dtype == np.float32
+    assert got.shape == want.shape
+    # compare bit patterns so that -0.0 against +0.0 counts as a difference
+    np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
 def test_conv2d_matches_loop_oracle():
@@ -128,6 +161,40 @@ def test_conv2d_backward_matches_finite_differences():
     np.testing.assert_allclose(gb, numeric_grad(loss, b), rtol=2e-2, atol=2e-3)
 
 
+# the reference CNN's two conv layers: 1->8 channels at 28x28, 8->16 at 14x14
+REFERENCE_CONV_SHAPES = [((2, 1, 28, 28), (8, 1, 3, 3)), ((2, 8, 14, 14), (16, 8, 3, 3))]
+
+
+def test_conv2d_reference_layers_match_loop_oracle():
+    s = Stream(110)
+    for shape, kshape in REFERENCE_CONV_SHAPES:
+        x, k = rand(s, *shape), rand(s, *kshape) * 0.3
+        b = rand(s, kshape[0])
+        np.testing.assert_allclose(
+            conv2d(x, k, b, 1, 1), conv2d_loops(x, k, b, 1, 1),
+            rtol=1e-5, atol=1e-5,
+        )
+
+
+def test_conv2d_backward_reference_layers_match_finite_differences():
+    s = Stream(210)
+    for shape, kshape in REFERENCE_CONV_SHAPES:
+        x, k = rand(s, 1, *shape[1:]), rand(s, *kshape) * 0.3
+        b = rand(s, kshape[0]) * 0.1
+        proj = rand(s, 1, kshape[0], *shape[2:])
+
+        def loss():
+            return float((conv2d(x, k, b, 1, 1).astype(np.float64) * proj).sum())
+
+        # conv2d is linear in each argument, so a large step has no
+        # truncation error and keeps float32 rounding small against it
+        gx, gk, gb = conv2d_backward(x, k, proj, 1)
+        for got, arg in ((gx, x), (gk, k), (gb, b)):
+            np.testing.assert_allclose(
+                got, numeric_grad(loss, arg, eps=0.5), rtol=2e-2, atol=2e-3
+            )
+
+
 def test_dense_matches_matmul_and_backward():
     s = Stream(300)
     x, w, b = rand(s, 4, 6), rand(s, 6, 3), rand(s, 3)
@@ -167,6 +234,27 @@ def test_maxpool_matches_loop_oracle():
         )
     with pytest.raises(DimensionError, match="exceeds"):
         maxpool2d(rand(s, 1, 1, 3, 3), window=4, stride=4)
+
+
+def test_maxpool_is_bitwise_the_windowed_argmax_kernel():
+    s = Stream(410)
+    # values from {0, 1, 2} make most windows hold a tied maximum
+    ties = s.integers(2 * 8 * 28 * 28, 3).astype(np.float32).reshape(2, 8, 28, 28)
+    ties[0, 0, :2, :2] = -0.0
+    grad = rand(s, 2, 8, 14, 14)
+    grad[0, 0, 0, 0] = -0.0
+    nans = ties.copy()
+    nans[0, 0, 0, 1] = nans[0, 0, 1, 0] = nans[1, 3, 5, 5] = np.nan
+    for x in (ties, nans, rand(s, 2, 8, 28, 28)):
+        assert_bitwise(maxpool2d(x, 2, 2), maxpool_windowed(x, 2, 2))
+        assert_bitwise(
+            maxpool2d_backward(x, 2, grad), maxpool_backward_argmax(x, 2, grad)
+        )
+    # non-divisible extent: the last row and column fall outside every window
+    odd = s.integers(2 * 3 * 7 * 7, 3).astype(np.float32).reshape(2, 3, 7, 7)
+    assert_bitwise(maxpool2d(odd, 2, 2), maxpool_windowed(odd, 2, 2))
+    # overlapping windows, forward only
+    assert_bitwise(maxpool2d(odd, 3, 2), maxpool_windowed(odd, 3, 2))
 
 
 def test_maxpool_backward_routes_to_first_max():
@@ -220,9 +308,12 @@ def test_ops_do_not_mutate_inputs():
     s = Stream(700)
     x = rand(s, 1, 2, 4, 4)
     k, b = rand(s, 2, 2, 3, 3), rand(s, 2)
-    xc, kc = x.copy(), k.copy()
+    g_conv, g_pool = rand(s, 1, 2, 4, 4), rand(s, 1, 2, 2, 2)
+    before = [a.copy() for a in (x, k, b, g_conv, g_pool)]
     conv2d(x, k, b, padding=1)
+    conv2d_backward(x, k, g_conv, padding=1)
     maxpool2d(x, 2, 2)
+    maxpool2d_backward(x, 2, g_pool)
     relu(x)
-    np.testing.assert_array_equal(x, xc)
-    np.testing.assert_array_equal(k, kc)
+    for got, want in zip((x, k, b, g_conv, g_pool), before):
+        np.testing.assert_array_equal(got, want)
