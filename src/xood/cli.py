@@ -55,10 +55,12 @@ from .errors import (
     XoodError,
 )
 from .features import FeatureKind, feature_names, write_feature_csv
+from .keyvalue import read_key_values
 from .logistic import LAMBDA_GRID
 from .network import (
     TrainConfig,
     evaluate_accuracy,
+    forward_with_taps,
     load_network,
     save_network,
     train_reference_cnn,
@@ -91,14 +93,6 @@ def _bool(text: str) -> bool:
     if value in ("0", "false", "no", "off"):
         return False
     raise ValueError(f"not a boolean: {text!r}")
-
-
-def _feature_kind(text: str) -> FeatureKind:
-    try:
-        return FeatureKind(text)
-    except ValueError:
-        choices = ", ".join(k.value for k in FeatureKind)
-        raise ConfigError(f"unknown feature kind {text!r}; choose from {choices}")
 
 
 def _lambda_grid(text: str) -> tuple[float, ...]:
@@ -143,7 +137,7 @@ _SCHEMAS: dict[str, list[Opt]] = {
     "extract": _COMMON + [
         Opt("model", str, _REQUIRED),
         Opt("images", str, _REQUIRED),
-        Opt("feature-kind", _feature_kind, FeatureKind.MINMAX),
+        Opt("feature-kind", FeatureKind, FeatureKind.MINMAX),
         Opt("batch-size", int, 256),
         Opt("out", str, _REQUIRED, help="feature CSV to write"),
         Opt("force", flag=True),
@@ -154,7 +148,7 @@ _SCHEMAS: dict[str, list[Opt]] = {
         Opt("labels", str, _REQUIRED),
         Opt("holdout-fraction", float, 0.2),
         Opt("reg-c", float, 10.0, help="covariance regularizer C"),
-        Opt("feature-kind", _feature_kind, FeatureKind.MINMAX),
+        Opt("feature-kind", FeatureKind, FeatureKind.MINMAX),
         Opt("batch-size", int, 256),
         Opt("distortion-seed", int,
             help="accepted for flag parity; ignored with a warning"),
@@ -167,7 +161,7 @@ _SCHEMAS: dict[str, list[Opt]] = {
         Opt("labels", str, _REQUIRED),
         Opt("holdout-fraction", float, 0.2),
         Opt("lambda-grid", _lambda_grid, LAMBDA_GRID),
-        Opt("feature-kind", _feature_kind, FeatureKind.MINMAX),
+        Opt("feature-kind", FeatureKind, FeatureKind.MINMAX),
         Opt("batch-size", int, 256),
         Opt("out", str, _REQUIRED, help="detector bundle directory"),
         Opt("force", flag=True),
@@ -244,19 +238,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read_config_file(path: str) -> dict[str, str]:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        return read_key_values(path).entries
+    except (OSError, FormatError) as exc:
         raise ConfigError(f"cannot read config file: {exc}")
-    values: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"config line {lineno} has no '=': {line!r}")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
-    return values
 
 
 def _resolve(args: argparse.Namespace, schema: list[Opt]) -> dict:
@@ -433,8 +417,8 @@ def cmd_fit_m(cfg: dict) -> dict:
     _ensure_writable(cfg["out"], cfg["force"])
     pipeline.save_bundle(bundle, cfg["out"])
     _write_manifest(cfg["out"], cfg, {
-        "threshold": bundle.m_detector.threshold,
-        "dim": bundle.m_detector.dim,
+        "threshold": bundle.detector.threshold,
+        "dim": bundle.transform.dim,
     })
     return {}
 
@@ -451,7 +435,7 @@ def cmd_fit_l(cfg: dict) -> dict:
     pipeline.save_bundle(bundle, cfg["out"])
     _write_manifest(cfg["out"], cfg, {
         "selected_lambda": cv.best_lambda,
-        "threshold": bundle.l_detector.threshold,
+        "threshold": bundle.detector.threshold,
         "cv_mean_losses": cv.mean_losses.tolist(),
         "folds": cv.fold_losses.shape[1],
     })
@@ -482,9 +466,13 @@ def read_scores_csv(path: str | Path) -> np.ndarray:
     values = []
     for i, line in enumerate(lines[1:]):
         parts = line.split(",")
-        if len(parts) != 2 or int(parts[0]) != i:
+        try:
+            index, value = int(parts[0]), float(parts[-1])
+        except ValueError:
+            index = None
+        if len(parts) != 2 or index != i:
             raise FormatError(f"bad score CSV row {i}: {line!r}")
-        values.append(float(parts[1]))
+        values.append(value)
     return np.array(values)
 
 
@@ -536,8 +524,6 @@ def cmd_eval(cfg: dict) -> dict:
 
 
 def cmd_bench(cfg: dict) -> dict:
-    from .network import forward_with_taps
-
     net = load_network(cfg["model"])
     ds = _load_dataset(cfg["images"])
     images = ds.images

@@ -36,6 +36,7 @@ LAMBDA_LO = -5.0
 LAMBDA_HI = 5.0
 LAMBDA_TOL = 1e-4
 STD_FLOOR = 1e-8
+MIN_FIT_ROWS = 10
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -52,6 +53,12 @@ class FeatureKind(str, Enum):
     SPLIT_L1 = "split-l1"
     SPLIT_L2 = "split-l2"
     SPLIT_L3 = "split-l3"
+
+    @classmethod
+    def _missing_(cls, value):
+        # FeatureKind("nope") raises this instead of Enum's bare ValueError
+        choices = ", ".join(k.value for k in cls)
+        raise ValueError(f"unknown feature kind {value!r}; choose from {choices}")
 
 
 ALL_FEATURE_KINDS = tuple(FeatureKind)
@@ -208,7 +215,9 @@ class PowerTransform:
         return self.lambdas.shape[0]
 
 
-def fit_power_transform(features: np.ndarray, min_rows: int = 10) -> PowerTransform:
+def fit_power_transform(
+    features: np.ndarray, min_rows: int = MIN_FIT_ROWS
+) -> PowerTransform:
     """Fit lambda, mean, and std per column.
 
     Columns whose transformed values are (nearly) constant get std pinned
@@ -338,7 +347,11 @@ def read_feature_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     rows = []
     for i, line in enumerate(lines[1:]):
         parts = line.split(",")
-        if len(parts) != len(names) + 1 or int(parts[0]) != i:
+        try:
+            index, row = int(parts[0]), [float(v) for v in parts[1:]]
+        except ValueError:
+            index = None
+        if len(parts) != len(names) + 1 or index != i:
             raise FormatError(f"bad feature CSV row {i}: {line!r}")
-        rows.append([float(v) for v in parts[1:]])
+        rows.append(row)
     return names, np.array(rows, dtype=np.float32).reshape(len(rows), len(names))

@@ -1,0 +1,60 @@
+"""Strict reader for the ``key=value`` text of network manifests, detector
+bundles and CLI config files.
+
+Blank lines and ``#`` lines are skipped. A line without ``=``, a repeated
+key, a missing key and a value that does not convert raise FormatError
+naming the file and the key.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+from typing import Callable, TypeVar
+
+from .errors import FormatError
+
+T = TypeVar("T")
+
+
+class KeyValues:
+    """The entries of one key=value text; ``source`` names it in errors."""
+
+    def __init__(self, text: str, source: str):
+        self.source = source
+        self.entries: dict[str, str] = {}
+        for lineno, line in enumerate(text.splitlines(), 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, sep, value = line.partition("=")
+            key = key.strip()
+            if not sep or not key:
+                raise FormatError(f"{source} line {lineno} is not key=value: {line!r}")
+            if key in self.entries:
+                raise FormatError(f"{source} repeats key {key!r} on line {lineno}")
+            self.entries[key] = value.strip()
+
+    def get(self, key: str, convert: Callable[[str], T] = str) -> T:
+        """The value of a required key, passed through ``convert``."""
+        if key not in self.entries:
+            raise FormatError(f"{self.source} is missing key {key!r}")
+        value = self.entries[key]
+        try:
+            return convert(value)
+        except ValueError as exc:
+            raise FormatError(
+                f"{self.source}: bad value {value!r} for key {key!r}: {exc}"
+            ) from None
+
+
+def read_key_values(path: str | Path) -> KeyValues:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc}") from None
+    return KeyValues(text, str(path))
+
+
+def optional_float(text: str) -> float | None:
+    """Converter for a value written as a float or as ``none``."""
+    return None if text == "none" else float(text)

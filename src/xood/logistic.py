@@ -30,20 +30,17 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
 from .datasets import Dataset
 from .distortions import DISTORTION_FAMILIES
 from .errors import ConfigError, ContractError, NumericalError
-from .features import (
-    FeatureKind,
-    PowerTransform,
-    apply_power_transform,
-    assemble_columns,
-    reduce_tap,
-)
+from .features import FeatureKind, PowerTransform, apply_power_transform
+from .keyvalue import optional_float, read_key_values
 from .mahalanobis import lower_quantile_threshold
+from .network import DEFAULT_BATCH, Network, run_network
 from .rng import derive_seed
 from .xten import read_tensor, write_tensor
 
@@ -269,12 +266,12 @@ class LabeledFeatureSet:
 
 
 def build_training_set(
-    net,
+    net: Network,
     calibration: Dataset,
     pt: PowerTransform,
     seed: int,
     kind: FeatureKind = FeatureKind.MINMAX,
-    batch_size: int = 256,
+    batch_size: int = DEFAULT_BATCH,
 ) -> LabeledFeatureSet:
     """Calibration data plus one distorted copy per family.
 
@@ -282,8 +279,6 @@ def build_training_set(
     the row's (possibly mixup-adjusted) label; the power transform is the
     one fitted on the training data, never refit here.
     """
-    from .network import forward_with_taps  # deferred to avoid a cycle
-
     if calibration.labels is None:
         raise ContractError("calibration dataset must be labeled")
     sources = [calibration]
@@ -293,21 +288,9 @@ def build_training_set(
     labels = []
     fold_ids = []
     for fold, source in enumerate(sources):
-        feats = []
-        preds = []
-        for start in range(0, len(source), batch_size):
-            batch = source.images[start : start + batch_size]
-            result = forward_with_taps(
-                net, batch, tap_map=lambda tap: reduce_tap(tap, kind)
-            )
-            feats.append(
-                assemble_columns([c for cols in result.taps for c in cols])
-            )
-            preds.append(result.predictions)
-        feats = np.vstack(feats)
-        preds = np.concatenate(preds)
-        blocks.append(apply_power_transform(pt, feats))
-        labels.append((preds == source.labels).astype(np.float64))
+        outputs = run_network(net, source.images, kind, batch_size)
+        blocks.append(apply_power_transform(pt, outputs.features))
+        labels.append((outputs.predictions == source.labels).astype(np.float64))
         fold_ids.append(np.full(len(source), fold, dtype=np.int64))
     return LabeledFeatureSet(
         np.vstack(blocks), np.concatenate(labels), np.concatenate(fold_ids)
@@ -322,10 +305,18 @@ def build_training_set(
 class LDetector:
     """Fitted logistic detector; immutable after calibration."""
 
+    method: ClassVar[str] = "l"
+
     scaler: SplitScaler
     weights: np.ndarray  # (2*2d + 1,), intercept first
     reg_lambda: float
     threshold: float | None = None
+
+    def score(self, transformed: np.ndarray) -> np.ndarray:
+        return score_l(self, transformed)
+
+    def save(self, directory: str | Path) -> None:
+        save_l_detector(self, directory)
 
 
 def fit_l_detector(
@@ -385,11 +376,7 @@ def save_l_detector(det: LDetector, directory: str | Path) -> None:
 
 def load_l_detector(directory: str | Path) -> LDetector:
     directory = Path(directory)
-    entries: dict[str, str] = {}
-    for line in (directory / "detector.txt").read_text().splitlines():
-        if line.strip():
-            key, _, value = line.partition("=")
-            entries[key.strip()] = value.strip()
+    entries = read_key_values(directory / "detector.txt")
     if entries.get("detector") != "logistic":
         raise ContractError(f"{directory} does not hold a logistic detector")
     scaler = SplitScaler(
@@ -398,12 +385,11 @@ def load_l_detector(directory: str | Path) -> LDetector:
         scale_stds=read_tensor(directory / "scale_stds.xten").astype(np.float64),
         flags=read_tensor(directory / "scale_flags.xten") != 0,
     )
-    threshold = entries.get("threshold", "none")
     det = LDetector(
         scaler=scaler,
         weights=read_tensor(directory / "weights.xten").astype(np.float64),
-        reg_lambda=float(entries["reg_lambda"]),
-        threshold=None if threshold == "none" else float(threshold),
+        reg_lambda=entries.get("reg_lambda", float),
+        threshold=entries.get("threshold", optional_float),
     )
     if det.weights.shape != (2 * scaler.dim + 1,):
         raise ContractError("detector weights do not match the scaler width")

@@ -20,10 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import ConfigError, ContractError, SingularityError
+from .keyvalue import optional_float, read_key_values
 from .xten import read_tensor, write_tensor
 
 DEFAULT_REG_C = 10.0
@@ -71,10 +73,12 @@ def _solve_lower(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 @dataclass
 class MDetector:
-    """Fitted Mahalanobis detector; immutable after calibration."""
+    """Fitted Mahalanobis detector; immutable after calibration. The
+    covariance is not kept: it is ``factor @ factor.T - reg_c * I``."""
+
+    method: ClassVar[str] = "m"
 
     mean: np.ndarray  # (d,) float64
-    cov: np.ndarray  # (d, d) float64, unbiased covariance of the fit data
     reg_c: float
     factor: np.ndarray  # (d, d) float64 lower Cholesky factor of cov + C*I
     threshold: float | None = None
@@ -82,6 +86,12 @@ class MDetector:
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
+
+    def score(self, transformed: np.ndarray) -> np.ndarray:
+        return confidence(self, transformed)
+
+    def save(self, directory: str | Path) -> None:
+        save_m_detector(self, directory)
 
 
 def fit_mahalanobis(features: np.ndarray, reg_c: float = DEFAULT_REG_C) -> MDetector:
@@ -101,7 +111,7 @@ def fit_mahalanobis(features: np.ndarray, reg_c: float = DEFAULT_REG_C) -> MDete
     cov = (centered.T @ centered) / (n - 1)
     cov = 0.5 * (cov + cov.T)
     factor = cholesky_lower(cov + reg_c * np.eye(d))
-    return MDetector(mean, cov, float(reg_c), factor)
+    return MDetector(mean, float(reg_c), factor)
 
 
 def mahalanobis_score(det: MDetector, features: np.ndarray) -> np.ndarray:
@@ -168,27 +178,21 @@ def save_m_detector(det: MDetector, directory: str | Path) -> None:
     ]
     (directory / "detector.txt").write_text("\n".join(lines) + "\n")
     write_tensor(directory / "mean.xten", det.mean)
-    write_tensor(directory / "cov.xten", det.cov)
     write_tensor(directory / "factor.xten", det.factor)
 
 
 def load_m_detector(directory: str | Path) -> MDetector:
+    """Read a saved detector; a stale ``cov.xten`` is ignored."""
     directory = Path(directory)
-    entries: dict[str, str] = {}
-    for line in (directory / "detector.txt").read_text().splitlines():
-        if line.strip():
-            key, _, value = line.partition("=")
-            entries[key.strip()] = value.strip()
+    entries = read_key_values(directory / "detector.txt")
     if entries.get("detector") != "mahalanobis":
         raise ContractError(f"{directory} does not hold a mahalanobis detector")
-    threshold = entries.get("threshold", "none")
     det = MDetector(
         mean=read_tensor(directory / "mean.xten").astype(np.float64),
-        cov=read_tensor(directory / "cov.xten").astype(np.float64),
-        reg_c=float(entries["reg_c"]),
+        reg_c=entries.get("reg_c", float),
         factor=read_tensor(directory / "factor.xten").astype(np.float64),
-        threshold=None if threshold == "none" else float(threshold),
+        threshold=entries.get("threshold", optional_float),
     )
-    if det.cov.shape != (det.dim, det.dim) or det.factor.shape != det.cov.shape:
+    if det.mean.ndim != 1 or det.factor.shape != (det.dim, det.dim):
         raise ContractError("detector tensors have inconsistent shapes")
     return det

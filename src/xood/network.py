@@ -1,4 +1,5 @@
-"""Classifier container: layer stack, tapped forward pass, trainer, file IO.
+"""Classifier container: layer stack, tapped forward pass, the batched
+forward-and-reduce loop every detector uses, trainer, file IO.
 
 The tapped forward pass records the tensor fed *into* every Relu layer.
 Those pre-activation tensors are the signal the detectors reduce to
@@ -44,6 +45,8 @@ from .errors import (
     FormatError,
     TrainingDivergedError,
 )
+from .features import FeatureKind, assemble_columns, reduce_tap
+from .keyvalue import KeyValues
 from .rng import Stream, derive_seed
 from .xten import decode_tensor, encode_tensor
 
@@ -51,6 +54,7 @@ logger = logging.getLogger(__name__)
 
 NETWORK_MAGIC = b"XNET"
 NETWORK_VERSION = 1
+DEFAULT_BATCH = 256
 
 
 class LayerKind(str, Enum):
@@ -204,6 +208,42 @@ def forward_with_taps(
         x = _apply_layer(layer, x)
     predictions = np.argmax(x, axis=1).astype(np.int64)
     return ForwardResult(predictions, x, logits, taps)
+
+
+@dataclass
+class NetworkOutputs:
+    predictions: np.ndarray  # (N,) int64
+    probabilities: np.ndarray  # (N, K) float32
+    features: np.ndarray  # (N, width) float32, untransformed
+
+
+def run_network(
+    net: Network,
+    images: np.ndarray,
+    kind: FeatureKind = FeatureKind.MINMAX,
+    batch_size: int = DEFAULT_BATCH,
+) -> NetworkOutputs:
+    """Forward a whole image set in batches, reducing taps as they appear.
+
+    Each tap is reduced inside the forward pass, while the tensor is still
+    cache-resident; the columns match extract_features on retained taps
+    bit for bit.
+    """
+    preds, probs, feats = [], [], []
+    for start in range(0, images.shape[0], batch_size):
+        result = forward_with_taps(
+            net,
+            images[start : start + batch_size],
+            tap_map=lambda tap: reduce_tap(tap, kind),
+        )
+        preds.append(result.predictions)
+        probs.append(result.probabilities)
+        feats.append(
+            assemble_columns([col for cols in result.taps for col in cols])
+        )
+    return NetworkOutputs(
+        np.concatenate(preds), np.vstack(probs), np.vstack(feats)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +408,6 @@ def train_reference_cnn(
                 f"loss became non-finite in epoch {epoch}", epoch=epoch
             )
         logger.info("epoch %d mean loss %.6f", epoch, epoch_loss)
-    accuracy = evaluate_accuracy(net, images, labels)
-    logger.info("final training accuracy %.4f", accuracy)
     return net
 
 
@@ -432,19 +470,6 @@ def save_network(net: Network, path: str | Path) -> None:
     Path(path).write_bytes(bytes(out))
 
 
-def _parse_manifest(text: str, offset: int) -> dict[str, str]:
-    entries: dict[str, str] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise FormatError(f"manifest line without '=': {line!r}", offset=offset)
-        key, _, value = line.partition("=")
-        entries[key.strip()] = value.strip()
-    return entries
-
-
 def load_network(path: str | Path) -> Network:
     """Read an XNET container. Truncated or inconsistent files raise
     FormatError; no partially constructed network is ever returned."""
@@ -463,7 +488,7 @@ def load_network(path: str | Path) -> Network:
         manifest = buf[pos : pos + manifest_len].decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"manifest is not UTF-8: {exc}", offset=pos) from None
-    entries = _parse_manifest(manifest, pos)
+    entries = KeyValues(manifest, f"XNET manifest of {path}")
     pos += manifest_len
     if len(buf) < pos + 4:
         raise FormatError("truncated XNET blob count", offset=len(buf))
@@ -483,34 +508,20 @@ def load_network(path: str | Path) -> Network:
     if pos != len(buf):
         raise FormatError("trailing bytes after XNET blobs", offset=pos)
 
-    def require(key: str) -> str:
-        if key not in entries:
-            raise FormatError(f"manifest missing key {key!r}", offset=9)
-        return entries[key]
-
-    try:
-        input_shape = tuple(int(v) for v in require("input_shape").split(","))
-        num_classes = int(require("num_classes"))
-        num_layers = int(require("num_layers"))
-    except ValueError as exc:
-        raise FormatError(f"bad manifest value: {exc}", offset=9) from None
-
+    input_shape = entries.get(
+        "input_shape", lambda text: tuple(int(v) for v in text.split(","))
+    )
+    num_classes = entries.get("num_classes", int)
     layers: list[LayerSpec] = []
-    for i in range(num_layers):
-        kind_value = require(f"layer{i}.kind")
-        try:
-            kind = LayerKind(kind_value)
-        except ValueError:
-            raise FormatError(
-                f"unknown layer kind {kind_value!r} at layer {i}", offset=9
-            ) from None
+    for i in range(entries.get("num_layers", int)):
+        kind = entries.get(f"layer{i}.kind", LayerKind)
         spec = LayerSpec(kind)
         if kind is LayerKind.CONV2D:
-            spec.stride = int(require(f"layer{i}.stride"))
-            spec.padding = int(require(f"layer{i}.padding"))
+            spec.stride = entries.get(f"layer{i}.stride", int)
+            spec.padding = entries.get(f"layer{i}.padding", int)
         elif kind is LayerKind.MAXPOOL2D:
-            spec.window = int(require(f"layer{i}.window"))
-            spec.stride = int(require(f"layer{i}.stride"))
+            spec.window = entries.get(f"layer{i}.window", int)
+            spec.stride = entries.get(f"layer{i}.stride", int)
         if kind in (LayerKind.CONV2D, LayerKind.DENSE):
             for part in ("weight", "bias"):
                 key = f"layer{i}.{part}"

@@ -20,73 +20,45 @@ from . import logistic, mahalanobis
 from .datasets import Dataset
 from .errors import ContractError, FormatError
 from .features import (
+    MIN_FIT_ROWS,
     FeatureKind,
     PowerTransform,
     apply_power_transform,
-    assemble_columns,
     fit_power_transform,
     load_power_transform,
-    reduce_tap,
     save_power_transform,
 )
-from .logistic import LDetector, LabeledFeatureSet
-from .mahalanobis import MDetector
-from .network import Network, forward_with_taps
+from .keyvalue import read_key_values
+from .network import DEFAULT_BATCH, Network, run_network
 
 logger = logging.getLogger(__name__)
-
-DEFAULT_BATCH = 256
-
-
-@dataclass
-class NetworkOutputs:
-    predictions: np.ndarray  # (N,) int64
-    probabilities: np.ndarray  # (N, K) float32
-    features: np.ndarray  # (N, width) float32, untransformed
-
-
-def run_network(
-    net: Network,
-    images: np.ndarray,
-    kind: FeatureKind = FeatureKind.MINMAX,
-    batch_size: int = DEFAULT_BATCH,
-) -> NetworkOutputs:
-    """Forward a whole image set in batches, reducing taps as they appear.
-
-    Each tap is reduced inside the forward pass, while the tensor is still
-    cache-resident; the columns match extract_features on retained taps
-    bit for bit.
-    """
-    preds, probs, feats = [], [], []
-    for start in range(0, images.shape[0], batch_size):
-        result = forward_with_taps(
-            net,
-            images[start : start + batch_size],
-            tap_map=lambda tap: reduce_tap(tap, kind),
-        )
-        preds.append(result.predictions)
-        probs.append(result.probabilities)
-        feats.append(
-            assemble_columns([col for cols in result.taps for col in cols])
-        )
-    return NetworkOutputs(
-        np.concatenate(preds), np.vstack(probs), np.vstack(feats)
-    )
 
 
 @dataclass
 class DetectorBundle:
-    method: str  # "m" or "l"
     kind: FeatureKind
     transform: PowerTransform
-    m_detector: MDetector | None = None
-    l_detector: LDetector | None = None
+    detector: mahalanobis.MDetector | logistic.LDetector
 
-    def scores(self, transformed: np.ndarray) -> np.ndarray:
-        """Confidence scores, higher = more in-distribution."""
-        if self.method == "m":
-            return mahalanobis.confidence(self.m_detector, transformed)
-        return logistic.score_l(self.l_detector, transformed)
+
+def _fit_transform(
+    net: Network, train: Dataset, kind: FeatureKind, batch_size: int
+) -> tuple[PowerTransform, np.ndarray]:
+    """Fit the power transform on the correctly classified training rows;
+    returns it and those rows transformed."""
+    if train.labels is None:
+        raise ContractError("training dataset must be labeled")
+    outputs = run_network(net, train.images, kind, batch_size)
+    correct = outputs.predictions == train.labels
+    n_correct = int(correct.sum())
+    logger.info("fitting on %d/%d correctly classified images", n_correct, len(train))
+    if n_correct < MIN_FIT_ROWS:
+        raise ContractError(
+            f"only {n_correct} correctly classified training images; "
+            "train the classifier first"
+        )
+    pt = fit_power_transform(outputs.features[correct])
+    return pt, apply_power_transform(pt, outputs.features[correct])
 
 
 def fit_m_bundle(
@@ -99,24 +71,12 @@ def fit_m_bundle(
 ) -> DetectorBundle:
     """Fit the unsupervised detector from correctly classified training
     images and calibrate its threshold on the held-out split."""
-    if train.labels is None:
-        raise ContractError("training dataset must be labeled")
-    outputs = run_network(net, train.images, kind, batch_size)
-    correct = outputs.predictions == train.labels
-    n_correct = int(correct.sum())
-    logger.info("fitting on %d/%d correctly classified images", n_correct, len(train))
-    if n_correct <= outputs.features.shape[1]:
-        raise ContractError(
-            f"only {n_correct} correctly classified images for "
-            f"d={outputs.features.shape[1]}; train the classifier first"
-        )
-    pt = fit_power_transform(outputs.features[correct])
-    transformed = apply_power_transform(pt, outputs.features[correct])
+    pt, transformed = _fit_transform(net, train, kind, batch_size)
     det = mahalanobis.fit_mahalanobis(transformed, reg_c)
     calib_outputs = run_network(net, calibration.images, kind, batch_size)
     calib_transformed = apply_power_transform(pt, calib_outputs.features)
-    mahalanobis.calibrate(det, mahalanobis.confidence(det, calib_transformed))
-    return DetectorBundle("m", kind, pt, m_detector=det)
+    mahalanobis.calibrate(det, det.score(calib_transformed))
+    return DetectorBundle(kind, pt, det)
 
 
 def fit_l_bundle(
@@ -130,19 +90,12 @@ def fit_l_bundle(
 ) -> tuple[DetectorBundle, logistic.CVResult]:
     """Fit the supervised detector from the calibration split and its
     distorted copies; the power transform comes from the training data."""
-    if train.labels is None or calibration.labels is None:
-        raise ContractError("training and calibration datasets must be labeled")
-    outputs = run_network(net, train.images, kind, batch_size)
-    correct = outputs.predictions == train.labels
-    if int(correct.sum()) < 10:
-        raise ContractError("too few correctly classified training images")
-    pt = fit_power_transform(outputs.features[correct])
-    means_source = apply_power_transform(pt, outputs.features[correct])
-    training_set: LabeledFeatureSet = logistic.build_training_set(
+    pt, means_source = _fit_transform(net, train, kind, batch_size)
+    training_set = logistic.build_training_set(
         net, calibration, pt, seed, kind, batch_size
     )
     det, cv = logistic.fit_l_detector(training_set, means_source, grid)
-    return DetectorBundle("l", kind, pt, l_detector=det), cv
+    return DetectorBundle(kind, pt, det), cv
 
 
 def score_images(
@@ -154,24 +107,23 @@ def score_images(
     """Confidence scores for raw images (forward, extract, transform, score)."""
     outputs = run_network(net, images, bundle.kind, batch_size)
     transformed = apply_power_transform(bundle.transform, outputs.features)
-    return bundle.scores(transformed)
+    return bundle.detector.score(transformed)
 
 
 # ---------------------------------------------------------------------------
 # bundle persistence
+
+_DETECTOR_LOADERS = {"m": mahalanobis.load_m_detector, "l": logistic.load_l_detector}
 
 
 def save_bundle(bundle: DetectorBundle, directory: str | Path) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     (directory / "bundle.txt").write_text(
-        f"method={bundle.method}\nfeature_kind={bundle.kind.value}\n"
+        f"method={bundle.detector.method}\nfeature_kind={bundle.kind.value}\n"
     )
     save_power_transform(bundle.transform, directory / "power_transform.txt")
-    if bundle.method == "m":
-        mahalanobis.save_m_detector(bundle.m_detector, directory)
-    else:
-        logistic.save_l_detector(bundle.l_detector, directory)
+    bundle.detector.save(directory)
 
 
 def load_bundle(directory: str | Path) -> DetectorBundle:
@@ -179,25 +131,10 @@ def load_bundle(directory: str | Path) -> DetectorBundle:
     manifest = directory / "bundle.txt"
     if not manifest.is_file():
         raise FormatError(f"{directory} is not a detector bundle")
-    entries: dict[str, str] = {}
-    for line in manifest.read_text().splitlines():
-        if line.strip():
-            key, _, value = line.partition("=")
-            entries[key.strip()] = value.strip()
+    entries = read_key_values(manifest)
     method = entries.get("method")
-    if method not in ("m", "l"):
-        raise FormatError(f"unknown detector method {method!r}")
-    try:
-        kind = FeatureKind(entries.get("feature_kind", ""))
-    except ValueError:
-        raise FormatError(
-            f"unknown feature kind {entries.get('feature_kind')!r}"
-        ) from None
+    if method not in _DETECTOR_LOADERS:
+        raise FormatError(f"unknown detector method {method!r} in {manifest}")
+    kind = entries.get("feature_kind", FeatureKind)
     pt = load_power_transform(directory / "power_transform.txt")
-    if method == "m":
-        return DetectorBundle(
-            "m", kind, pt, m_detector=mahalanobis.load_m_detector(directory)
-        )
-    return DetectorBundle(
-        "l", kind, pt, l_detector=logistic.load_l_detector(directory)
-    )
+    return DetectorBundle(kind, pt, _DETECTOR_LOADERS[method](directory))

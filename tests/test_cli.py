@@ -295,3 +295,55 @@ def test_accuracy_floor_is_numerical_error(ws, tmp_path):
 def test_unknown_flag_exits_2(ws):
     _, run = ws
     assert run("gen", "--wat", "7") == 2
+
+
+@pytest.mark.parametrize(
+    "bundle, edit",
+    [
+        ("mdet", lambda text: text.replace("reg_c=", "# reg_c=")),
+        ("ldet", lambda text: text.replace("reg_lambda=", "# reg_lambda=")),
+        ("mdet", lambda text: text.split("threshold=")[0] + "threshold=abc\n"),
+        ("ldet", lambda text: text.split("threshold=")[0] + "threshold=abc\n"),
+        ("mdet", lambda text: text + "reg_c=1.0\n"),
+        ("mdet", lambda text: text + "no separator\n"),
+    ],
+    ids=["m-no-reg_c", "l-no-reg_lambda", "m-bad-threshold", "l-bad-threshold",
+         "m-duplicate-key", "m-no-equals"],
+)
+def test_mutated_detector_manifest_is_data_error(ws, tmp_path, bundle, edit):
+    import shutil
+
+    root, run = ws
+    det = tmp_path / bundle
+    shutil.copytree(root / bundle, det)
+    text = (det / "detector.txt").read_text()
+    (det / "detector.txt").write_text(edit(text))
+    assert run(
+        "score", "--model", root / "model.xnet", "--detector", det,
+        "--images", root / "noise.xten", "--out", tmp_path / "s.csv",
+    ) == 3
+
+
+@pytest.mark.parametrize("row", ["x,0.5", "0,abc", "0", "0,0.5,1"])
+def test_malformed_score_csv_is_data_error(ws, tmp_path, row):
+    root, run = ws
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"index,score\n{row}\n")
+    assert run(
+        "eval", "--id-scores", root / "id_scores.csv", "--ood-scores", bad,
+        "--out", tmp_path / "m.csv",
+    ) == 3
+
+
+def test_malformed_config_file_is_config_error(ws, tmp_path):
+    root, run = ws
+    cfg = tmp_path / "train.cfg"
+    for text in ("epochs=1\nepochs=2\n", "epochs\n", b"epochs=\xff\n"):
+        if isinstance(text, bytes):
+            cfg.write_bytes(text)
+        else:
+            cfg.write_text(text)
+        assert run(
+            "train", "--config", cfg, "--images", root / "train.xten",
+            "--labels", root / "labels.xten", "--out", tmp_path / "m.xnet",
+        ) == 2

@@ -288,3 +288,11 @@ def test_feature_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(got, feats)  # %.9g is lossless for float32
     with pytest.raises(ContractError, match="column names"):
         write_feature_csv(path, feats, ["a", "b"])
+
+
+@pytest.mark.parametrize("row", ["x,1.0,2.0", "0,1.0,abc", "1,1.0,2.0", "0,1.0"])
+def test_feature_csv_rejects_malformed_rows(tmp_path, row):
+    path = tmp_path / "f.csv"
+    path.write_text(f"image_id,layer1_min,layer1_max\n{row}\n")
+    with pytest.raises(FormatError, match="row 0"):
+        read_feature_csv(path)

@@ -15,6 +15,7 @@ from xood.mahalanobis import (
     save_m_detector,
 )
 from xood.rng import Stream
+from xood.xten import write_tensor
 
 
 def gauss_jordan_inverse(m):
@@ -68,15 +69,13 @@ def test_fit_toy_moments():
     x = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
     det = fit_mahalanobis(x, reg_c=1.0)
     np.testing.assert_allclose(det.mean, [1.0, 1.0], atol=1e-15)
-    np.testing.assert_allclose(det.cov, [[1.0, 1.0], [1.0, 1.0]], atol=1e-15)
-    regd = det.cov + np.eye(2)
-    np.testing.assert_allclose(det.factor @ det.factor.T, regd, atol=1e-12)
+    cov = det.factor @ det.factor.T - det.reg_c * np.eye(2)
+    np.testing.assert_allclose(cov, [[1.0, 1.0], [1.0, 1.0]], atol=1e-15)
 
 
 def test_score_identity_covariance_is_euclidean():
     det = MDetector(
         mean=np.zeros(2),
-        cov=np.zeros((2, 2)),
         reg_c=1.0,
         factor=np.eye(2),  # M' = I
     )
@@ -90,8 +89,9 @@ def test_score_hand_case_without_regularization():
     x = np.array([[1.0, 1.0], [1.0, 0.0], [-1.0, -1.0], [-1.0, 0.0]])
     det = fit_mahalanobis(x, reg_c=0.0)
     np.testing.assert_allclose(det.mean, [0.0, 0.0], atol=1e-15)
+    cov = det.factor @ det.factor.T - det.reg_c * np.eye(2)
     np.testing.assert_allclose(
-        det.cov, [[4.0 / 3.0, 2.0 / 3.0], [2.0 / 3.0, 2.0 / 3.0]], atol=1e-15
+        cov, [[4.0 / 3.0, 2.0 / 3.0], [2.0 / 3.0, 2.0 / 3.0]], atol=1e-15
     )
     # D^2((1,0)) = 3/2 and D^2((0,1)) = 3, computed by hand from M^-1
     assert mahalanobis_score(det, np.array([1.0, 0.0])) == pytest.approx(
@@ -109,7 +109,7 @@ def test_score_matches_explicit_inverse():
         x = s.normal(40 * d).reshape(40, d) @ spd_matrix(s, d)
         det = fit_mahalanobis(x, reg_c=10.0)
         q = s.normal(5 * d).reshape(5, d) * 3.0
-        inv = gauss_jordan_inverse(det.cov + 10.0 * np.eye(d))
+        inv = gauss_jordan_inverse(np.cov(x, rowvar=False) + 10.0 * np.eye(d))
         diff = q - det.mean
         want = np.sqrt(np.einsum("ij,jk,ik->i", diff, inv, diff))
         np.testing.assert_allclose(
@@ -122,7 +122,7 @@ def test_factor_scale_homogeneity():
     s = Stream(4)
     x = s.normal(200).reshape(50, 4)
     det = fit_mahalanobis(x, reg_c=1.0)
-    scaled = MDetector(det.mean, det.cov, det.reg_c, det.factor * 2.0)
+    scaled = MDetector(det.mean, det.reg_c, det.factor * 2.0)
     q = s.normal(4)
     assert mahalanobis_score(scaled, q) == pytest.approx(
         mahalanobis_score(det, q) / 2.0, rel=1e-12
@@ -205,6 +205,20 @@ def test_persistence_round_trip(tmp_path):
     np.testing.assert_allclose(
         mahalanobis_score(back, q), mahalanobis_score(det, q), rtol=1e-4
     )
+
+
+def test_load_ignores_stale_covariance_file(tmp_path):
+    # older versions also wrote cov.xten; the factor alone defines the scores
+    s = Stream(12)
+    x = s.normal(60 * 3).reshape(60, 3)
+    det = calibrate(fit_mahalanobis(x), confidence(fit_mahalanobis(x), x))
+    save_m_detector(det, tmp_path)
+    assert not (tmp_path / "cov.xten").exists()
+    q = s.normal(20 * 3).reshape(20, 3)
+    want = mahalanobis_score(load_m_detector(tmp_path), q)
+    write_tensor(tmp_path / "cov.xten", np.cov(x, rowvar=False))
+    back = load_m_detector(tmp_path)
+    np.testing.assert_array_equal(mahalanobis_score(back, q), want)
 
 
 def test_load_rejects_wrong_detector_kind(tmp_path):

@@ -226,3 +226,11 @@ def test_load_rejects_inconsistent_manifest(tmp_path, toy_net):
     bad.write_bytes(patched)
     with pytest.raises(FormatError, match="inconsistent"):
         load_network(bad)
+    # a renamed key leaves num_classes missing; a bad number fails to convert
+    for old, new, match in (
+        (b"num_classes=3", b"num_clauses=3", "missing key 'num_classes'"),
+        (b"num_classes=3", b"num_classes=x", "bad value 'x' for key 'num_classes'"),
+    ):
+        bad.write_bytes(raw.replace(old, new))
+        with pytest.raises(FormatError, match=match):
+            load_network(bad)

@@ -4,7 +4,8 @@ import pytest
 from xood.datasets import Dataset, gen_noise, make_blobs, split
 from xood.errors import ContractError, FormatError
 from xood.features import FeatureKind, apply_power_transform, extract_features
-from xood.mahalanobis import confidence
+from xood.logistic import LDetector
+from xood.mahalanobis import MDetector, confidence
 from xood.network import TrainConfig, forward_with_taps, train_reference_cnn
 from xood.pipeline import (
     fit_l_bundle,
@@ -58,11 +59,11 @@ def test_fit_m_bundle_uses_correct_rows_only(world):
     transformed = apply_power_transform(
         bundle.transform, outputs.features[correct]
     )
+    assert isinstance(bundle.detector, MDetector)
     np.testing.assert_allclose(
-        bundle.m_detector.mean, transformed.mean(axis=0), atol=1e-12
+        bundle.detector.mean, transformed.mean(axis=0), atol=1e-12
     )
-    assert bundle.m_detector.threshold is not None
-    assert bundle.method == "m"
+    assert bundle.detector.threshold is not None
 
 
 def test_fit_m_bundle_requires_labels_and_accuracy(world):
@@ -82,7 +83,7 @@ def test_score_images_matches_manual_route(world):
     got = score_images(bundle, net, noise.images)
     outputs = run_network(net, noise.images)
     transformed = apply_power_transform(bundle.transform, outputs.features)
-    want = confidence(bundle.m_detector, transformed)
+    want = confidence(bundle.detector, transformed)
     np.testing.assert_allclose(got, want, atol=1e-12)
     # in-distribution scores higher than noise scores on average
     id_scores = score_images(bundle, net, calib.images)
@@ -92,10 +93,10 @@ def test_score_images_matches_manual_route(world):
 def test_fit_l_bundle_cv_structure(world):
     net, train, calib = world
     bundle, cv = fit_l_bundle(net, train, calib, seed=77, grid=(1e-2, 1.0))
-    assert bundle.method == "l"
+    assert isinstance(bundle.detector, LDetector)
     assert cv.fold_losses.shape == (2, 5)  # clean fold + four families
-    assert bundle.l_detector.reg_lambda == cv.best_lambda
-    assert bundle.l_detector.threshold is not None
+    assert bundle.detector.reg_lambda == cv.best_lambda
+    assert bundle.detector.threshold is not None
     scores = score_images(bundle, net, calib.images)
     assert scores.min() >= 0.0 and scores.max() <= 1.0
 
@@ -105,7 +106,8 @@ def test_bundle_round_trip_m(tmp_path, world):
     bundle = fit_m_bundle(net, train, calib)
     save_bundle(bundle, tmp_path / "det")
     back = load_bundle(tmp_path / "det")
-    assert back.method == "m" and back.kind is FeatureKind.MINMAX
+    assert isinstance(back.detector, MDetector)
+    assert back.kind is FeatureKind.MINMAX
     noise = gen_noise("uniform", 20, (1, 16, 16), seed=6)
     np.testing.assert_allclose(
         score_images(back, net, noise.images),
@@ -119,7 +121,7 @@ def test_bundle_round_trip_l(tmp_path, world):
     bundle, _ = fit_l_bundle(net, train, calib, seed=77, grid=(1.0,))
     save_bundle(bundle, tmp_path / "det")
     back = load_bundle(tmp_path / "det")
-    assert back.method == "l"
+    assert isinstance(back.detector, LDetector)
     noise = gen_noise("gaussian", 20, (1, 16, 16), seed=6)
     np.testing.assert_allclose(
         score_images(back, net, noise.images),
