@@ -55,7 +55,7 @@ from .errors import (
     XoodError,
 )
 from .features import FeatureKind, feature_names, write_feature_csv
-from .keyvalue import read_key_values
+from .keyvalue import read_key_values, read_utf8
 from .logistic import LAMBDA_GRID
 from .network import (
     TrainConfig,
@@ -150,8 +150,6 @@ _SCHEMAS: dict[str, list[Opt]] = {
         Opt("reg-c", float, 10.0, help="covariance regularizer C"),
         Opt("feature-kind", FeatureKind, FeatureKind.MINMAX),
         Opt("batch-size", int, 256),
-        Opt("distortion-seed", int,
-            help="accepted for flag parity; ignored with a warning"),
         Opt("out", str, _REQUIRED, help="detector bundle directory"),
         Opt("force", flag=True),
     ],
@@ -405,8 +403,6 @@ def cmd_extract(cfg: dict) -> dict:
 
 
 def cmd_fit_m(cfg: dict) -> dict:
-    if cfg.get("distortion-seed") is not None:
-        logger.warning("--distortion-seed is ignored by fit-m")
     net = load_network(cfg["model"])
     ds = _load_dataset(cfg["images"], cfg["labels"])
     train_part, calib_part = _training_split(ds, cfg)
@@ -460,7 +456,7 @@ def cmd_score(cfg: dict) -> dict:
 
 
 def read_scores_csv(path: str | Path) -> np.ndarray:
-    lines = [l for l in Path(path).read_text().splitlines() if l.strip()]
+    lines = [l for l in read_utf8(path).splitlines() if l.strip()]
     if not lines or lines[0] != "index,score":
         raise FormatError(f"bad score CSV header in {path}")
     values = []
@@ -514,7 +510,7 @@ def cmd_eval(cfg: dict) -> dict:
         )
     out = Path(cfg["out"])
     if cfg["append"] and out.is_file():
-        existing = out.read_text().rstrip("\n")
+        existing = read_utf8(out).rstrip("\n")
         out.write_text(existing + "\n" + "\n".join(rows) + "\n")
     else:
         _ensure_writable(cfg["out"], cfg["force"])

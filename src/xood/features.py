@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError, FormatError
+from .keyvalue import read_utf8
 
 logger = logging.getLogger(__name__)
 
@@ -215,9 +216,7 @@ class PowerTransform:
         return self.lambdas.shape[0]
 
 
-def fit_power_transform(
-    features: np.ndarray, min_rows: int = MIN_FIT_ROWS
-) -> PowerTransform:
+def fit_power_transform(features: np.ndarray) -> PowerTransform:
     """Fit lambda, mean, and std per column.
 
     Columns whose transformed values are (nearly) constant get std pinned
@@ -228,8 +227,8 @@ def fit_power_transform(
     if x.ndim != 2:
         raise ContractError(f"features must be 2-D, got shape {x.shape}")
     n, d = x.shape
-    if n < min_rows:
-        raise ContractError(f"need at least {min_rows} rows to fit, got {n}")
+    if n < MIN_FIT_ROWS:
+        raise ContractError(f"need at least {MIN_FIT_ROWS} rows to fit, got {n}")
     if not np.all(np.isfinite(x)):
         raise ContractError("features contain non-finite values")
     lambdas = np.empty(d)
@@ -297,7 +296,7 @@ def save_power_transform(pt: PowerTransform, path: str | Path) -> None:
 
 
 def load_power_transform(path: str | Path) -> PowerTransform:
-    lines = [l for l in Path(path).read_text().splitlines() if l.strip()]
+    lines = [l for l in read_utf8(path).splitlines() if l.strip()]
     if not lines or lines[0].strip() != "dim,lambda,mean,std,flagged":
         raise FormatError(f"bad power transform header in {path}")
     rows = []
@@ -340,7 +339,7 @@ def write_feature_csv(
 
 def read_feature_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     """Returns (column names, float32 matrix); image_id order is checked."""
-    lines = [l for l in Path(path).read_text().splitlines() if l.strip()]
+    lines = [l for l in read_utf8(path).splitlines() if l.strip()]
     if not lines or not lines[0].startswith("image_id,"):
         raise FormatError(f"bad feature CSV header in {path}")
     names = lines[0].split(",")[1:]

@@ -1,9 +1,11 @@
 """Strict reader for the ``key=value`` text of network manifests, detector
-bundles and CLI config files.
+bundles and CLI config files, and the UTF-8 decoding every text loader
+shares.
 
 Blank lines and ``#`` lines are skipped. A line without ``=``, a repeated
 key, a missing key and a value that does not convert raise FormatError
-naming the file and the key.
+naming the file and the key. Bytes that are not UTF-8 raise FormatError
+naming the source and the offset of the first bad byte.
 """
 
 from __future__ import annotations
@@ -47,12 +49,25 @@ class KeyValues:
             ) from None
 
 
-def read_key_values(path: str | Path) -> KeyValues:
+def decode_utf8(raw: bytes, source: str, offset: int = 0) -> str:
+    """``raw`` decoded as UTF-8. Other bytes raise FormatError naming
+    ``source`` and the offset of the first bad byte, for ``raw`` read from
+    position ``offset`` of its file."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise FormatError(f"{path} is not UTF-8 text: {exc}") from None
-    return KeyValues(text, str(path))
+        raise FormatError(
+            f"{source} is not UTF-8 text: {exc}", offset=offset + exc.start
+        ) from None
+
+
+def read_utf8(path: str | Path) -> str:
+    """The text of a UTF-8 file; other bytes raise FormatError."""
+    return decode_utf8(Path(path).read_bytes(), str(path))
+
+
+def read_key_values(path: str | Path) -> KeyValues:
+    return KeyValues(read_utf8(path), str(path))
 
 
 def optional_float(text: str) -> float | None:

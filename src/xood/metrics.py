@@ -134,17 +134,6 @@ def msp_baseline(probabilities: np.ndarray) -> np.ndarray:
     return probs.max(axis=1)
 
 
-def histogram(values: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray]:
-    """Equal-width histogram over [min, max]; returns (edges, counts)."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 1 or values.size == 0:
-        raise ContractError("histogram needs a non-empty 1-D array")
-    if bins < 1:
-        raise ContractError(f"bins must be >= 1, got {bins}")
-    counts, edges = np.histogram(values, bins=bins)
-    return edges, counts
-
-
 def overhead(t: float, t_base: float) -> float:
     """Relative slowdown of t against the baseline t_base."""
     if t_base <= 0:

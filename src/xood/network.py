@@ -46,7 +46,7 @@ from .errors import (
     TrainingDivergedError,
 )
 from .features import FeatureKind, assemble_columns, reduce_tap
-from .keyvalue import KeyValues
+from .keyvalue import KeyValues, decode_utf8
 from .rng import Stream, derive_seed
 from .xten import decode_tensor, encode_tensor
 
@@ -64,6 +64,15 @@ class LayerKind(str, Enum):
     FLATTEN = "flatten"
     DENSE = "dense"
     SOFTMAX = "softmax"
+
+
+# layers that carry a weight and a bias
+_WEIGHTED = (LayerKind.CONV2D, LayerKind.DENSE)
+# hyperparameters each layer kind writes to and reads from the manifest
+_HYPERPARAMETERS = {
+    LayerKind.CONV2D: ("stride", "padding"),
+    LayerKind.MAXPOOL2D: ("window", "stride"),
+}
 
 
 @dataclass
@@ -88,13 +97,30 @@ class Network:
 
     def __post_init__(self):
         shape = tuple(self.input_shape)
-        if len(shape) != 3:
-            raise DimensionError(f"input shape must be (C,H,W), got {shape}")
-        for i, layer in enumerate(self.layers):
-            shape = _infer_output_shape(i, layer, shape)
-        if shape != (self.num_classes,):
+        if len(shape) != 3 or min(shape) < 1:
             raise DimensionError(
-                f"stack produces shape {shape}, expected ({self.num_classes},)"
+                f"input shape must be (C,H,W) with extents >= 1, got {shape}"
+            )
+        # An empty batch runs each kernel's own shape checks and allocates
+        # nothing, whatever extents the layers declare; numpy raises
+        # ValueError or TypeError for an extent too large to index.
+        where = "input"
+        try:
+            x = np.zeros((0, *shape), np.float32)
+            for i, layer in enumerate(self.layers):
+                where = f"layer {i}"
+                if layer.kind in _WEIGHTED and (
+                    layer.weight is None or layer.bias is None
+                ):
+                    raise ContractError(
+                        f"{where}: {layer.kind.value} is missing parameters"
+                    )
+                x = _apply_layer(layer, x)
+        except (DimensionError, ValueError, TypeError) as exc:
+            raise DimensionError(f"{where}: {exc}") from None
+        if x.shape[1:] != (self.num_classes,):
+            raise DimensionError(
+                f"stack produces shape {x.shape[1:]}, expected ({self.num_classes},)"
             )
         if not self.layers or self.layers[-1].kind is not LayerKind.SOFTMAX:
             raise ContractError("network must end in softmax")
@@ -107,49 +133,6 @@ class Network:
     @property
     def num_activation_layers(self) -> int:
         return len(self.activation_indices)
-
-
-def _infer_output_shape(index: int, layer: LayerSpec, shape: tuple) -> tuple:
-    kind = layer.kind
-    if kind in (LayerKind.CONV2D, LayerKind.DENSE) and (
-        layer.weight is None or layer.bias is None
-    ):
-        raise ContractError(f"layer {index}: {kind.value} is missing parameters")
-    if kind is LayerKind.CONV2D:
-        if len(shape) != 3:
-            raise DimensionError(f"layer {index}: conv2d needs (C,H,W), got {shape}")
-        f, c, kh, kw = layer.weight.shape
-        if c != shape[0]:
-            raise DimensionError(
-                f"layer {index}: conv2d expects {c} channels, gets {shape[0]}"
-            )
-        ho = ops._out_extent(shape[1], kh, layer.stride, layer.padding, "height")
-        wo = ops._out_extent(shape[2], kw, layer.stride, layer.padding, "width")
-        return (f, ho, wo)
-    if kind is LayerKind.MAXPOOL2D:
-        if len(shape) != 3:
-            raise DimensionError(f"layer {index}: maxpool needs (C,H,W), got {shape}")
-        if shape[1] < layer.window or shape[2] < layer.window:
-            raise DimensionError(
-                f"layer {index}: pool window {layer.window} exceeds {shape[1:]}"
-            )
-        ho = (shape[1] - layer.window) // layer.stride + 1
-        wo = (shape[2] - layer.window) // layer.stride + 1
-        return (shape[0], ho, wo)
-    if kind is LayerKind.FLATTEN:
-        return (int(np.prod(shape)),)
-    if kind is LayerKind.DENSE:
-        if len(shape) != 1:
-            raise DimensionError(f"layer {index}: dense needs a flat input, got {shape}")
-        d, k = layer.weight.shape
-        if d != shape[0]:
-            raise DimensionError(
-                f"layer {index}: dense expects width {d}, gets {shape[0]}"
-            )
-        return (k,)
-    if kind in (LayerKind.RELU, LayerKind.SOFTMAX):
-        return shape
-    raise ContractError(f"layer {index}: unknown kind {kind}")
 
 
 def _apply_layer(layer: LayerSpec, x: np.ndarray) -> np.ndarray:
@@ -412,17 +395,14 @@ def train_reference_cnn(
 
 
 def evaluate_accuracy(
-    net: Network, images: np.ndarray, labels: np.ndarray, batch_size: int = 256
+    net: Network,
+    images: np.ndarray,
+    labels: np.ndarray,
+    batch_size: int = DEFAULT_BATCH,
 ) -> float:
     """Fraction of images whose argmax prediction matches the label."""
-    correct = 0
-    for start in range(0, images.shape[0], batch_size):
-        batch = images[start : start + batch_size]
-        result = forward_with_taps(net, batch)
-        correct += int(
-            (result.predictions == labels[start : start + batch_size]).sum()
-        )
-    return correct / images.shape[0]
+    predictions = run_network(net, images, batch_size=batch_size).predictions
+    return int((predictions == labels).sum()) / images.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -439,17 +419,13 @@ def _manifest_lines(net: Network) -> list[str]:
     ]
     for i, layer in enumerate(net.layers):
         lines.append(f"layer{i}.kind={layer.kind.value}")
-        if layer.kind is LayerKind.CONV2D:
-            lines.append(f"layer{i}.stride={layer.stride}")
-            lines.append(f"layer{i}.padding={layer.padding}")
-        elif layer.kind is LayerKind.MAXPOOL2D:
-            lines.append(f"layer{i}.window={layer.window}")
-            lines.append(f"layer{i}.stride={layer.stride}")
+        for name in _HYPERPARAMETERS.get(layer.kind, ()):
+            lines.append(f"layer{i}.{name}={getattr(layer, name)}")
     return lines
 
 
-def save_network(net: Network, path: str | Path) -> None:
-    """Write the network as an XNET container file."""
+def _encode_network(net: Network) -> bytes:
+    """The XNET bytes of ``net``."""
     manifest = "\n".join(_manifest_lines(net)).encode("utf-8")
     blobs: list[tuple[str, np.ndarray]] = []
     for i, layer in enumerate(net.layers):
@@ -467,7 +443,12 @@ def save_network(net: Network, path: str | Path) -> None:
         out += struct.pack("<I", len(raw))
         out += raw
         out += encode_tensor(tensor)
-    Path(path).write_bytes(bytes(out))
+    return bytes(out)
+
+
+def save_network(net: Network, path: str | Path) -> None:
+    """Write the network as an XNET container file."""
+    Path(path).write_bytes(_encode_network(net))
 
 
 def load_network(path: str | Path) -> Network:
@@ -484,11 +465,9 @@ def load_network(path: str | Path) -> Network:
     pos = 9
     if len(buf) < pos + manifest_len:
         raise FormatError("truncated XNET manifest", offset=len(buf))
-    try:
-        manifest = buf[pos : pos + manifest_len].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"manifest is not UTF-8: {exc}", offset=pos) from None
-    entries = KeyValues(manifest, f"XNET manifest of {path}")
+    source = f"XNET manifest of {path}"
+    manifest = decode_utf8(buf[pos : pos + manifest_len], source, pos)
+    entries = KeyValues(manifest, source)
     pos += manifest_len
     if len(buf) < pos + 4:
         raise FormatError("truncated XNET blob count", offset=len(buf))
@@ -502,7 +481,7 @@ def load_network(path: str | Path) -> Network:
         pos += 4
         if len(buf) < pos + name_len:
             raise FormatError("truncated XNET blob name", offset=len(buf))
-        name = buf[pos : pos + name_len].decode("utf-8")
+        name = decode_utf8(buf[pos : pos + name_len], "XNET blob name", pos)
         pos += name_len
         tensors[name], pos = decode_tensor(buf, pos)
     if pos != len(buf):
@@ -514,21 +493,12 @@ def load_network(path: str | Path) -> Network:
     num_classes = entries.get("num_classes", int)
     layers: list[LayerSpec] = []
     for i in range(entries.get("num_layers", int)):
-        kind = entries.get(f"layer{i}.kind", LayerKind)
-        spec = LayerSpec(kind)
-        if kind is LayerKind.CONV2D:
-            spec.stride = entries.get(f"layer{i}.stride", int)
-            spec.padding = entries.get(f"layer{i}.padding", int)
-        elif kind is LayerKind.MAXPOOL2D:
-            spec.window = entries.get(f"layer{i}.window", int)
-            spec.stride = entries.get(f"layer{i}.stride", int)
-        if kind in (LayerKind.CONV2D, LayerKind.DENSE):
-            for part in ("weight", "bias"):
-                key = f"layer{i}.{part}"
-                if key not in tensors:
-                    raise FormatError(f"missing blob {key!r}", offset=len(buf))
-            spec.weight = tensors[f"layer{i}.weight"]
-            spec.bias = tensors[f"layer{i}.bias"]
+        spec = LayerSpec(entries.get(f"layer{i}.kind", LayerKind))
+        for name in _HYPERPARAMETERS.get(spec.kind, ()):
+            setattr(spec, name, entries.get(f"layer{i}.{name}", int))
+        if spec.kind in _WEIGHTED:
+            spec.weight = tensors.get(f"layer{i}.weight")
+            spec.bias = tensors.get(f"layer{i}.bias")
         layers.append(spec)
     try:
         return Network(layers, input_shape, num_classes)
@@ -537,27 +507,5 @@ def load_network(path: str | Path) -> Network:
 
 
 def networks_equal(a: Network, b: Network) -> bool:
-    """Bit-exact structural and parameter equality."""
-    if (
-        a.input_shape != b.input_shape
-        or a.num_classes != b.num_classes
-        or len(a.layers) != len(b.layers)
-    ):
-        return False
-    for la, lb in zip(a.layers, b.layers):
-        if (
-            la.kind != lb.kind
-            or la.stride != lb.stride
-            or la.padding != lb.padding
-            or la.window != lb.window
-        ):
-            return False
-        for ta, tb in ((la.weight, lb.weight), (la.bias, lb.bias)):
-            if (ta is None) != (tb is None):
-                return False
-            if ta is not None and (
-                ta.shape != tb.shape
-                or ta.tobytes() != tb.tobytes()
-            ):
-                return False
-    return True
+    """Bit-exact structural and parameter equality: equal XNET encodings."""
+    return _encode_network(a) == _encode_network(b)

@@ -28,6 +28,7 @@ loop oracle in the tests bounds the error at rtol 1e-5.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 
 import numpy as np
@@ -243,7 +244,7 @@ def flatten(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float32)
     if x.ndim < 2:
         raise DimensionError(f"flatten needs a batch axis, got {x.ndim} axes")
-    return x.reshape(x.shape[0], -1)
+    return x.reshape(x.shape[0], math.prod(x.shape[1:]))
 
 
 def softmax(x: np.ndarray) -> np.ndarray:

@@ -1,4 +1,3 @@
-import logging
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +5,7 @@ import pytest
 
 from xood.cli import main, read_scores_csv
 from xood.features import read_feature_csv
+from xood.network import load_network, save_network
 
 
 @pytest.fixture(scope="module")
@@ -118,17 +118,6 @@ def test_fit_manifests_record_derived_stats(ws):
     l = manifest(root / "ldet" / "run.manifest")
     assert float(l["selected_lambda"]) in (0.01, 1.0)
     assert l["folds"] == "5"
-
-
-def test_fit_m_warns_on_distortion_seed(ws, tmp_path, caplog):
-    root, run = ws
-    with caplog.at_level(logging.WARNING):
-        assert run(
-            "fit-m", "--model", root / "model.xnet",
-            "--images", root / "train.xten", "--labels", root / "labels.xten",
-            "--seed", 7, "--distortion-seed", 3, "--out", tmp_path / "m2",
-        ) == 0
-    assert any("ignored" in r.message for r in caplog.records)
 
 
 def test_scores_file_shape(ws):
@@ -270,6 +259,8 @@ def test_missing_required_option_is_config_error(ws):
 
 
 def test_unreadable_inputs_are_data_errors(ws, tmp_path):
+    import shutil
+
     root, run = ws
     junk = tmp_path / "junk.xten"
     junk.write_bytes(b"ZZZZ")
@@ -280,6 +271,36 @@ def test_unreadable_inputs_are_data_errors(ws, tmp_path):
     assert run(
         "score", "--model", root / "model.xnet", "--detector", root / "mdet",
         "--images", tmp_path / "does-not-exist.xten", "--out", tmp_path / "s.csv",
+    ) == 3
+    # hostile models: stride 0, a blob name that is not UTF-8, a rank-2
+    # conv kernel and a 63-entry dense bias
+    raw = (root / "model.xnet").read_bytes()
+    models = [raw.replace(b"layer0.stride=1", b"layer0.stride=0"),
+              raw.replace(b"layer0.weight", b"\xffayer0.weight")]
+    for index, part, cut in ((0, "weight", lambda w: w.reshape(8, 9)),
+                             (7, "bias", lambda b: b[:63])):
+        net = load_network(root / "model.xnet")
+        setattr(net.layers[index], part, cut(getattr(net.layers[index], part)))
+        save_network(net, tmp_path / "bad.xnet")
+        models.append((tmp_path / "bad.xnet").read_bytes())
+    for model in models:
+        (tmp_path / "bad.xnet").write_bytes(model)
+        assert run(
+            "extract", "--model", tmp_path / "bad.xnet", "--images",
+            root / "noise.xten", "--out", tmp_path / "f.csv", "--force",
+        ) == 3
+    # a power transform and a score CSV that are not UTF-8
+    det = tmp_path / "mdet"
+    shutil.copytree(root / "mdet", det)
+    (det / "power_transform.txt").write_bytes(b"\xff")
+    assert run(
+        "score", "--model", root / "model.xnet", "--detector", det,
+        "--images", root / "noise.xten", "--out", tmp_path / "s.csv",
+    ) == 3
+    (tmp_path / "bad.csv").write_bytes(b"index,score\n0,0.\xff\n")
+    assert run(
+        "eval", "--id-scores", root / "id_scores.csv",
+        "--ood-scores", tmp_path / "bad.csv", "--out", tmp_path / "m.csv",
     ) == 3
 
 
@@ -292,9 +313,14 @@ def test_accuracy_floor_is_numerical_error(ws, tmp_path):
     ) == 4
 
 
-def test_unknown_flag_exits_2(ws):
-    _, run = ws
+def test_unknown_flag_exits_2(ws, tmp_path):
+    root, run = ws
     assert run("gen", "--wat", "7") == 2
+    assert run(
+        "fit-m", "--model", root / "model.xnet", "--images", root / "train.xten",
+        "--labels", root / "labels.xten", "--distortion-seed", 3,
+        "--out", tmp_path / "m2",
+    ) == 2
 
 
 @pytest.mark.parametrize(

@@ -276,6 +276,9 @@ def test_power_transform_load_errors(tmp_path):
     p.write_text("dim,lambda,mean,std,flagged\n1,1.0,0.0,1.0,0\n")
     with pytest.raises(FormatError, match="0..d-1"):
         load_power_transform(p)
+    p.write_bytes(b"dim,lambda,mean,std,flagged\n0,1.0,0.0,1.0,\xff\n")
+    with pytest.raises(FormatError, match="not UTF-8.*offset 42"):
+        load_power_transform(p)
 
 
 def test_feature_csv_round_trip(tmp_path):
@@ -290,9 +293,16 @@ def test_feature_csv_round_trip(tmp_path):
         write_feature_csv(path, feats, ["a", "b"])
 
 
-@pytest.mark.parametrize("row", ["x,1.0,2.0", "0,1.0,abc", "1,1.0,2.0", "0,1.0"])
+@pytest.mark.parametrize(
+    "row", ["x,1.0,2.0", "0,1.0,abc", "1,1.0,2.0", "0,1.0", b"0,1.0,\xff"]
+)
 def test_feature_csv_rejects_malformed_rows(tmp_path, row):
     path = tmp_path / "f.csv"
-    path.write_text(f"image_id,layer1_min,layer1_max\n{row}\n")
-    with pytest.raises(FormatError, match="row 0"):
+    if isinstance(row, str):
+        path.write_text(f"image_id,layer1_min,layer1_max\n{row}\n")
+        match = "row 0"
+    else:
+        path.write_bytes(b"image_id,layer1_min,layer1_max\n" + row + b"\n")
+        match = "not UTF-8"
+    with pytest.raises(FormatError, match=match):
         read_feature_csv(path)

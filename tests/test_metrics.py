@@ -7,7 +7,6 @@ from xood.metrics import (
     detection_accuracy,
     format_overhead,
     fpr_at_95tpr,
-    histogram,
     msp_baseline,
     overhead,
     time_call,
@@ -164,18 +163,6 @@ def test_msp_baseline():
         msp_baseline(np.array([[0.5, 0.5], [0.9, 0.2]]))
     with pytest.raises(ContractError, match="2-D"):
         msp_baseline(np.ones(3))
-
-
-def test_histogram_counts():
-    values = np.array([0.0, 0.1, 0.9, 1.0, 0.5])
-    edges, counts = histogram(values, 2)
-    np.testing.assert_allclose(edges, [0.0, 0.5, 1.0])
-    np.testing.assert_array_equal(counts, [2, 3])  # 0.5 falls in the upper bin
-    assert counts.sum() == values.size
-    with pytest.raises(ContractError):
-        histogram(np.array([]), 2)
-    with pytest.raises(ContractError):
-        histogram(values, 0)
 
 
 def test_overhead_values():

@@ -1,3 +1,7 @@
+import copy
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +12,7 @@ from xood.network import (
     LayerSpec,
     Network,
     TrainConfig,
+    _encode_network,
     build_reference_cnn,
     evaluate_accuracy,
     forward_with_taps,
@@ -157,9 +162,24 @@ def test_training_is_bit_deterministic():
     assert networks_equal(a, b)
 
 
+def accuracy_loop(net, images, labels, batch_size):
+    """The per-batch accuracy loop evaluate_accuracy used to keep."""
+    correct = 0
+    for start in range(0, images.shape[0], batch_size):
+        result = forward_with_taps(net, images[start : start + batch_size])
+        correct += int(
+            (result.predictions == labels[start : start + batch_size]).sum()
+        )
+    return correct / images.shape[0]
+
+
 def test_training_reaches_high_accuracy(trained):
     net, ds = trained
     assert evaluate_accuracy(net, ds.images, ds.labels) >= 0.95
+    for batch_size in (1, 7, 256):
+        assert evaluate_accuracy(
+            net, ds.images, ds.labels, batch_size
+        ) == accuracy_loop(net, ds.images, ds.labels, batch_size)
 
 
 def test_training_input_validation():
@@ -216,21 +236,57 @@ def test_load_error_reporting(tmp_path, toy_net):
         load_network(bad)
 
 
+def patch_manifest(raw: bytes, old: bytes, new: bytes) -> bytes:
+    """Replace text in an XNET manifest, keeping its length prefix right."""
+    (length,) = struct.unpack_from("<I", raw, 5)
+    manifest = raw[9 : 9 + length].replace(old, new)
+    return raw[:5] + struct.pack("<I", len(manifest)) + manifest + raw[9 + length :]
+
+
 def test_load_rejects_inconsistent_manifest(tmp_path, toy_net):
     path = tmp_path / "model.xnet"
     save_network(toy_net, path)
     raw = path.read_bytes()
-    # corrupt the declared class count inside the manifest text
-    patched = raw.replace(b"num_classes=3", b"num_classes=7")
     bad = tmp_path / "bad.xnet"
-    bad.write_bytes(patched)
-    with pytest.raises(FormatError, match="inconsistent"):
-        load_network(bad)
-    # a renamed key leaves num_classes missing; a bad number fails to convert
-    for old, new, match in (
-        (b"num_classes=3", b"num_clauses=3", "missing key 'num_classes'"),
-        (b"num_classes=3", b"num_classes=x", "bad value 'x' for key 'num_classes'"),
+    rank2_kernel, short_bias = copy.deepcopy(toy_net), copy.deepcopy(toy_net)
+    rank2_kernel.layers[0].weight = toy_net.layers[0].weight.reshape(8, 9)
+    short_bias.layers[7].bias = toy_net.layers[7].bias[:63]
+    # a wrong class count or stride, a renamed key leaving num_classes
+    # missing, a bad number, a blob name that is not UTF-8 and parameters
+    # of the wrong shape
+    for patched, match in (
+        (raw.replace(b"num_classes=3", b"num_classes=7"), "inconsistent"),
+        (raw.replace(b"layer0.stride=1", b"layer0.stride=0"), "layer 0: bad stride"),
+        (raw.replace(b"num_classes=3", b"num_clauses=3"), "missing key 'num_classes'"),
+        (raw.replace(b"num_classes=3", b"num_classes=x"),
+         "bad value 'x' for key 'num_classes'"),
+        (raw.replace(b"layer0.weight", b"\xffayer0.weight"), "blob name is not UTF-8"),
+        (_encode_network(rank2_kernel), "layer 0: kernel must have 4 axes"),
+        (_encode_network(short_bias), "layer 7: bias has 63 entries for 64 outputs"),
     ):
-        bad.write_bytes(raw.replace(old, new))
+        bad.write_bytes(patched)
         with pytest.raises(FormatError, match=match):
             load_network(bad)
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        (b"input_shape=1,8,8", b"input_shape=1,9999,99999"),
+        # extents numpy cannot index, even in an empty array
+        (b"input_shape=1,8,8", b"input_shape=1,4294967296,4294967296"),
+        (b"layer0.padding=1", b"layer0.padding=99999999999999999999"),
+    ],
+)
+def test_load_checks_declared_shapes_without_allocating(tmp_path, toy_net, old, new):
+    path = tmp_path / "model.xnet"
+    save_network(toy_net, path)
+    path.write_bytes(patch_manifest(path.read_bytes(), old, new))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="inconsistent"):
+            load_network(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
