@@ -73,6 +73,12 @@ _HYPERPARAMETERS = {
     LayerKind.CONV2D: ("stride", "padding"),
     LayerKind.MAXPOOL2D: ("window", "stride"),
 }
+# Ceilings that keep every tensor of a layer within numpy's index range, so
+# checking a declared stack on an empty batch can fail only in the kernels'
+# own shape checks: values per image entering or leaving any layer, and each
+# hyperparameter (padding widens a layer's input before its output exists).
+_MAX_IMAGE_VALUES = 2**31
+_MAX_HYPERPARAMETER = 2**16
 
 
 @dataclass
@@ -97,16 +103,19 @@ class Network:
 
     def __post_init__(self):
         shape = tuple(self.input_shape)
-        if len(shape) != 3 or min(shape) < 1:
+        if (
+            len(shape) != 3
+            or min(shape) < 1
+            or math.prod(shape) > _MAX_IMAGE_VALUES
+        ):
             raise DimensionError(
-                f"input shape must be (C,H,W) with extents >= 1, got {shape}"
+                f"input shape must be (C,H,W) with extents >= 1 and at most "
+                f"{_MAX_IMAGE_VALUES} values, got {shape}"
             )
         # An empty batch runs each kernel's own shape checks and allocates
-        # nothing, whatever extents the layers declare; numpy raises
-        # ValueError or TypeError for an extent too large to index.
-        where = "input"
+        # nothing, whatever extents the layers declare.
+        x = np.zeros((0, *shape), np.float32)
         try:
-            x = np.zeros((0, *shape), np.float32)
             for i, layer in enumerate(self.layers):
                 where = f"layer {i}"
                 if layer.kind in _WEIGHTED and (
@@ -115,8 +124,19 @@ class Network:
                     raise ContractError(
                         f"{where}: {layer.kind.value} is missing parameters"
                     )
+                for name in _HYPERPARAMETERS.get(layer.kind, ()):
+                    value = getattr(layer, name)
+                    if value > _MAX_HYPERPARAMETER:
+                        raise DimensionError(
+                            f"{name} {value} exceeds {_MAX_HYPERPARAMETER}"
+                        )
                 x = _apply_layer(layer, x)
-        except (DimensionError, ValueError, TypeError) as exc:
+                if math.prod(x.shape[1:]) > _MAX_IMAGE_VALUES:
+                    raise DimensionError(
+                        f"output {x.shape[1:]} exceeds {_MAX_IMAGE_VALUES} "
+                        f"values per image"
+                    )
+        except DimensionError as exc:
             raise DimensionError(f"{where}: {exc}") from None
         if x.shape[1:] != (self.num_classes,):
             raise DimensionError(
@@ -481,7 +501,9 @@ def load_network(path: str | Path) -> Network:
         pos += 4
         if len(buf) < pos + name_len:
             raise FormatError("truncated XNET blob name", offset=len(buf))
-        name = decode_utf8(buf[pos : pos + name_len], "XNET blob name", pos)
+        name = decode_utf8(
+            buf[pos : pos + name_len], f"XNET blob name in {path}", pos
+        )
         pos += name_len
         tensors[name], pos = decode_tensor(buf, pos)
     if pos != len(buf):

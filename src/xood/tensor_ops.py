@@ -194,6 +194,9 @@ def maxpool2d(x: np.ndarray, window: int = 2, stride: int = 2) -> np.ndarray:
         )
     ho = (h - window) // stride + 1
     wo = (w - window) // stride + 1
+    if x.size == 0:
+        # nothing to fold: skip the window * window views
+        return np.empty((n, c, ho, wo), np.float32)
     views = _window_offsets(x, window, window, stride, ho, wo)
     out = next(views).copy()
     for view in views:

@@ -1,5 +1,6 @@
 import copy
 import struct
+import time
 import tracemalloc
 
 import numpy as np
@@ -260,7 +261,8 @@ def test_load_rejects_inconsistent_manifest(tmp_path, toy_net):
         (raw.replace(b"num_classes=3", b"num_clauses=3"), "missing key 'num_classes'"),
         (raw.replace(b"num_classes=3", b"num_classes=x"),
          "bad value 'x' for key 'num_classes'"),
-        (raw.replace(b"layer0.weight", b"\xffayer0.weight"), "blob name is not UTF-8"),
+        (raw.replace(b"layer0.weight", b"\xffayer0.weight"), 
+         r"XNET blob name in \S*bad\.xnet is not UTF-8"),
         (_encode_network(rank2_kernel), "layer 0: kernel must have 4 axes"),
         (_encode_network(short_bias), "layer 7: bias has 63 entries for 64 outputs"),
     ):
@@ -270,23 +272,42 @@ def test_load_rejects_inconsistent_manifest(tmp_path, toy_net):
 
 
 @pytest.mark.parametrize(
-    "old, new",
+    "patches",
     [
-        (b"input_shape=1,8,8", b"input_shape=1,9999,99999"),
+        [(b"input_shape=1,8,8", b"input_shape=1,9999,99999")],
         # extents numpy cannot index, even in an empty array
-        (b"input_shape=1,8,8", b"input_shape=1,4294967296,4294967296"),
-        (b"layer0.padding=1", b"layer0.padding=99999999999999999999"),
+        [(b"input_shape=1,8,8", b"input_shape=1,4294967296,4294967296")],
+        [(b"layer0.padding=1", b"layer0.padding=99999999999999999999")],
+        [(b"layer0.padding=1", b"layer0.padding=65537")],
+        # a pool window of 4096 x 4096 cells on an empty batch
+        [(b"input_shape=1,8,8", b"input_shape=1,4096,4096"),
+         (b"layer2.window=2", b"layer2.window=4096")],
     ],
 )
-def test_load_checks_declared_shapes_without_allocating(tmp_path, toy_net, old, new):
+def test_load_checks_declared_shapes_without_allocating(tmp_path, toy_net, patches):
     path = tmp_path / "model.xnet"
     save_network(toy_net, path)
-    path.write_bytes(patch_manifest(path.read_bytes(), old, new))
+    raw = path.read_bytes()
+    for old, new in patches:
+        raw = patch_manifest(raw, old, new)
+    path.write_bytes(raw)
     tracemalloc.start()
     try:
+        started = time.perf_counter()
         with pytest.raises(FormatError, match="inconsistent"):
             load_network(path)
+        elapsed = time.perf_counter() - started
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 50 * 2**20
+    assert elapsed < 2.0
+
+
+def test_kernel_faults_other_than_shapes_are_not_wrapped(toy_net):
+    """Only DimensionError means an inconsistent stack; a bias of strings
+    is a caller's bug and keeps numpy's own exception."""
+    layers = copy.deepcopy(toy_net.layers)
+    layers[0].bias = np.array(["x"] * 8)
+    with pytest.raises(ValueError, match="could not convert"):
+        Network(layers, toy_net.input_shape, toy_net.num_classes)
