@@ -11,7 +11,9 @@ histograms.
 Conventions:
 
 * long-form flags only; an optional ``--config`` file supplies key=value
-  defaults which explicit flags override
+  defaults, required options included, which explicit flags override
+* an existing output is refused before any work starts unless ``--force``
+  is given (``eval --append`` adds rows to an existing table)
 * every run writes a ``.manifest`` next to its primary output echoing the
   fully resolved configuration plus run statistics
 * one ``--seed`` drives all randomness; independent streams are derived
@@ -26,9 +28,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -48,8 +48,6 @@ from .datasets import (
 from .distortions import DISTORTION_FAMILIES
 from .errors import (
     ConfigError,
-    ContractError,
-    DimensionError,
     FormatError,
     NumericalError,
     XoodError,
@@ -58,6 +56,7 @@ from .features import FeatureKind, feature_names, write_feature_csv
 from .keyvalue import read_key_values, read_utf8
 from .logistic import LAMBDA_GRID
 from .network import (
+    Network,
     TrainConfig,
     evaluate_accuracy,
     forward_with_taps,
@@ -68,22 +67,6 @@ from .network import (
 from .rng import derive_seed
 
 logger = logging.getLogger(__name__)
-
-_REQUIRED = object()
-
-
-@dataclass(frozen=True)
-class Opt:
-    name: str  # long flag without the leading dashes
-    type: Callable = str
-    default: object = None
-    flag: bool = False  # boolean store_true option
-    repeat: bool = False  # may be given multiple times
-    help: str = ""
-
-    @property
-    def dest(self) -> str:
-        return self.name.replace("-", "_")
 
 
 def _bool(text: str) -> bool:
@@ -96,122 +79,130 @@ def _bool(text: str) -> bool:
 
 
 def _lambda_grid(text: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(v) for v in text.split(",") if v.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad lambda grid: {exc}")
+    values = tuple(float(v) for v in text.split(",") if v.strip())
     if not values:
-        raise ConfigError("lambda grid is empty")
+        raise ValueError("lambda grid is empty")
     return values
 
 
-_COMMON = [
-    Opt("config", help="key=value file supplying defaults"),
-    Opt("seed", int, 0, help="master seed; per-purpose streams are derived"),
-]
-
-_SCHEMAS: dict[str, list[Opt]] = {
-    "gen": _COMMON + [
-        Opt("kind", str, _REQUIRED, help="blobs | gratings | uniform | gaussian"),
-        Opt("count", int, _REQUIRED, help="number of images"),
-        Opt("side", int, 28, help="image side length"),
-        Opt("classes", int, 4, help="class count (blobs only)"),
-        Opt("images-out", str, _REQUIRED),
-        Opt("labels-out", help="label output (labeled kinds only)"),
-        Opt("format", str, "xten", help="xten | idx"),
-        Opt("force", flag=True, help="overwrite existing outputs"),
-    ],
-    "train": _COMMON + [
-        Opt("images", str, _REQUIRED),
-        Opt("labels", str, _REQUIRED),
-        Opt("epochs", int, 5),
-        Opt("learning-rate", float, 0.1),
-        Opt("batch-size", int, 64),
-        Opt("holdout-fraction", float, 0.2,
-            help="fraction held out of training as the calibration split"),
-        Opt("min-accuracy", float, 0.0,
-            help="fail if training accuracy falls below this floor"),
-        Opt("out", str, _REQUIRED, help="model file to write"),
-        Opt("force", flag=True),
-    ],
-    "extract": _COMMON + [
-        Opt("model", str, _REQUIRED),
-        Opt("images", str, _REQUIRED),
-        Opt("feature-kind", FeatureKind, FeatureKind.MINMAX),
-        Opt("batch-size", int, 256),
-        Opt("out", str, _REQUIRED, help="feature CSV to write"),
-        Opt("force", flag=True),
-    ],
-    "fit-m": _COMMON + [
-        Opt("model", str, _REQUIRED),
-        Opt("images", str, _REQUIRED),
-        Opt("labels", str, _REQUIRED),
-        Opt("holdout-fraction", float, 0.2),
-        Opt("reg-c", float, 10.0, help="covariance regularizer C"),
-        Opt("feature-kind", FeatureKind, FeatureKind.MINMAX),
-        Opt("batch-size", int, 256),
-        Opt("out", str, _REQUIRED, help="detector bundle directory"),
-        Opt("force", flag=True),
-    ],
-    "fit-l": _COMMON + [
-        Opt("model", str, _REQUIRED),
-        Opt("images", str, _REQUIRED),
-        Opt("labels", str, _REQUIRED),
-        Opt("holdout-fraction", float, 0.2),
-        Opt("lambda-grid", _lambda_grid, LAMBDA_GRID),
-        Opt("feature-kind", FeatureKind, FeatureKind.MINMAX),
-        Opt("batch-size", int, 256),
-        Opt("out", str, _REQUIRED, help="detector bundle directory"),
-        Opt("force", flag=True),
-    ],
-    "score": _COMMON + [
-        Opt("model", str, _REQUIRED),
-        Opt("detector", str, _REQUIRED, help="detector bundle directory"),
-        Opt("images", str, _REQUIRED),
-        Opt("batch-size", int, 256),
-        Opt("out", str, _REQUIRED, help="score CSV to write"),
-        Opt("force", flag=True),
-    ],
-    "eval": _COMMON + [
-        Opt("id-scores", str, _REQUIRED),
-        Opt("ood-scores", str, _REQUIRED, repeat=True,
-            help="one or more OOD score files"),
-        Opt("method", str, "detector", help="method label for the rows"),
-        Opt("id-name", help="in-distribution set label (default: file stem)"),
-        Opt("ood-names", help="comma list of OOD set labels"),
-        Opt("out", str, _REQUIRED, help="metrics CSV"),
-        Opt("append", flag=True, help="append rows to an existing CSV"),
-        Opt("force", flag=True),
-    ],
-    "bench": _COMMON + [
-        Opt("model", str, _REQUIRED),
-        Opt("images", str, _REQUIRED),
-        Opt("detector-m", help="bundle directory for the Mahalanobis detector"),
-        Opt("detector-l", help="bundle directory for the logistic detector"),
-        Opt("repeats", int, 10),
-        Opt("batch-size", int, 256),
-        Opt("out", str, _REQUIRED, help="timing CSV"),
-        Opt("force", flag=True),
-    ],
-    "distort": _COMMON + [
-        Opt("kind", str, _REQUIRED, help=" | ".join(DISTORTION_FAMILIES)),
-        Opt("images", str, _REQUIRED),
-        Opt("labels", help="required for mixup"),
-        Opt("images-out", str, _REQUIRED),
-        Opt("labels-out"),
-        Opt("format", str, "xten", help="xten | idx"),
-        Opt("force", flag=True),
-    ],
-    "hist": _COMMON + [
-        Opt("model", str, _REQUIRED),
-        Opt("id-images", str, _REQUIRED),
-        Opt("ood-images", str, _REQUIRED),
-        Opt("bins", int, 40),
-        Opt("batch-size", int, 256),
-        Opt("out", str, _REQUIRED, help="output directory"),
-        Opt("force", flag=True),
-    ],
+# Each option maps its long flag (without dashes) to add_argument keywords.
+_COMMON = {
+    "config": dict(help="key=value file supplying defaults"),
+    "seed": dict(type=int, default=0,
+                 help="master seed; per-purpose streams are derived"),
 }
+_FORCE = {"force": dict(action="store_true", help="overwrite existing outputs")}
+_FEATURE_KIND = dict(type=FeatureKind, default=FeatureKind.MINMAX)
+_FORMAT = dict(default="xten", choices=("xten", "idx"))
+
+_SCHEMAS: dict[str, dict[str, dict]] = {
+    "gen": {**_COMMON,
+        "kind": dict(required=True, choices=(
+            "blobs", "gratings", *(k.value for k in NoiseKind))),
+        "count": dict(type=int, required=True, help="number of images"),
+        "side": dict(type=int, default=28, help="image side length"),
+        "classes": dict(type=int, default=4, help="class count (blobs only)"),
+        "images-out": dict(required=True),
+        "labels-out": dict(help="label output (labeled kinds only)"),
+        "format": _FORMAT,
+        **_FORCE,
+    },
+    "train": {**_COMMON,
+        "images": dict(required=True),
+        "labels": dict(required=True),
+        "epochs": dict(type=int, default=5),
+        "learning-rate": dict(type=float, default=0.1),
+        "batch-size": dict(type=int, default=64),
+        "holdout-fraction": dict(
+            type=float, default=0.2,
+            help="fraction held out of training as the calibration split"),
+        "min-accuracy": dict(
+            type=float, default=0.0,
+            help="fail if training accuracy falls below this floor"),
+        "out": dict(required=True, help="model file to write"),
+        **_FORCE,
+    },
+    "extract": {**_COMMON,
+        "model": dict(required=True),
+        "images": dict(required=True),
+        "feature-kind": _FEATURE_KIND,
+        "batch-size": dict(type=int, default=256),
+        "out": dict(required=True, help="feature CSV to write"),
+        **_FORCE,
+    },
+    "fit-m": {**_COMMON,
+        "model": dict(required=True),
+        "images": dict(required=True),
+        "labels": dict(required=True),
+        "holdout-fraction": dict(type=float, default=0.2),
+        "reg-c": dict(type=float, default=10.0, help="covariance regularizer C"),
+        "feature-kind": _FEATURE_KIND,
+        "batch-size": dict(type=int, default=256),
+        "out": dict(required=True, help="detector bundle directory"),
+        **_FORCE,
+    },
+    "fit-l": {**_COMMON,
+        "model": dict(required=True),
+        "images": dict(required=True),
+        "labels": dict(required=True),
+        "holdout-fraction": dict(type=float, default=0.2),
+        "lambda-grid": dict(type=_lambda_grid, default=LAMBDA_GRID),
+        "feature-kind": _FEATURE_KIND,
+        "batch-size": dict(type=int, default=256),
+        "out": dict(required=True, help="detector bundle directory"),
+        **_FORCE,
+    },
+    "score": {**_COMMON,
+        "model": dict(required=True),
+        "detector": dict(required=True, help="detector bundle directory"),
+        "images": dict(required=True),
+        "batch-size": dict(type=int, default=256),
+        "out": dict(required=True, help="score CSV to write"),
+        **_FORCE,
+    },
+    "eval": {**_COMMON,
+        "id-scores": dict(required=True),
+        "ood-scores": dict(required=True, action="append",
+                           help="one or more OOD score files"),
+        "method": dict(default="detector", help="method label for the rows"),
+        "id-name": dict(help="in-distribution set label (default: file stem)"),
+        "ood-names": dict(help="comma list of OOD set labels"),
+        "out": dict(required=True, help="metrics CSV"),
+        "append": dict(action="store_true",
+                       help="append rows to an existing CSV"),
+        **_FORCE,
+    },
+    "bench": {**_COMMON,
+        "model": dict(required=True),
+        "images": dict(required=True),
+        "detector-m": dict(help="bundle directory for the Mahalanobis detector"),
+        "detector-l": dict(help="bundle directory for the logistic detector"),
+        "repeats": dict(type=int, default=10),
+        "batch-size": dict(type=int, default=256),
+        "out": dict(required=True, help="timing CSV"),
+        **_FORCE,
+    },
+    "distort": {**_COMMON,
+        "kind": dict(required=True, choices=tuple(DISTORTION_FAMILIES)),
+        "images": dict(required=True),
+        "labels": dict(help="required for mixup"),
+        "images-out": dict(required=True),
+        "labels-out": {},
+        "format": _FORMAT,
+        **_FORCE,
+    },
+    "hist": {**_COMMON,
+        "model": dict(required=True),
+        "id-images": dict(required=True),
+        "ood-images": dict(required=True),
+        "bins": dict(type=int, default=40),
+        "batch-size": dict(type=int, default=256),
+        "out": dict(required=True, help="output directory"),
+        **_FORCE,
+    },
+}
+# Outputs refused before a handler runs unless --force is given.
+_OUTPUTS = ("out", "images-out", "labels-out")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -222,57 +213,63 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     for command, schema in _SCHEMAS.items():
         sub = subs.add_parser(command)
-        for opt in schema:
-            if opt.flag:
-                sub.add_argument(f"--{opt.name}", action="store_true",
-                                 default=None, help=opt.help)
-            elif opt.repeat:
-                sub.add_argument(f"--{opt.name}", action="append",
-                                 default=None, help=opt.help)
-            else:
-                sub.add_argument(f"--{opt.name}", default=None, help=opt.help)
+        for name, kwargs in schema.items():
+            sub.add_argument(f"--{name}", **kwargs)
     return parser
 
 
-def _read_config_file(path: str) -> dict[str, str]:
+def _given(tokens: list[str], schema: dict[str, dict]) -> set[str]:
+    """The options of ``schema`` that command-line ``tokens`` give, with
+    unique prefixes resolved the way argparse resolves them."""
+    given = set()
+    for token in tokens:
+        if token.startswith("--"):
+            flag = token[2:].partition("=")[0]
+            hits = ([n for n in schema if n == flag]
+                    or [n for n in schema if n.startswith(flag)])
+            if len(hits) == 1:
+                given.update(hits)
+    return given
+
+
+def _config_flags(path: str, schema: dict[str, dict], tokens: list[str]) -> list[str]:
+    """The entries of a config file as flags, except those ``tokens`` give."""
     try:
-        return read_key_values(path).entries
+        entries = read_key_values(path).entries
     except (OSError, FormatError) as exc:
         raise ConfigError(f"cannot read config file: {exc}")
-
-
-def _resolve(args: argparse.Namespace, schema: list[Opt]) -> dict:
-    """CLI value > config file value > schema default."""
-    raw = vars(args)
-    file_values = _read_config_file(raw["config"]) if raw.get("config") else {}
-    unknown = set(file_values) - {o.name for o in schema}
+    unknown = set(entries) - set(schema)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    resolved: dict = {}
-    for opt in schema:
-        value = raw.get(opt.dest)
-        if value is None and opt.name in file_values:
-            text = file_values[opt.name]
-            try:
-                value = (_bool(text) if opt.flag
-                         else [text] if opt.repeat
-                         else text)
-            except ValueError as exc:
-                raise ConfigError(str(exc))
-        if value is None:
-            if opt.default is _REQUIRED:
-                raise ConfigError(f"missing required option --{opt.name}")
-            value = False if opt.flag else opt.default
-        elif not opt.flag and not opt.repeat and isinstance(value, str):
-            if opt.type is not str:
-                try:
-                    value = opt.type(value)
-                except (ValueError, TypeError) as exc:
-                    raise ConfigError(f"bad value for --{opt.name}: {exc}")
-        elif opt.repeat and isinstance(value, list):
-            value = [opt.type(v) for v in value]
-        resolved[opt.name] = value
-    return resolved
+    given = _given(tokens, schema)
+    flags = []
+    for key, text in entries.items():
+        if key in given:
+            continue
+        if schema[key].get("action") != "store_true":
+            flags.append(f"--{key}={text}")
+            continue
+        try:
+            if _bool(text):
+                flags.append(f"--{key}")
+        except ValueError as exc:
+            raise ConfigError(str(exc))
+    return flags
+
+
+def _parse(argv: list[str]) -> tuple[str, dict]:
+    """The command and its options by flag name: flags > config file >
+    defaults. A config file may supply required options, so its entries
+    join the flags before the one full parse."""
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config")
+    config = pre.parse_known_args(argv)[0].config
+    if config and argv[0] in _SCHEMAS:
+        argv = [argv[0], *_config_flags(config, _SCHEMAS[argv[0]], argv[1:]),
+                *argv[1:]]
+    cfg = {key.replace("_", "-"): value
+           for key, value in vars(_build_parser().parse_args(argv)).items()}
+    return cfg.pop("command"), cfg
 
 
 def _manifest_text(cfg: dict, extras: dict) -> str:
@@ -303,8 +300,7 @@ def _ensure_writable(path: str, force: bool) -> None:
         raise ConfigError(f"{path} exists and is not empty; pass --force")
     if p.is_file() and not force:
         raise ConfigError(f"{path} exists; pass --force to overwrite")
-    if p.parent and not p.parent.exists():
-        p.parent.mkdir(parents=True, exist_ok=True)
+    p.parent.mkdir(parents=True, exist_ok=True)
 
 
 def _load_dataset(images: str, labels: str | None = None) -> Dataset:
@@ -315,16 +311,10 @@ def _load_dataset(images: str, labels: str | None = None) -> Dataset:
 
 
 def _save_images(ds: Dataset, cfg: dict) -> None:
-    fmt = cfg["format"]
-    if fmt not in ("xten", "idx"):
-        raise ConfigError(f"unknown output format {fmt!r}")
-    labels_out = cfg.get("labels-out")
+    labels_out = cfg["labels-out"]
     if labels_out and ds.labels is None:
         raise ConfigError(f"--labels-out given but {ds.name!r} has no labels")
-    _ensure_writable(cfg["images-out"], cfg["force"])
-    if labels_out:
-        _ensure_writable(labels_out, cfg["force"])
-    if fmt == "xten":
+    if cfg["format"] == "xten":
         save_dataset(ds, cfg["images-out"], labels_out)
     else:
         dataset_to_idx(ds, cfg["images-out"], labels_out)
@@ -336,6 +326,13 @@ def _training_split(ds: Dataset, cfg: dict) -> tuple[Dataset, Dataset]:
     if not 0.0 < cfg["holdout-fraction"] < 1.0:
         raise ConfigError("--holdout-fraction must be in (0, 1)")
     return split(ds, fraction, derive_seed(cfg["seed"], "calibration-split"))
+
+
+def _fit_inputs(cfg: dict) -> tuple[Network, Dataset, Dataset]:
+    """The model and the (train, calibration) split fit-m and fit-l use."""
+    net = load_network(cfg["model"])
+    ds = _load_dataset(cfg["images"], cfg["labels"])
+    return (net, *_training_split(ds, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -350,13 +347,10 @@ def cmd_gen(cfg: dict) -> dict:
         ds = make_blobs(n, cfg["classes"], side, cfg["seed"])
     elif kind == "gratings":
         ds = make_gratings(n, side, cfg["seed"])
-    elif kind in (NoiseKind.UNIFORM.value, NoiseKind.GAUSSIAN.value):
-        ds = gen_noise(kind, n, (1, side, side), cfg["seed"])
     else:
-        raise ConfigError(f"unknown dataset kind {kind!r}")
+        ds = gen_noise(kind, n, (1, side, side), cfg["seed"])
     _save_images(ds, cfg)
-    _write_manifest(cfg["images-out"], cfg, {"generated": len(ds)})
-    return {}
+    return {"generated": len(ds)}
 
 
 def cmd_train(cfg: dict) -> dict:
@@ -376,14 +370,12 @@ def cmd_train(cfg: dict) -> dict:
             f"training accuracy {accuracy:.4f} is below the floor "
             f"{cfg['min-accuracy']:.4f}"
         )
-    _ensure_writable(cfg["out"], cfg["force"])
     save_network(net, cfg["out"])
-    _write_manifest(cfg["out"], cfg, {
+    return {
         "train_accuracy": accuracy,
         "train_images": len(train_part),
         "calibration_images": len(calib_part),
-    })
-    return {}
+    }
 
 
 def cmd_extract(cfg: dict) -> dict:
@@ -393,49 +385,36 @@ def cmd_extract(cfg: dict) -> dict:
         net, ds.images, cfg["feature-kind"], cfg["batch-size"]
     )
     names = feature_names(cfg["feature-kind"], net.num_activation_layers)
-    _ensure_writable(cfg["out"], cfg["force"])
     write_feature_csv(cfg["out"], outputs.features, names)
-    _write_manifest(cfg["out"], cfg, {
+    return {
         "rows": outputs.features.shape[0],
         "width": outputs.features.shape[1],
-    })
-    return {}
+    }
 
 
 def cmd_fit_m(cfg: dict) -> dict:
-    net = load_network(cfg["model"])
-    ds = _load_dataset(cfg["images"], cfg["labels"])
-    train_part, calib_part = _training_split(ds, cfg)
+    net, train_part, calib_part = _fit_inputs(cfg)
     bundle = pipeline.fit_m_bundle(
         net, train_part, calib_part, cfg["reg-c"], cfg["feature-kind"],
         cfg["batch-size"],
     )
-    _ensure_writable(cfg["out"], cfg["force"])
     pipeline.save_bundle(bundle, cfg["out"])
-    _write_manifest(cfg["out"], cfg, {
-        "threshold": bundle.detector.threshold,
-        "dim": bundle.transform.dim,
-    })
-    return {}
+    return {"threshold": bundle.detector.threshold, "dim": bundle.transform.dim}
 
 
 def cmd_fit_l(cfg: dict) -> dict:
-    net = load_network(cfg["model"])
-    ds = _load_dataset(cfg["images"], cfg["labels"])
-    train_part, calib_part = _training_split(ds, cfg)
+    net, train_part, calib_part = _fit_inputs(cfg)
     bundle, cv = pipeline.fit_l_bundle(
         net, train_part, calib_part, cfg["seed"], cfg["lambda-grid"],
         cfg["feature-kind"], cfg["batch-size"],
     )
-    _ensure_writable(cfg["out"], cfg["force"])
     pipeline.save_bundle(bundle, cfg["out"])
-    _write_manifest(cfg["out"], cfg, {
+    return {
         "selected_lambda": cv.best_lambda,
         "threshold": bundle.detector.threshold,
         "cv_mean_losses": cv.mean_losses.tolist(),
         "folds": cv.fold_losses.shape[1],
-    })
-    return {}
+    }
 
 
 def cmd_score(cfg: dict) -> dict:
@@ -443,16 +422,9 @@ def cmd_score(cfg: dict) -> dict:
     bundle = pipeline.load_bundle(cfg["detector"])
     ds = _load_dataset(cfg["images"])
     scores = pipeline.score_images(bundle, net, ds.images, cfg["batch-size"])
-    _ensure_writable(cfg["out"], cfg["force"])
-    lines = ["index,score"] + [
-        f"{i},{s:.12g}" for i, s in enumerate(scores)
-    ]
+    lines = ["index,score"] + [f"{i},{s:.12g}" for i, s in enumerate(scores)]
     Path(cfg["out"]).write_text("\n".join(lines) + "\n")
-    _write_manifest(cfg["out"], cfg, {
-        "scored": scores.shape[0],
-        "mean_score": float(scores.mean()),
-    })
-    return {}
+    return {"scored": scores.shape[0], "mean_score": float(scores.mean())}
 
 
 def read_scores_csv(path: str | Path) -> np.ndarray:
@@ -478,13 +450,13 @@ _EVAL_HEADER = "in_dist,out_dist,method,auroc,tnr95,det_acc,fpr95"
 def cmd_eval(cfg: dict) -> dict:
     id_scores = read_scores_csv(cfg["id-scores"])
     ood_files = cfg["ood-scores"]
-    names = (cfg["ood-names"].split(",") if cfg.get("ood-names")
+    names = (cfg["ood-names"].split(",") if cfg["ood-names"]
              else [Path(f).stem for f in ood_files])
     if len(names) != len(ood_files):
         raise ConfigError(
             f"{len(names)} names for {len(ood_files)} OOD score files"
         )
-    id_name = cfg.get("id-name") or Path(cfg["id-scores"]).stem
+    id_name = cfg["id-name"] or Path(cfg["id-scores"]).stem
     rows = []
     table = np.empty((len(ood_files), 4))
     for i, (ood_file, name) in enumerate(zip(ood_files, names)):
@@ -513,10 +485,8 @@ def cmd_eval(cfg: dict) -> dict:
         existing = read_utf8(out).rstrip("\n")
         out.write_text(existing + "\n" + "\n".join(rows) + "\n")
     else:
-        _ensure_writable(cfg["out"], cfg["force"])
         out.write_text(_EVAL_HEADER + "\n" + "\n".join(rows) + "\n")
-    _write_manifest(cfg["out"], cfg, {"rows": len(rows)})
-    return {}
+    return {"rows": len(rows)}
 
 
 def cmd_bench(cfg: dict) -> dict:
@@ -532,7 +502,7 @@ def cmd_bench(cfg: dict) -> dict:
 
     stats = {"baseline": metrics.time_call(baseline, cfg["repeats"])}
     for key in ("detector-m", "detector-l"):
-        if cfg.get(key):
+        if cfg[key]:
             bundle = pipeline.load_bundle(cfg[key])
 
             def scored(b=bundle):
@@ -546,28 +516,18 @@ def cmd_bench(cfg: dict) -> dict:
         lines.append(
             f"{name},{st.mean:.6f},{st.ci99:.6f},{metrics.format_overhead(rel)}"
         )
-    _ensure_writable(cfg["out"], cfg["force"])
     Path(cfg["out"]).write_text("\n".join(lines) + "\n")
-    _write_manifest(cfg["out"], cfg, {
-        "images": images.shape[0],
-        "baseline_mean_seconds": base_mean,
-    })
-    return {}
+    return {"images": images.shape[0], "baseline_mean_seconds": base_mean}
 
 
 def cmd_distort(cfg: dict) -> dict:
     kind = cfg["kind"]
-    if kind not in DISTORTION_FAMILIES:
-        raise ConfigError(
-            f"unknown distortion {kind!r}; choose from {list(DISTORTION_FAMILIES)}"
-        )
-    ds = _load_dataset(cfg["images"], cfg.get("labels"))
+    ds = _load_dataset(cfg["images"], cfg["labels"])
     distorted = DISTORTION_FAMILIES[kind](
         ds, derive_seed(cfg["seed"], f"distort-{kind}")
     )
     _save_images(distorted, cfg)
-    _write_manifest(cfg["images-out"], cfg, {"distorted": len(distorted)})
-    return {}
+    return {"distorted": len(distorted)}
 
 
 def cmd_hist(cfg: dict) -> dict:
@@ -581,7 +541,6 @@ def cmd_hist(cfg: dict) -> dict:
         net, ood_ds.images, FeatureKind.MINMAX, cfg["batch-size"]
     ).features
     out_dir = Path(cfg["out"])
-    _ensure_writable(cfg["out"], cfg["force"])
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = ["layer,stat,id_p01,id_p99,ood_outside_fraction"]
     num_layers = net.num_activation_layers
@@ -606,12 +565,11 @@ def cmd_hist(cfg: dict) -> dict:
             summary.append(f"{layer},{stat},{p01:.9g},{p99:.9g},{outside:.6f}")
         (out_dir / f"hist_layer{layer}.csv").write_text("\n".join(lines) + "\n")
     (out_dir / "hist_summary.csv").write_text("\n".join(summary) + "\n")
-    _write_manifest(cfg["out"], cfg, {
+    return {
         "layers": num_layers,
         "id_images": len(id_ds),
         "ood_images": len(ood_ds),
-    })
-    return {}
+    }
 
 
 _HANDLERS = {
@@ -632,27 +590,24 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(
         level=logging.INFO, format="%(levelname)s %(name)s: %(message)s"
     )
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        cfg = _resolve(args, _SCHEMAS[args.command])
-        _HANDLERS[args.command](cfg)
+        command, cfg = _parse(argv)
+        appending = cfg.get("append") and Path(cfg["out"]).is_file()
+        for key in _OUTPUTS:
+            if cfg.get(key) and not (appending and key == "out"):
+                _ensure_writable(cfg[key], cfg["force"])
+        extras = _HANDLERS[command](cfg)
+        _write_manifest(cfg.get("out", cfg.get("images-out")), cfg, extras)
         return 0
-    except ConfigError as exc:
+    except SystemExit as exc:  # argparse has printed the usage error
+        return int(exc.code or 0)
+    except (XoodError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FormatError, ContractError, DimensionError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except XoodError as exc:  # any remaining package error is a data problem
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        if isinstance(exc, ConfigError):
+            return 2
+        # any other package error is a data problem
+        return 4 if isinstance(exc, NumericalError) else 3
 
 
 if __name__ == "__main__":

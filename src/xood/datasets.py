@@ -160,7 +160,8 @@ def save_dataset(
 
 def load_images_any(path: str | Path, name: str = "") -> Dataset:
     """Load an image file, sniffing XTEN vs IDX by magic."""
-    head = Path(path).open("rb").read(4)
+    with open(path, "rb") as f:
+        head = f.read(4)
     if head == b"XTEN":
         images = read_tensor(path)
         if images.ndim == 3:
@@ -173,7 +174,8 @@ def load_images_any(path: str | Path, name: str = "") -> Dataset:
 
 def load_labels_any(path: str | Path, expected: int) -> np.ndarray:
     """Load labels from XTEN, IDX, or one-integer-per-line text."""
-    head = Path(path).open("rb").read(4)
+    with open(path, "rb") as f:
+        head = f.read(4)
     if head == b"XTEN":
         values = read_tensor(path)
         if values.ndim != 1:

@@ -353,4 +353,13 @@ def read_feature_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
         if len(parts) != len(names) + 1 or index != i:
             raise FormatError(f"bad feature CSV row {i}: {line!r}")
         rows.append(row)
-    return names, np.array(rows, dtype=np.float32).reshape(len(rows), len(names))
+    values = np.array(rows, dtype=np.float64).reshape(len(rows), len(names))
+    with np.errstate(over="ignore"):
+        narrowed = values.astype(np.float32)
+    overflow = (np.isinf(narrowed) & np.isfinite(values)).any(axis=1)
+    if overflow.any():
+        i = int(overflow.argmax())
+        raise FormatError(
+            f"bad feature CSV row {i}: {lines[i + 1]!r} exceeds the float32 range"
+        )
+    return names, narrowed

@@ -36,20 +36,19 @@ import numpy as np
 
 from .datasets import Dataset
 from .distortions import DISTORTION_FAMILIES
-from .errors import ConfigError, ContractError, NumericalError
-from .features import FeatureKind, PowerTransform, apply_power_transform
+from .errors import ContractError, FormatError, NumericalError
+from .features import STD_FLOOR, FeatureKind, PowerTransform, apply_power_transform
 from .keyvalue import optional_float, read_key_values
-from .mahalanobis import lower_quantile_threshold
+from .mahalanobis import lower_quantile_threshold, read_detector_tensor
 from .network import DEFAULT_BATCH, Network, run_network
 from .rng import derive_seed
-from .xten import read_tensor, write_tensor
+from .xten import write_tensor
 
 logger = logging.getLogger(__name__)
 
 GRAD_TOL = 1e-8
 MAX_NEWTON_ITER = 100
 LAMBDA_GRID = (1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1000.0)
-STD_FLOOR = 1e-8
 
 FOLD_NAMES = ("calibration",) + tuple(DISTORTION_FAMILIES)
 
@@ -345,12 +344,6 @@ def score_l(det: LDetector, features: np.ndarray) -> np.ndarray:
     return _sigmoid(det.weights[0] + x @ det.weights[1:])
 
 
-def decide_l(det: LDetector, features: np.ndarray) -> np.ndarray:
-    if det.threshold is None:
-        raise ConfigError("detector has no calibrated threshold")
-    return score_l(det, features) > det.threshold
-
-
 # ---------------------------------------------------------------------------
 # persistence: text manifest + XTEN blobs in a directory
 
@@ -379,18 +372,22 @@ def load_l_detector(directory: str | Path) -> LDetector:
     entries = read_key_values(directory / "detector.txt")
     if entries.get("detector") != "logistic":
         raise ContractError(f"{directory} does not hold a logistic detector")
+    dim = entries.get("dim", int)
+
+    def tensor(name: str, size: int) -> np.ndarray:
+        return read_detector_tensor(directory / f"{name}.xten", (size,))
+
     scaler = SplitScaler(
-        raw_means=read_tensor(directory / "raw_means.xten").astype(np.float64),
-        scale_means=read_tensor(directory / "scale_means.xten").astype(np.float64),
-        scale_stds=read_tensor(directory / "scale_stds.xten").astype(np.float64),
-        flags=read_tensor(directory / "scale_flags.xten") != 0,
+        raw_means=tensor("raw_means", dim),
+        scale_means=tensor("scale_means", 2 * dim),
+        scale_stds=tensor("scale_stds", 2 * dim),
+        flags=tensor("scale_flags", 2 * dim) != 0,
     )
-    det = LDetector(
+    if not (scaler.scale_stds > 0).all():
+        raise FormatError(f"{directory / 'scale_stds.xten'} holds a std <= 0")
+    return LDetector(
         scaler=scaler,
-        weights=read_tensor(directory / "weights.xten").astype(np.float64),
+        weights=tensor("weights", 2 * dim + 1),
         reg_lambda=entries.get("reg_lambda", float),
         threshold=entries.get("threshold", optional_float),
     )
-    if det.weights.shape != (2 * scaler.dim + 1,):
-        raise ContractError("detector weights do not match the scaler width")
-    return det

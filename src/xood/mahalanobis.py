@@ -24,7 +24,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, SingularityError
+from .errors import ContractError, FormatError, SingularityError
 from .keyvalue import optional_float, read_key_values
 from .xten import read_tensor, write_tensor
 
@@ -156,15 +156,19 @@ def calibrate(det: MDetector, calibration_confidences: np.ndarray) -> MDetector:
     return det
 
 
-def decide(det: MDetector, features: np.ndarray) -> np.ndarray:
-    """True where the input is accepted as in-distribution."""
-    if det.threshold is None:
-        raise ConfigError("detector has no calibrated threshold")
-    return confidence(det, features) > det.threshold
-
-
 # ---------------------------------------------------------------------------
 # persistence: text manifest + XTEN blobs in a directory
+
+
+def read_detector_tensor(path: Path, shape: tuple[int, ...]) -> np.ndarray:
+    """A saved detector tensor as float64. A shape other than ``shape`` or
+    a non-finite entry raises FormatError naming the file."""
+    values = read_tensor(path).astype(np.float64)
+    if values.shape != shape:
+        raise FormatError(f"{path} has shape {values.shape}, expected {shape}")
+    if not np.isfinite(values).all():
+        raise FormatError(f"{path} holds non-finite values")
+    return values
 
 
 def save_m_detector(det: MDetector, directory: str | Path) -> None:
@@ -187,12 +191,13 @@ def load_m_detector(directory: str | Path) -> MDetector:
     entries = read_key_values(directory / "detector.txt")
     if entries.get("detector") != "mahalanobis":
         raise ContractError(f"{directory} does not hold a mahalanobis detector")
-    det = MDetector(
-        mean=read_tensor(directory / "mean.xten").astype(np.float64),
+    dim = entries.get("dim", int)
+    factor = read_detector_tensor(directory / "factor.xten", (dim, dim))
+    if not (np.diag(factor) > 0).all():
+        raise FormatError(f"{directory / 'factor.xten'} has a diagonal entry <= 0")
+    return MDetector(
+        mean=read_detector_tensor(directory / "mean.xten", (dim,)),
         reg_c=entries.get("reg_c", float),
-        factor=read_tensor(directory / "factor.xten").astype(np.float64),
+        factor=factor,
         threshold=entries.get("threshold", optional_float),
     )
-    if det.mean.ndim != 1 or det.factor.shape != (det.dim, det.dim):
-        raise ContractError("detector tensors have inconsistent shapes")
-    return det

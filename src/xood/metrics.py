@@ -109,15 +109,11 @@ def detection_accuracy(scores: np.ndarray, is_id: np.ndarray) -> float:
     sorted_id = is_id[order].astype(np.float64)
     cum_id = np.cumsum(sorted_id)
     cum_ood = np.cumsum(1.0 - sorted_id)
-    last_of_value = np.nonzero(
-        np.r_[sorted_scores[1:] != sorted_scores[:-1], True]
-    )[0]
-    best = 0.5  # threshold below the minimum: all accepted
-    for i in last_of_value:
-        acc = 0.5 * ((n_id - cum_id[i]) / n_id + cum_ood[i] / n_ood)
-        if acc > best:
-            best = acc
-    return float(best)
+    last_of_value = np.r_[sorted_scores[1:] != sorted_scores[:-1], True]
+    acc = 0.5 * ((n_id - cum_id[last_of_value]) / n_id
+                 + cum_ood[last_of_value] / n_ood)
+    # 0.5 is the threshold below the minimum: all accepted
+    return float(max(0.5, acc.max()))
 
 
 def msp_baseline(probabilities: np.ndarray) -> np.ndarray:

@@ -3,9 +3,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from xood import cli
 from xood.cli import main, read_scores_csv
 from xood.features import read_feature_csv
 from xood.network import load_network, save_network
+from xood.xten import read_tensor, write_tensor
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +93,19 @@ def test_overwrite_needs_force(ws, tmp_path):
     assert run(*args) == 0
     assert run(*args) == 2  # refuses silently clobbering
     assert run(*args, "--force") == 0
+
+
+def test_existing_output_is_refused_before_any_work(ws, monkeypatch):
+    root, run = ws
+
+    def train(*args, **kwargs):
+        raise AssertionError("trained before checking the output")
+
+    monkeypatch.setattr(cli, "train_reference_cnn", train)
+    assert run(
+        "train", "--images", root / "train.xten", "--labels", root / "labels.xten",
+        "--out", root / "model.xnet",
+    ) == 2
 
 
 def test_extract_writes_feature_table(ws, tmp_path):
@@ -253,6 +268,49 @@ def test_config_file_defaults_cli_overrides(ws, tmp_path):
     ) == 2
 
 
+def test_config_file_may_supply_required_options(ws, tmp_path):
+    root, run = ws
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(
+        f"images={root / 'train.xten'}\nlabels={root / 'labels.xten'}\n"
+        f"out={tmp_path / 'm.xnet'}\nepochs=1\nbatch-size=32\n"
+    )
+    assert run("train", "--config", cfg) == 0
+    assert manifest(str(tmp_path / "m.xnet") + ".manifest")["epochs"] == "1"
+
+
+@pytest.mark.parametrize("flag", ["--ood-scores", "--ood-sc"])
+def test_config_repeatable_option_is_replaced_by_flags(ws, tmp_path, flag):
+    root, run = ws
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text(f"ood-scores={root / 'id_scores.csv'}\n")
+    out = tmp_path / "m.csv"
+    assert run(
+        "eval", "--config", cfg, "--id-scores", root / "id_scores.csv",
+        flag, root / "ood_scores.csv", "--out", out,
+    ) == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 2 and lines[1].split(",")[1] == "ood_scores"
+    assert manifest(str(out) + ".manifest")["ood-scores"] == str(
+        root / "ood_scores.csv"
+    )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("gen", "--kind", "nope", "--count", 5),
+        ("gen", "--kind", "uniform", "--count", 5, "--format", "nope"),
+    ],
+    ids=["gen-kind", "format"],
+)
+def test_unknown_choice_exits_2(ws, tmp_path, args):
+    # an unknown distortion family is checked in test_distort_round_trip
+    _, run = ws
+    assert run(*args, "--images-out", tmp_path / "x.xten") == 2
+    assert not (tmp_path / "x.xten").exists()
+
+
 def test_missing_required_option_is_config_error(ws):
     _, run = ws
     assert run("gen", "--kind", "blobs", "--count", 5) == 2
@@ -348,6 +406,37 @@ def test_mutated_detector_manifest_is_data_error(ws, tmp_path, bundle, edit):
         "score", "--model", root / "model.xnet", "--detector", det,
         "--images", root / "noise.xten", "--out", tmp_path / "s.csv",
     ) == 3
+
+
+def _with(values, index, value):
+    values = values.copy()
+    values[index] = value
+    return values
+
+
+@pytest.mark.parametrize(
+    "bundle, name, edit",
+    [
+        ("ldet", "scale_means", lambda v: np.append(v, 0.0)),
+        ("ldet", "scale_stds", lambda v: v[:-1]),
+        ("mdet", "factor", lambda v: _with(v, (0, 0), 0.0)),
+        ("mdet", "mean", lambda v: _with(v, 0, np.nan)),
+    ],
+    ids=["l-long-scale_means", "l-short-scale_stds", "m-zero-diagonal", "m-nan-mean"],
+)
+def test_mutated_detector_tensor_is_data_error(ws, tmp_path, bundle, name, edit):
+    import shutil
+
+    root, run = ws
+    det = tmp_path / bundle
+    shutil.copytree(root / bundle, det)
+    path = det / f"{name}.xten"
+    write_tensor(path, edit(read_tensor(path)))
+    assert run(
+        "score", "--model", root / "model.xnet", "--detector", det,
+        "--images", root / "noise.xten", "--out", tmp_path / "s.csv",
+    ) == 3
+    assert not (tmp_path / "s.csv").exists()
 
 
 @pytest.mark.parametrize("row", ["x,0.5", "0,abc", "0", "0,0.5,1"])

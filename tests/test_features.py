@@ -294,7 +294,9 @@ def test_feature_csv_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "row", ["x,1.0,2.0", "0,1.0,abc", "1,1.0,2.0", "0,1.0", b"0,1.0,\xff"]
+    "row",
+    ["x,1.0,2.0", "0,1.0,abc", "1,1.0,2.0", "0,1.0", b"0,1.0,\xff",
+     "0,1.0,-1.2490e304"],
 )
 def test_feature_csv_rejects_malformed_rows(tmp_path, row):
     path = tmp_path / "f.csv"

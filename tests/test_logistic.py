@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from xood.datasets import make_blobs
-from xood.errors import ContractError
+from xood.errors import ContractError, FormatError
 from xood.features import FeatureKind, extract_features, fit_power_transform
 from xood.logistic import (
     LAMBDA_GRID,
     apply_split_scaler,
     build_training_set,
     cross_validate,
-    decide_l,
     fit_l_detector,
     fit_logreg,
     fit_split_scaler,
@@ -231,7 +230,7 @@ def test_fit_l_detector_end_to_end(fixture):
     scores = score_l(det, ts.features)
     assert scores.min() >= 0.0 and scores.max() <= 1.0
     m = len(calib)
-    accepted = decide_l(det, ts.features[:m])
+    accepted = score_l(det, ts.features[:m]) > det.threshold
     assert 0.90 <= accepted.mean() <= 0.96  # threshold targets 95%
     # weights order: intercept + one pair per feature dimension
     assert det.weights.shape == (2 * pt.dim + 1,)
@@ -258,5 +257,5 @@ def test_l_detector_load_rejects_mismatched_weights(tmp_path, fixture):
     from xood.xten import write_tensor
 
     write_tensor(tmp_path / "weights.xten", np.zeros(3, np.float32))
-    with pytest.raises(ContractError, match="width"):
+    with pytest.raises(FormatError, match="weights.xten has shape"):
         load_l_detector(tmp_path)

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from xood.errors import ConfigError, ContractError, SingularityError
+from xood.errors import ContractError, SingularityError
 from xood.mahalanobis import (
     MDetector,
     calibrate,
     cholesky_lower,
     confidence,
-    decide,
     fit_mahalanobis,
     load_m_detector,
     lower_quantile_threshold,
@@ -179,17 +178,11 @@ def test_calibrated_decide_accepts_95_percent():
     det = fit_mahalanobis(x, reg_c=10.0)
     calib = s.normal(200 * 3).reshape(200, 3)
     det = calibrate(det, confidence(det, calib))
-    accepted = decide(det, calib)
+    accepted = det.score(calib) > det.threshold
     # k = 10 of 200 sit at or below the threshold
     assert accepted.sum() == 190
     far = np.full((5, 3), 50.0)
-    assert not decide(det, far).any()
-
-
-def test_decide_requires_threshold():
-    det = fit_mahalanobis(Stream(9).normal(40).reshape(20, 2))
-    with pytest.raises(ConfigError, match="threshold"):
-        decide(det, np.zeros(2))
+    assert not (det.score(far) > det.threshold).any()
 
 
 def test_persistence_round_trip(tmp_path):
