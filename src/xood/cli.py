@@ -53,7 +53,7 @@ from .errors import (
     XoodError,
 )
 from .features import FeatureKind, feature_names, write_feature_csv
-from .keyvalue import read_key_values, read_utf8
+from .keyvalue import read_key_values, read_table, read_utf8
 from .logistic import LAMBDA_GRID
 from .network import (
     Network,
@@ -428,20 +428,7 @@ def cmd_score(cfg: dict) -> dict:
 
 
 def read_scores_csv(path: str | Path) -> np.ndarray:
-    lines = [l for l in read_utf8(path).splitlines() if l.strip()]
-    if not lines or lines[0] != "index,score":
-        raise FormatError(f"bad score CSV header in {path}")
-    values = []
-    for i, line in enumerate(lines[1:]):
-        parts = line.split(",")
-        try:
-            index, value = int(parts[0]), float(parts[-1])
-        except ValueError:
-            index = None
-        if len(parts) != 2 or index != i:
-            raise FormatError(f"bad score CSV row {i}: {line!r}")
-        values.append(value)
-    return np.array(values)
+    return read_table(path, "index", ("score",))[1][:, 0]
 
 
 _EVAL_HEADER = "in_dist,out_dist,method,auroc,tnr95,det_acc,fpr95"

@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError, FormatError
+from .keyvalue import read_utf8
 from .rng import Stream
 from .xten import read_tensor, write_tensor
 
@@ -180,14 +181,15 @@ def load_labels_any(path: str | Path, expected: int) -> np.ndarray:
         values = read_tensor(path)
         if values.ndim != 1:
             raise FormatError(f"label tensor must be 1-D, got {values.shape}")
-        labels = values.astype(np.int64)
-        if not np.array_equal(labels.astype(np.float32), values):
+        # NaN, inf and out-of-range values fail both tests without a cast
+        if not ((np.abs(values) < 2.0**62) & (np.trunc(values) == values)).all():
             raise FormatError("label tensor holds non-integer values")
+        labels = values.astype(np.int64)
     elif head == struct.pack(">I", IDX_LABELS_MAGIC):
         labels = _load_idx_labels(path, expected)
     else:
         try:
-            lines = Path(path).read_text().split()
+            lines = read_utf8(path).split()
             labels = np.array([int(v) for v in lines], dtype=np.int64)
         except ValueError as exc:
             raise FormatError(f"labels are not integers: {exc}") from None

@@ -24,12 +24,14 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import methodcaller
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .errors import ContractError, FormatError
-from .keyvalue import read_utf8
+from .keyvalue import read_table
 
 logger = logging.getLogger(__name__)
 
@@ -64,36 +66,45 @@ class FeatureKind(str, Enum):
 
 ALL_FEATURE_KINDS = tuple(FeatureKind)
 
-_PAIRED = {FeatureKind.MINMAX, FeatureKind.SPLIT_L1, FeatureKind.SPLIT_L2,
-           FeatureKind.SPLIT_L3}
-_NORM_P = {FeatureKind.L1: 1, FeatureKind.L2: 2, FeatureKind.L3: 3,
-           FeatureKind.SPLIT_L1: 1, FeatureKind.SPLIT_L2: 2,
-           FeatureKind.SPLIT_L3: 3}
+
+def _lp_norm(p: int, sign: int = 0) -> Callable[[np.ndarray], np.ndarray]:
+    """Reduction to the per-image Lp norm of the flattened tap, or of its
+    positive (``sign`` 1) or negative (``sign`` -1) part."""
+
+    def reduce(flat: np.ndarray) -> np.ndarray:
+        part = np.maximum(flat if sign > 0 else -flat, 0) if sign else flat
+        return (np.abs(part, dtype=np.float64) ** p).sum(axis=1) ** (1.0 / p)
+
+    return reduce
+
+
+# Per kind, the columns each layer contributes, in order: (name suffix,
+# reduction of the (N, -1) flattened tap to one value per image).
+_COLUMNS = {
+    FeatureKind.MINMAX: (("min", methodcaller("min", axis=1)),
+                         ("max", methodcaller("max", axis=1))),
+    FeatureKind.MIN: (("min", methodcaller("min", axis=1)),),
+    FeatureKind.MAX: (("max", methodcaller("max", axis=1)),),
+    FeatureKind.POSITIVITY: (
+        ("positivity", lambda flat: (flat > 0).mean(axis=1, dtype=np.float64)),
+    ),
+    FeatureKind.SUM: (("sum", methodcaller("sum", axis=1, dtype=np.float64)),),
+    **{FeatureKind(f"l{p}"): ((f"l{p}", _lp_norm(p)),) for p in (1, 2, 3)},
+    **{FeatureKind(f"split-l{p}"): ((f"l{p}_pos", _lp_norm(p, 1)),
+                                    (f"l{p}_neg", _lp_norm(p, -1)))
+       for p in (1, 2, 3)},
+}
 
 
 def feature_width(kind: FeatureKind, num_layers: int) -> int:
     """Feature count: 2r for the paired kinds, r otherwise."""
-    return (2 if kind in _PAIRED else 1) * num_layers
+    return len(_COLUMNS[kind]) * num_layers
 
 
 def feature_names(kind: FeatureKind, num_layers: int) -> list[str]:
     """Column names, layer indices 1-based: layer1_min, layer1_max, ..."""
-    names = []
-    for j in range(1, num_layers + 1):
-        if kind is FeatureKind.MINMAX:
-            names += [f"layer{j}_min", f"layer{j}_max"]
-        elif kind in (FeatureKind.SPLIT_L1, FeatureKind.SPLIT_L2,
-                      FeatureKind.SPLIT_L3):
-            p = _NORM_P[kind]
-            names += [f"layer{j}_l{p}_pos", f"layer{j}_l{p}_neg"]
-        else:
-            names.append(f"layer{j}_{kind.value}")
-    return names
-
-
-def _lp_norm(flat: np.ndarray, p: int) -> np.ndarray:
-    acc = (np.abs(flat, dtype=np.float64) ** p).sum(axis=1)
-    return acc ** (1.0 / p)
+    return [f"layer{j}_{suffix}" for j in range(1, num_layers + 1)
+            for suffix, _ in _COLUMNS[kind]]
 
 
 def reduce_tap(tap: np.ndarray, kind: FeatureKind = FeatureKind.MINMAX) -> list[np.ndarray]:
@@ -104,25 +115,7 @@ def reduce_tap(tap: np.ndarray, kind: FeatureKind = FeatureKind.MINMAX) -> list[
     later layers have pushed the tap out to memory.
     """
     flat = tap.reshape(tap.shape[0], -1)
-    if kind is FeatureKind.MINMAX:
-        return [flat.min(axis=1), flat.max(axis=1)]
-    if kind is FeatureKind.MIN:
-        return [flat.min(axis=1)]
-    if kind is FeatureKind.MAX:
-        return [flat.max(axis=1)]
-    if kind is FeatureKind.POSITIVITY:
-        return [(flat > 0).mean(axis=1, dtype=np.float64)]
-    if kind is FeatureKind.SUM:
-        return [flat.sum(axis=1, dtype=np.float64)]
-    if kind in (FeatureKind.L1, FeatureKind.L2, FeatureKind.L3):
-        return [_lp_norm(flat, _NORM_P[kind])]
-    if kind in (FeatureKind.SPLIT_L1, FeatureKind.SPLIT_L2, FeatureKind.SPLIT_L3):
-        p = _NORM_P[kind]
-        return [
-            _lp_norm(np.maximum(flat, 0), p),
-            _lp_norm(np.maximum(-flat, 0), p),
-        ]
-    raise ContractError(f"unknown feature kind {kind}")
+    return [reduction(flat) for _, reduction in _COLUMNS[kind]]
 
 
 def assemble_columns(columns: list[np.ndarray]) -> np.ndarray:
@@ -216,13 +209,26 @@ class PowerTransform:
         return self.lambdas.shape[0]
 
 
-def fit_power_transform(features: np.ndarray) -> PowerTransform:
-    """Fit lambda, mean, and std per column.
+def pin_constant_stds(stds: np.ndarray, what: str) -> np.ndarray:
+    """Pin the entries of ``stds`` below STD_FLOOR to 1, in place, and
+    return the flags of the pinned ones.
 
-    Columns whose transformed values are (nearly) constant get std pinned
-    to 1 and are flagged; a warning is logged because such a dimension
-    carries no signal.
+    Such a column is (nearly) constant and carries no signal; one warning
+    names all of them, ``what`` saying which table they belong to.
     """
+    flags = stds < STD_FLOOR
+    if flags.any():
+        logger.warning(
+            "%s %s are constant; std pinned to 1",
+            what, np.flatnonzero(flags).tolist(),
+        )
+        stds[flags] = 1.0
+    return flags
+
+
+def fit_power_transform(features: np.ndarray) -> PowerTransform:
+    """Fit lambda, mean, and std per column; constant columns get their
+    std pinned to 1 and are flagged (see ``pin_constant_stds``)."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise ContractError(f"features must be 2-D, got shape {x.shape}")
@@ -234,7 +240,6 @@ def fit_power_transform(features: np.ndarray) -> PowerTransform:
     lambdas = np.empty(d)
     means = np.empty(d)
     stds = np.empty(d)
-    flags = np.zeros(d, dtype=bool)
     for j in range(d):
         col = x[:, j]
         if float(col.max()) - float(col.min()) == 0.0:
@@ -249,16 +254,8 @@ def fit_power_transform(features: np.ndarray) -> PowerTransform:
             )
         y = yeo_johnson(col, lambdas[j])
         means[j] = y.mean()
-        std = float(y.std())
-        if std < STD_FLOOR:
-            logger.warning(
-                "feature dimension %d is constant after transform; "
-                "std pinned to 1",
-                j,
-            )
-            std = 1.0
-            flags[j] = True
-        stds[j] = std
+        stds[j] = y.std()
+    flags = pin_constant_stds(stds, "feature dimensions")
     return PowerTransform(lambdas, means, stds, flags)
 
 
@@ -296,30 +293,13 @@ def save_power_transform(pt: PowerTransform, path: str | Path) -> None:
 
 
 def load_power_transform(path: str | Path) -> PowerTransform:
-    lines = [l for l in read_utf8(path).splitlines() if l.strip()]
-    if not lines or lines[0].strip() != "dim,lambda,mean,std,flagged":
-        raise FormatError(f"bad power transform header in {path}")
-    rows = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise FormatError(f"bad power transform line: {line!r}")
-        try:
-            rows.append(
-                (int(parts[0]), float(parts[1]), float(parts[2]),
-                 float(parts[3]), bool(int(parts[4])))
-            )
-        except ValueError as exc:
-            raise FormatError(f"bad power transform value: {exc}") from None
-    rows.sort(key=lambda r: r[0])
-    if [r[0] for r in rows] != list(range(len(rows))):
-        raise FormatError("power transform dims are not 0..d-1")
-    return PowerTransform(
-        np.array([r[1] for r in rows]),
-        np.array([r[2] for r in rows]),
-        np.array([r[3] for r in rows]),
-        np.array([r[4] for r in rows], dtype=bool),
-    )
+    _, table = read_table(path, "dim", ("lambda", "mean", "std", "flagged"))
+    lambdas, means, stds, flags = table.T.copy()
+    for bad, rule in ((stds <= 0, "std must be > 0"),
+                      ((flags != 0) & (flags != 1), "flagged must be 0 or 1")):
+        if bad.any():
+            raise FormatError(f"{path} row {int(bad.argmax())}: {rule}")
+    return PowerTransform(lambdas, means, stds, flags == 1)
 
 
 def write_feature_csv(
@@ -338,28 +318,13 @@ def write_feature_csv(
 
 
 def read_feature_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
-    """Returns (column names, float32 matrix); image_id order is checked."""
-    lines = [l for l in read_utf8(path).splitlines() if l.strip()]
-    if not lines or not lines[0].startswith("image_id,"):
-        raise FormatError(f"bad feature CSV header in {path}")
-    names = lines[0].split(",")[1:]
-    rows = []
-    for i, line in enumerate(lines[1:]):
-        parts = line.split(",")
-        try:
-            index, row = int(parts[0]), [float(v) for v in parts[1:]]
-        except ValueError:
-            index = None
-        if len(parts) != len(names) + 1 or index != i:
-            raise FormatError(f"bad feature CSV row {i}: {line!r}")
-        rows.append(row)
-    values = np.array(rows, dtype=np.float64).reshape(len(rows), len(names))
+    """Returns (column names, float32 matrix); see ``read_table``."""
+    names, values = read_table(path, "image_id")
     with np.errstate(over="ignore"):
         narrowed = values.astype(np.float32)
-    overflow = (np.isinf(narrowed) & np.isfinite(values)).any(axis=1)
+    overflow = np.isinf(narrowed).any(axis=1)
     if overflow.any():
-        i = int(overflow.argmax())
         raise FormatError(
-            f"bad feature CSV row {i}: {lines[i + 1]!r} exceeds the float32 range"
+            f"{path} row {int(overflow.argmax())} exceeds the float32 range"
         )
     return names, narrowed

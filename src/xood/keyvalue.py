@@ -1,17 +1,21 @@
-"""Strict reader for the ``key=value`` text of network manifests, detector
-bundles and CLI config files, and the UTF-8 decoding every text loader
-shares.
+"""Strict readers for the package's two text formats, ``key=value`` text
+and numeric tables, and the UTF-8 decoding every text loader shares.
 
-Blank lines and ``#`` lines are skipped. A line without ``=``, a repeated
-key, a missing key and a value that does not convert raise FormatError
-naming the file and the key. Bytes that are not UTF-8 raise FormatError
-naming the source and the offset of the first bad byte.
+``key=value`` text holds network manifests, detector bundles and CLI config
+files. Blank lines and ``#`` lines are skipped. A line without ``=``, a
+repeated key, a missing key and a value that does not convert raise
+FormatError naming the file and the key. Numeric tables are the score and
+feature CSVs and the power transform; ``read_table`` states their rules.
+Bytes that are not UTF-8 raise FormatError naming the source and the
+offset of the first bad byte.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Callable, Sequence, TypeVar
+
+import numpy as np
 
 from .errors import FormatError
 
@@ -73,3 +77,35 @@ def read_key_values(path: str | Path) -> KeyValues:
 def optional_float(text: str) -> float | None:
     """Converter for a value written as a float or as ``none``."""
     return None if text == "none" else float(text)
+
+
+def read_table(
+    path: str | Path, index: str, columns: Sequence[str] | None = None
+) -> tuple[list[str], np.ndarray]:
+    """The column names after ``index`` and the float64 cells of a table.
+
+    Blank lines are skipped. The header is ``index`` and then ``columns``,
+    or any names when ``columns`` is None. Row i is the number i and one
+    finite float per name. Anything else raises FormatError naming the file
+    and the row.
+    """
+    lines = [line for line in read_utf8(path).splitlines() if line.strip()]
+    head, *names = lines[0].split(",") if lines else [None]
+    if head != index or not names or names != list(columns or names):
+        want = ",".join([index, *(columns or ["..."])])
+        raise FormatError(f"{path}: bad header {lines[:1]}, expected {want!r}")
+    rows = []
+    for i, line in enumerate(lines[1:]):
+        parts = line.split(",")
+        try:
+            row = [float(cell) for cell in parts[1:]]
+            good = int(parts[0]) == i and len(row) == len(names)
+        except ValueError:
+            good = False
+        if not good or not np.isfinite(row).all():
+            raise FormatError(
+                f"{path} row {i}: {line!r} is not the index {i} followed by "
+                f"{len(names)} finite numbers"
+            )
+        rows.append(row)
+    return names, np.array(rows, dtype=np.float64).reshape(len(rows), len(names))

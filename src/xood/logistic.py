@@ -21,8 +21,9 @@ The solver is full-batch Newton with step halving on the objective
 
     mean logistic loss + lambda/2 * ||w||^2   (intercept unpenalized)
 
-stopping when the gradient's infinity norm drops below 1e-8 or after 100
-iterations, whichever is first.
+stopping when the gradient's infinity norm drops below 1e-8. A fit that
+takes 100 Newton steps without getting there, or whose step no halving
+makes lower the loss, stops too and logs a warning.
 """
 
 from __future__ import annotations
@@ -37,7 +38,9 @@ import numpy as np
 from .datasets import Dataset
 from .distortions import DISTORTION_FAMILIES
 from .errors import ContractError, FormatError, NumericalError
-from .features import STD_FLOOR, FeatureKind, PowerTransform, apply_power_transform
+from .features import (
+    FeatureKind, PowerTransform, apply_power_transform, pin_constant_stds,
+)
 from .keyvalue import optional_float, read_key_values
 from .mahalanobis import lower_quantile_threshold, read_detector_tensor
 from .network import DEFAULT_BATCH, Network, run_network
@@ -107,12 +110,7 @@ def fit_split_scaler(
     splitted = split_features(fit_features, raw_means)
     scale_means = splitted.mean(axis=0)
     scale_stds = splitted.std(axis=0)
-    flags = scale_stds < STD_FLOOR
-    if flags.any():
-        logger.warning(
-            "%d split columns are constant; std pinned to 1", int(flags.sum())
-        )
-        scale_stds = np.where(flags, 1.0, scale_stds)
+    flags = pin_constant_stds(scale_stds, "split columns")
     scaler = SplitScaler(raw_means, scale_means, scale_stds, flags)
     return scaler, (splitted - scale_means) / scale_stds
 
@@ -158,16 +156,9 @@ def logreg_gradient(
     return grad
 
 
-def fit_logreg(
-    x: np.ndarray,
-    y: np.ndarray,
-    lam: float,
-    *,
-    tol: float = GRAD_TOL,
-    max_iter: int = MAX_NEWTON_ITER,
-) -> np.ndarray:
+def fit_logreg(x: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     """Newton's method with step halving; returns (1 + p,) weights,
-    intercept first."""
+    intercept first. See the module docstring for when the fit stops."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 2 or y.shape != (x.shape[0],):
@@ -186,10 +177,10 @@ def fit_logreg(
     reg[0] = 0.0
     w = np.zeros(p + 1)
     loss = logreg_loss(w, x, y, lam)
-    for _ in range(max_iter):
+    for _ in range(MAX_NEWTON_ITER):
         grad = logreg_gradient(w, x, y, lam)
-        if float(np.max(np.abs(grad))) < tol:
-            break
+        if float(np.max(np.abs(grad))) < GRAD_TOL:
+            return w
         z = w[0] + x @ w[1:]
         pr = _sigmoid(z)
         weights = np.maximum(pr * (1.0 - pr), 1e-12)
@@ -205,8 +196,17 @@ def fit_logreg(
             if trial_loss <= loss:
                 break
             scale *= 0.5
-        w = w - scale * step
-        loss = logreg_loss(w, x, y, lam)
+        else:
+            logger.warning(
+                "lambda %g: no step lowers the loss; stopping at gradient "
+                "norm %.3g", lam, float(np.max(np.abs(grad))),
+            )
+            return w
+        w, loss = trial, trial_loss
+    logger.warning(
+        "lambda %g: %d Newton steps without convergence; gradient norm %.3g",
+        lam, MAX_NEWTON_ITER, float(np.max(np.abs(logreg_gradient(w, x, y, lam)))),
+    )
     return w
 
 

@@ -134,19 +134,17 @@ def confidence(det: MDetector, features: np.ndarray) -> np.ndarray:
     return -mahalanobis_score(det, features)
 
 
-def lower_quantile_threshold(
-    confidences: np.ndarray, quantile: float = THRESHOLD_QUANTILE
-) -> float:
-    """The k-th smallest confidence with k = ceil(quantile * n).
+def lower_quantile_threshold(confidences: np.ndarray) -> float:
+    """The k-th smallest confidence with k = ceil(THRESHOLD_QUANTILE * n).
 
     Accepting scores strictly above this keeps (n - k)/n of the
-    calibration set, i.e. 95% at the default quantile.
+    calibration set, i.e. 95%.
     """
     values = np.sort(np.asarray(confidences, dtype=np.float64))
     n = values.shape[0]
     if n < 20:
         raise ContractError(f"need at least 20 calibration scores, got {n}")
-    k = int(np.ceil(quantile * n - 1e-9))
+    k = int(np.ceil(THRESHOLD_QUANTILE * n - 1e-9))
     return float(values[k - 1])
 
 

@@ -70,12 +70,12 @@ def auroc(scores: np.ndarray, is_id: np.ndarray) -> float:
     return (rank_sum - n_id * (n_id + 1) / 2.0) / (n_id * n_ood)
 
 
-def tnr_at_95tpr(scores: np.ndarray, is_id: np.ndarray, tpr: float = 0.95) -> float:
-    """TNR at the largest threshold keeping TPR >= ``tpr``.
+def tnr_at_95tpr(scores: np.ndarray, is_id: np.ndarray) -> float:
+    """TNR at the largest threshold keeping TPR >= 0.95.
 
-    The threshold is the order statistic sorted_id[n - ceil(tpr * n)]
+    The threshold is the order statistic sorted_id[n - ceil(0.95 * n)]
     (0-indexed ascending): accepting score >= T keeps exactly
-    ceil(tpr * n) of n distinct ID scores. An OOD input counts as detected
+    ceil(0.95 * n) of n distinct ID scores. An OOD input counts as detected
     when its score is strictly below T.
     """
     scores, is_id = _check_scores(scores, is_id)
@@ -83,15 +83,13 @@ def tnr_at_95tpr(scores: np.ndarray, is_id: np.ndarray, tpr: float = 0.95) -> fl
     n = id_scores.shape[0]
     if n < 20:
         raise ContractError(f"need at least 20 ID scores, got {n}")
-    if not 0.0 < tpr <= 1.0:
-        raise ContractError(f"tpr must be in (0, 1], got {tpr}")
-    keep = int(math.ceil(tpr * n - 1e-9))
+    keep = int(math.ceil(0.95 * n - 1e-9))
     threshold = id_scores[n - keep]
     return float(np.mean(scores[~is_id] < threshold))
 
 
-def fpr_at_95tpr(scores: np.ndarray, is_id: np.ndarray, tpr: float = 0.95) -> float:
-    return 1.0 - tnr_at_95tpr(scores, is_id, tpr)
+def fpr_at_95tpr(scores: np.ndarray, is_id: np.ndarray) -> float:
+    return 1.0 - tnr_at_95tpr(scores, is_id)
 
 
 def detection_accuracy(scores: np.ndarray, is_id: np.ndarray) -> float:

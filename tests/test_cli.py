@@ -439,7 +439,38 @@ def test_mutated_detector_tensor_is_data_error(ws, tmp_path, bundle, name, edit)
     assert not (tmp_path / "s.csv").exists()
 
 
-@pytest.mark.parametrize("row", ["x,0.5", "0,abc", "0", "0,0.5,1"])
+def _set_cell(col, value):
+    def edit(rows):
+        rows[1][col] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_set_cell(3, "0.0"), _set_cell(3, "nan"), _set_cell(1, "nan"),
+     _set_cell(4, "7"), lambda rows: rows.insert(1, rows.pop(2))],
+    ids=["std-0", "std-nan", "lambda-nan", "flagged-7", "reordered-dims"],
+)
+def test_mutated_power_transform_is_data_error(ws, tmp_path, edit):
+    import shutil
+
+    root, run = ws
+    det = tmp_path / "mdet"
+    shutil.copytree(root / "mdet", det)
+    path = det / "power_transform.txt"
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    edit(rows)
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
+    assert run(
+        "score", "--model", root / "model.xnet", "--detector", det,
+        "--images", root / "noise.xten", "--out", tmp_path / "s.csv",
+    ) == 3
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "row", ["x,0.5", "0,abc", "0", "0,0.5,1", "0,nan", "0,-inf", "1,0.5"]
+)
 def test_malformed_score_csv_is_data_error(ws, tmp_path, row):
     root, run = ws
     bad = tmp_path / "bad.csv"

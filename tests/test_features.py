@@ -271,14 +271,26 @@ def test_power_transform_load_errors(tmp_path):
     with pytest.raises(FormatError, match="header"):
         load_power_transform(p)
     p.write_text("dim,lambda,mean,std,flagged\n0,1.0,0.0\n")
-    with pytest.raises(FormatError, match="line"):
+    with pytest.raises(FormatError, match="row 0"):
         load_power_transform(p)
     p.write_text("dim,lambda,mean,std,flagged\n1,1.0,0.0,1.0,0\n")
-    with pytest.raises(FormatError, match="0..d-1"):
+    with pytest.raises(FormatError, match="row 0"):
         load_power_transform(p)
     p.write_bytes(b"dim,lambda,mean,std,flagged\n0,1.0,0.0,1.0,\xff\n")
     with pytest.raises(FormatError, match="not UTF-8.*offset 42"):
         load_power_transform(p)
+    # non-finite cells, std <= 0, flagged outside {0, 1}, dims out of order
+    for rows, match in [
+        ("0,1.0,0.0,0.0,0", "row 0: std must be > 0"),
+        ("0,1.0,0.0,inf,0", "row 0: .* finite"),
+        ("0,1.0,0.0,nan,0", "row 0: .* finite"),
+        ("0,nan,0.0,1.0,0", "row 0: .* finite"),
+        ("0,1.0,0.0,1.0,7", "row 0: flagged must be 0 or 1"),
+        ("1,1.0,0.0,1.0,0\n0,1.0,0.0,1.0,0", "row 0"),
+    ]:
+        p.write_text(f"dim,lambda,mean,std,flagged\n{rows}\n")
+        with pytest.raises(FormatError, match=match):
+            load_power_transform(p)
 
 
 def test_feature_csv_round_trip(tmp_path):
