@@ -12,6 +12,7 @@ offset of the first bad byte.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
@@ -74,9 +75,17 @@ def read_key_values(path: str | Path) -> KeyValues:
     return KeyValues(read_utf8(path), str(path))
 
 
+def finite_float(text: str) -> float:
+    """Converter for a finite float; ``nan`` and ``inf`` are refused."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def optional_float(text: str) -> float | None:
-    """Converter for a value written as a float or as ``none``."""
-    return None if text == "none" else float(text)
+    """Converter for a value written as a finite float or as ``none``."""
+    return None if text == "none" else finite_float(text)
 
 
 def read_table(

@@ -30,22 +30,19 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
 
 from .datasets import Dataset
 from .distortions import DISTORTION_FAMILIES
-from .errors import ContractError, FormatError, NumericalError
+from .errors import ContractError, NumericalError
 from .features import (
     FeatureKind, PowerTransform, apply_power_transform, pin_constant_stds,
 )
-from .keyvalue import optional_float, read_key_values
-from .mahalanobis import lower_quantile_threshold, read_detector_tensor
+from .mahalanobis import calibrate
 from .network import DEFAULT_BATCH, Network, run_network
 from .rng import derive_seed
-from .xten import write_tensor
 
 logger = logging.getLogger(__name__)
 
@@ -87,10 +84,6 @@ class SplitScaler:
     scale_means: np.ndarray  # (2d,)
     scale_stds: np.ndarray  # (2d,)
     flags: np.ndarray  # (2d,) bool, True where the std guard fired
-
-    @property
-    def dim(self) -> int:
-        return self.raw_means.shape[0]
 
 
 def fit_split_scaler(
@@ -314,9 +307,6 @@ class LDetector:
     def score(self, transformed: np.ndarray) -> np.ndarray:
         return score_l(self, transformed)
 
-    def save(self, directory: str | Path) -> None:
-        save_l_detector(self, directory)
-
 
 def fit_l_detector(
     training: LabeledFeatureSet,
@@ -328,9 +318,7 @@ def fit_l_detector(
     cv = cross_validate(x, training.labels, training.fold_ids, grid)
     weights = fit_logreg(x, training.labels, cv.best_lambda)
     det = LDetector(scaler, weights, cv.best_lambda)
-    calibration_rows = training.fold_ids == 0
-    probs = score_l(det, training.features[calibration_rows])
-    det.threshold = lower_quantile_threshold(probs)
+    calibrate(det, score_l(det, training.features[training.fold_ids == 0]))
     logger.info(
         "selected lambda %g, threshold %.6f", cv.best_lambda, det.threshold
     )
@@ -342,52 +330,3 @@ def score_l(det: LDetector, features: np.ndarray) -> np.ndarray:
     more in-distribution."""
     x = apply_split_scaler(det.scaler, features)
     return _sigmoid(det.weights[0] + x @ det.weights[1:])
-
-
-# ---------------------------------------------------------------------------
-# persistence: text manifest + XTEN blobs in a directory
-
-
-def save_l_detector(det: LDetector, directory: str | Path) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    lines = [
-        "detector=logistic",
-        f"dim={det.scaler.dim}",
-        f"reg_lambda={float(det.reg_lambda)!r}",
-        f"threshold={'none' if det.threshold is None else repr(float(det.threshold))}",
-    ]
-    (directory / "detector.txt").write_text("\n".join(lines) + "\n")
-    write_tensor(directory / "raw_means.xten", det.scaler.raw_means)
-    write_tensor(directory / "scale_means.xten", det.scaler.scale_means)
-    write_tensor(directory / "scale_stds.xten", det.scaler.scale_stds)
-    write_tensor(
-        directory / "scale_flags.xten", det.scaler.flags.astype(np.float32)
-    )
-    write_tensor(directory / "weights.xten", det.weights)
-
-
-def load_l_detector(directory: str | Path) -> LDetector:
-    directory = Path(directory)
-    entries = read_key_values(directory / "detector.txt")
-    if entries.get("detector") != "logistic":
-        raise ContractError(f"{directory} does not hold a logistic detector")
-    dim = entries.get("dim", int)
-
-    def tensor(name: str, size: int) -> np.ndarray:
-        return read_detector_tensor(directory / f"{name}.xten", (size,))
-
-    scaler = SplitScaler(
-        raw_means=tensor("raw_means", dim),
-        scale_means=tensor("scale_means", 2 * dim),
-        scale_stds=tensor("scale_stds", 2 * dim),
-        flags=tensor("scale_flags", 2 * dim) != 0,
-    )
-    if not (scaler.scale_stds > 0).all():
-        raise FormatError(f"{directory / 'scale_stds.xten'} holds a std <= 0")
-    return LDetector(
-        scaler=scaler,
-        weights=tensor("weights", 2 * dim + 1),
-        reg_lambda=entries.get("reg_lambda", float),
-        threshold=entries.get("threshold", optional_float),
-    )

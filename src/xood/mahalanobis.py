@@ -19,14 +19,11 @@ held-out in-distribution confidences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import ClassVar
+from typing import ClassVar, TypeVar
 
 import numpy as np
 
-from .errors import ContractError, FormatError, SingularityError
-from .keyvalue import optional_float, read_key_values
-from .xten import read_tensor, write_tensor
+from .errors import ContractError, SingularityError
 
 DEFAULT_REG_C = 10.0
 THRESHOLD_QUANTILE = 0.05
@@ -90,9 +87,6 @@ class MDetector:
     def score(self, transformed: np.ndarray) -> np.ndarray:
         return confidence(self, transformed)
 
-    def save(self, directory: str | Path) -> None:
-        save_m_detector(self, directory)
-
 
 def fit_mahalanobis(features: np.ndarray, reg_c: float = DEFAULT_REG_C) -> MDetector:
     """Estimate mu and M from transformed features and factorize M + C*I."""
@@ -148,54 +142,11 @@ def lower_quantile_threshold(confidences: np.ndarray) -> float:
     return float(values[k - 1])
 
 
-def calibrate(det: MDetector, calibration_confidences: np.ndarray) -> MDetector:
-    """Set the acceptance threshold from held-out in-distribution scores."""
+Detector = TypeVar("Detector")
+
+
+def calibrate(det: Detector, calibration_confidences: np.ndarray) -> Detector:
+    """Set a detector's acceptance threshold from held-out in-distribution
+    scores; both detectors calibrate here."""
     det.threshold = lower_quantile_threshold(calibration_confidences)
     return det
-
-
-# ---------------------------------------------------------------------------
-# persistence: text manifest + XTEN blobs in a directory
-
-
-def read_detector_tensor(path: Path, shape: tuple[int, ...]) -> np.ndarray:
-    """A saved detector tensor as float64. A shape other than ``shape`` or
-    a non-finite entry raises FormatError naming the file."""
-    values = read_tensor(path).astype(np.float64)
-    if values.shape != shape:
-        raise FormatError(f"{path} has shape {values.shape}, expected {shape}")
-    if not np.isfinite(values).all():
-        raise FormatError(f"{path} holds non-finite values")
-    return values
-
-
-def save_m_detector(det: MDetector, directory: str | Path) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    lines = [
-        "detector=mahalanobis",
-        f"dim={det.dim}",
-        f"reg_c={float(det.reg_c)!r}",
-        f"threshold={'none' if det.threshold is None else repr(float(det.threshold))}",
-    ]
-    (directory / "detector.txt").write_text("\n".join(lines) + "\n")
-    write_tensor(directory / "mean.xten", det.mean)
-    write_tensor(directory / "factor.xten", det.factor)
-
-
-def load_m_detector(directory: str | Path) -> MDetector:
-    """Read a saved detector; a stale ``cov.xten`` is ignored."""
-    directory = Path(directory)
-    entries = read_key_values(directory / "detector.txt")
-    if entries.get("detector") != "mahalanobis":
-        raise ContractError(f"{directory} does not hold a mahalanobis detector")
-    dim = entries.get("dim", int)
-    factor = read_detector_tensor(directory / "factor.xten", (dim, dim))
-    if not (np.diag(factor) > 0).all():
-        raise FormatError(f"{directory / 'factor.xten'} has a diagonal entry <= 0")
-    return MDetector(
-        mean=read_detector_tensor(directory / "mean.xten", (dim,)),
-        reg_c=entries.get("reg_c", float),
-        factor=factor,
-        threshold=entries.get("threshold", optional_float),
-    )

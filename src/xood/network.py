@@ -462,7 +462,7 @@ def _encode_network(net: Network) -> bytes:
         raw = name.encode("utf-8")
         out += struct.pack("<I", len(raw))
         out += raw
-        out += encode_tensor(tensor)
+        out += encode_tensor(np.asarray(tensor, np.float32))
     return bytes(out)
 
 

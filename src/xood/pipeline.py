@@ -4,13 +4,14 @@ A detector bundle is everything needed to score raw images: the feature
 kind, the fitted power transform, and one fitted detector. Bundles
 persist as a directory holding a small text manifest, the power transform
 manifest, and the detector's own files, so a bundle written by one
-process scores identically (up to float32 storage) when loaded by
-another.
+process scores identically when loaded by another. This module is the only
+reader and writer of that directory.
 """
 
 from __future__ import annotations
 
 import logging
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,8 +29,9 @@ from .features import (
     load_power_transform,
     save_power_transform,
 )
-from .keyvalue import read_key_values
+from .keyvalue import finite_float, optional_float, read_key_values
 from .network import DEFAULT_BATCH, Network, run_network
+from .xten import read_tensor, write_tensor
 
 logger = logging.getLogger(__name__)
 
@@ -111,30 +113,104 @@ def score_images(
 
 
 # ---------------------------------------------------------------------------
-# bundle persistence
+# bundle persistence: the only reader and writer of a bundle directory
 
-_DETECTOR_LOADERS = {"m": mahalanobis.load_m_detector, "l": logistic.load_l_detector}
+_Format = namedtuple("_Format", "tag penalty shapes positive tensors build")
+
+# Per method, as bundle.txt names it: the detector.txt tag; the penalty's key
+# there, which is also the detector's attribute; each tensor file's shape for
+# feature width d; the tensor (and the view of it) whose entries must be > 0;
+# and the conversions from a detector to its tensors and back.
+_FORMATS = {
+    "m": _Format(
+        tag="mahalanobis",
+        penalty="reg_c",
+        shapes=lambda d: {"mean": (d,), "factor": (d, d)},
+        positive=("factor", np.diag),
+        tensors=lambda det: {"mean": det.mean, "factor": det.factor},
+        build=lambda t, **scalars: mahalanobis.MDetector(
+            t["mean"], factor=t["factor"], **scalars
+        ),
+    ),
+    "l": _Format(
+        tag="logistic",
+        penalty="reg_lambda",
+        shapes=lambda d: {
+            "raw_means": (d,), "scale_means": (2 * d,), "scale_stds": (2 * d,),
+            "scale_flags": (2 * d,), "weights": (2 * d + 1,),
+        },
+        positive=("scale_stds", np.ravel),
+        tensors=lambda det: {
+            "raw_means": det.scaler.raw_means, "scale_means": det.scaler.scale_means,
+            "scale_stds": det.scaler.scale_stds, "scale_flags": det.scaler.flags,
+            "weights": det.weights,
+        },
+        build=lambda t, **scalars: logistic.LDetector(
+            logistic.SplitScaler(
+                t["raw_means"], t["scale_means"], t["scale_stds"], t["scale_flags"] != 0
+            ),
+            t["weights"],
+            **scalars,
+        ),
+    ),
+}
 
 
 def save_bundle(bundle: DetectorBundle, directory: str | Path) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    det = bundle.detector
+    fmt = _FORMATS[det.method]
     (directory / "bundle.txt").write_text(
-        f"method={bundle.detector.method}\nfeature_kind={bundle.kind.value}\n"
+        f"method={det.method}\nfeature_kind={bundle.kind.value}\n"
     )
     save_power_transform(bundle.transform, directory / "power_transform.txt")
-    bundle.detector.save(directory)
+    threshold = "none" if det.threshold is None else repr(float(det.threshold))
+    (directory / "detector.txt").write_text(
+        f"detector={fmt.tag}\ndim={bundle.transform.dim}\n"
+        f"{fmt.penalty}={float(getattr(det, fmt.penalty))!r}\nthreshold={threshold}\n"
+    )
+    for name, values in fmt.tensors(det).items():
+        write_tensor(directory / f"{name}.xten", values.astype(np.float64))
 
 
 def load_bundle(directory: str | Path) -> DetectorBundle:
+    """Read a saved bundle, checking every value: ``dim`` is the power
+    transform's width and the tensor shapes follow it, every number is
+    finite and the penalty >= 0. Other files, such as the ``cov.xten`` of
+    older versions, are ignored."""
     directory = Path(directory)
     manifest = directory / "bundle.txt"
     if not manifest.is_file():
         raise FormatError(f"{directory} is not a detector bundle")
     entries = read_key_values(manifest)
     method = entries.get("method")
-    if method not in _DETECTOR_LOADERS:
+    if method not in _FORMATS:
         raise FormatError(f"unknown detector method {method!r} in {manifest}")
+    fmt = _FORMATS[method]
     kind = entries.get("feature_kind", FeatureKind)
     pt = load_power_transform(directory / "power_transform.txt")
-    return DetectorBundle(kind, pt, _DETECTOR_LOADERS[method](directory))
+    manifest = directory / "detector.txt"
+    entries = read_key_values(manifest)
+    if entries.get("detector") != fmt.tag:
+        raise FormatError(f"{manifest} does not hold a {fmt.tag} detector")
+    dim = entries.get("dim", int)
+    if dim != pt.dim:
+        raise FormatError(f"{manifest} has dim={dim}, the power transform {pt.dim}")
+    penalty = entries.get(fmt.penalty, finite_float)
+    if penalty < 0:
+        raise FormatError(f"{manifest}: {fmt.penalty}={penalty!r} is below 0")
+    tensors = {}
+    for name, shape in fmt.shapes(dim).items():
+        path = directory / f"{name}.xten"
+        tensors[name] = values = read_tensor(path).astype(np.float64)
+        if values.shape != shape:
+            raise FormatError(f"{path} has shape {values.shape}, expected {shape}")
+        if not np.isfinite(values).all():
+            raise FormatError(f"{path} holds non-finite values")
+    name, view = fmt.positive
+    if not (view(tensors[name]) > 0).all():
+        raise FormatError(f"{directory / name}.xten has an entry <= 0")
+    threshold = entries.get("threshold", optional_float)
+    detector = fmt.build(tensors, threshold=threshold, **{fmt.penalty: penalty})
+    return DetectorBundle(kind, pt, detector)

@@ -4,13 +4,15 @@ Layout, all multi-byte integers little-endian:
 
     bytes 0..3   magic ``b"XTEN"``
     byte  4      format version, 0x01
-    byte  5      dtype code, 0x00 = float32
+    byte  5      dtype code: 0x00 = float32, 0x01 = float64
     byte  6      ndim (1..255)
     next 4*ndim  dims as uint32, each >= 1
-    rest         row-major float32 payload, prod(dims) values
+    rest         row-major payload, prod(dims) values of that dtype
 
-Write-then-read round trips are bit-exact. Malformed input raises
-FormatError carrying the byte offset of the first inconsistency.
+float64 arrays are written with code 1; every other array is cast to
+float32 and written with code 0. Write-then-read round trips are bit-exact.
+Malformed input raises FormatError carrying the byte offset of the first
+inconsistency.
 """
 
 from __future__ import annotations
@@ -24,21 +26,23 @@ from .errors import ContractError, FormatError
 
 MAGIC = b"XTEN"
 VERSION = 1
-DTYPE_F32 = 0
+DTYPES = (np.dtype("<f4"), np.dtype("<f8"))  # indexed by dtype code
 
 _HEADER_FIXED = 7  # magic + version + dtype + ndim
 
 
 def encode_tensor(array: np.ndarray) -> bytes:
-    """Serialize an array as XTEN bytes (cast to float32, C order)."""
-    arr = np.ascontiguousarray(array, dtype="<f4")
+    """Serialize an array as XTEN bytes (float64 kept, anything else cast
+    to float32, C order)."""
+    code = int(np.asarray(array).dtype == np.float64)
+    arr = np.ascontiguousarray(array, dtype=DTYPES[code])
     if arr.ndim == 0:
         arr = arr.reshape(1)
     if arr.ndim > 255:
         raise ContractError(f"XTEN supports at most 255 dims, got {arr.ndim}")
     if any(d < 1 for d in arr.shape):
         raise ContractError(f"XTEN dims must all be >= 1, got shape {arr.shape}")
-    header = MAGIC + bytes([VERSION, DTYPE_F32, arr.ndim])
+    header = MAGIC + bytes([VERSION, code, arr.ndim])
     dims = b"".join(struct.pack("<I", d) for d in arr.shape)
     return header + dims + arr.tobytes()
 
@@ -57,10 +61,10 @@ def decode_tensor(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
         raise FormatError(
             f"unsupported XTEN version {buf[offset + 4]}", offset=offset + 4
         )
-    if buf[offset + 5] != DTYPE_F32:
-        raise FormatError(
-            f"unsupported XTEN dtype code {buf[offset + 5]}", offset=offset + 5
-        )
+    code = buf[offset + 5]
+    if code >= len(DTYPES):
+        raise FormatError(f"unsupported XTEN dtype code {code}", offset=offset + 5)
+    dtype = DTYPES[code]
     ndim = buf[offset + 6]
     if ndim < 1:
         raise FormatError("XTEN ndim must be >= 1", offset=offset + 6)
@@ -77,12 +81,13 @@ def decode_tensor(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     count = 1
     for d in dims:
         count *= d
-    payload_end = dims_end + 4 * count
+    payload_end = dims_end + dtype.itemsize * count
     if len(buf) < payload_end:
         raise FormatError(
-            f"truncated XTEN payload, need {4 * count} bytes", offset=len(buf)
+            f"truncated XTEN payload, need {payload_end - dims_end} bytes",
+            offset=len(buf),
         )
-    flat = np.frombuffer(buf, dtype="<f4", count=count, offset=dims_end)
+    flat = np.frombuffer(buf, dtype=dtype, count=count, offset=dims_end)
     return flat.reshape(dims).copy(), payload_end
 
 

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -390,9 +391,16 @@ def test_unknown_flag_exits_2(ws, tmp_path):
         ("ldet", lambda text: text.split("threshold=")[0] + "threshold=abc\n"),
         ("mdet", lambda text: text + "reg_c=1.0\n"),
         ("mdet", lambda text: text + "no separator\n"),
+        ("mdet", lambda text: text.split("threshold=")[0] + "threshold=nan\n"),
+        # one byte of a real threshold overwritten: "." -> "e" overflows to -inf
+        ("mdet", lambda text: text.split("threshold=")[0]
+         + "threshold=-1e084545344292156\n"),
+        ("mdet", lambda text: re.sub("reg_c=.*", "reg_c=nan", text)),
+        ("ldet", lambda text: re.sub("reg_lambda=.*", "reg_lambda=-1", text)),
     ],
     ids=["m-no-reg_c", "l-no-reg_lambda", "m-bad-threshold", "l-bad-threshold",
-         "m-duplicate-key", "m-no-equals"],
+         "m-duplicate-key", "m-no-equals", "m-nan-threshold", "m-overflow-threshold",
+         "m-nan-reg_c", "l-negative-reg_lambda"],
 )
 def test_mutated_detector_manifest_is_data_error(ws, tmp_path, bundle, edit):
     import shutil

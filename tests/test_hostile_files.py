@@ -1,5 +1,10 @@
 """Mutated files either load or raise FormatError, never anything else;
-a table that loads holds only finite numbers."""
+a table or bundle that loads holds only finite numbers.
+
+Every format, and every file of a saved xood-m and xood-l bundle, draws its
+own truncations and single-byte overwrites. Faults that only one byte value
+at one position reaches are pinned in ``PINNED``.
+"""
 
 import numpy as np
 import pytest
@@ -15,20 +20,39 @@ from xood.datasets import (
 )
 from xood.errors import FormatError
 from xood.features import (
+    FeatureKind,
+    apply_power_transform,
     fit_power_transform,
     load_power_transform,
     read_feature_csv,
     save_power_transform,
     write_feature_csv,
 )
+from xood.logistic import LabeledFeatureSet, fit_l_detector
+from xood.mahalanobis import calibrate, fit_mahalanobis
 from xood.network import build_reference_cnn, load_network, save_network
+from xood.pipeline import DetectorBundle, load_bundle, save_bundle
 from xood.rng import Stream
 from xood.xten import read_tensor, write_tensor
 
 LABELS = np.array([0, 3, 1, 2, 255, 7])
 
-# Each table loader returns the array of values it loaded.
-TABLES = {
+
+def bundle_numbers(directory):
+    """Every number of a loaded bundle: transform, scalars and tensors."""
+    bundle = load_bundle(directory)
+    det = bundle.detector
+    pt = bundle.transform
+    if det.method == "m":
+        penalty, tensors = det.reg_c, [det.mean, det.factor]
+    else:
+        penalty, tensors = det.reg_lambda, [*vars(det.scaler).values(), det.weights]
+    return np.hstack([pt.lambdas, pt.means, pt.stds, penalty, det.threshold,
+                      *(t.ravel() for t in tensors)])
+
+
+# Each of these loaders returns the array of numbers it loaded.
+FINITE = {
     "scores.csv": read_scores_csv,
     "features.csv": lambda path: read_feature_csv(path)[1],
     "power_transform.txt": lambda path: np.hstack(
@@ -41,13 +65,41 @@ LOADERS = {
     "images.idx": load_images_any,
     "labels.idx": lambda path: load_labels_any(path, len(LABELS)),
     "labels.xten": lambda path: load_labels_any(path, len(LABELS)),
-    **TABLES,
+    **FINITE,
 }
+BUNDLES = ("mdet", "ldet")
+
+# One-byte overwrites too rare to be drawn, as (file, old bytes, new bytes):
+# a "." overwritten with "e" makes a number overflow to inf, and a high
+# byte of 0xff makes the XTEN label 7.0 a NaN.
+PINNED = [
+    ("features.csv", b"-1.2490", b"-1e2490"),
+    ("power_transform.txt", b"0,1.44", b"0,1e44"),
+    ("labels.xten", b"\xe0\x40", b"\xe0\xff"),
+    ("mdet/detector.txt", b"threshold=-1.", b"threshold=-1e"),
+]
+
+
+def save_bundles(root):
+    """An xood-m and an xood-l bundle of width 2, fitted on small draws."""
+    stream = Stream(6)
+    raw = stream.normal(200).reshape(100, 2)
+    pt = fit_power_transform(raw)
+    x = apply_power_transform(pt, raw)
+    m = fit_mahalanobis(x[:50], reg_c=1.0)
+    calibrate(m, m.score(x[50:]))
+    training = LabeledFeatureSet(
+        x, (stream.uniform(100) < 0.7).astype(np.float64), np.arange(100) % 5
+    )
+    l, _ = fit_l_detector(training, x[:50], grid=(1.0,))
+    for name, det in zip(BUNDLES, (m, l)):
+        save_bundle(DetectorBundle(FeatureKind.MINMAX, pt, det), root / name)
 
 
 @pytest.fixture(scope="module")
 def originals(tmp_path_factory):
-    """The bytes of one saved file per format, and a path to mutate them at."""
+    """The bytes of each saved file, keyed by its path in the returned
+    directory: a format's file name, or ``<bundle>/<file>``."""
     root = tmp_path_factory.mktemp("hostile")
     save_network(build_reference_cnn((1, 8, 8), 3, seed=5), root / "model.xnet")
     write_tensor(root / "tensor.xten", Stream(3).normal(24).reshape(2, 3, 4))
@@ -58,26 +110,54 @@ def originals(tmp_path_factory):
     feats = Stream(4).normal(24).astype(np.float32).reshape(12, 2)
     write_feature_csv(root / "features.csv", feats, ["layer1_min", "layer1_max"])
     save_power_transform(fit_power_transform(feats), root / "power_transform.txt")
-    return {name: (root / name).read_bytes() for name in LOADERS}, root / "mutated"
+    save_bundles(root)
+    files = {name: (root / name).read_bytes() for name in LOADERS}
+    for bundle in BUNDLES:
+        for path in sorted((root / bundle).iterdir()):
+            files[f"{bundle}/{path.name}"] = path.read_bytes()
+    return files, root
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(name=st.sampled_from(sorted(LOADERS)), cut=st.booleans(), data=st.data())
-def test_truncated_or_overwritten_file_loads_or_raises_format_error(
-    originals, name, cut, data
-):
-    files, path = originals
-    raw = files[name]
+def load_mutated(files, root, case, mutated):
+    """Load ``case`` with its bytes replaced by ``mutated`` (the rest of its
+    bundle intact): only FormatError may come out, and a table or bundle
+    that loads must hold only finite numbers."""
+    bundle, _, name = case.rpartition("/")
+    (root / case).write_bytes(mutated)
+    try:
+        if bundle:
+            loaded = bundle_numbers(root / bundle)
+        else:
+            loaded = LOADERS[name](root / name)
+    except FormatError:
+        return
+    finally:
+        (root / case).write_bytes(files[case])
+    if bundle or name in FINITE:
+        assert np.isfinite(loaded).all(), f"{case} loaded non-finite numbers"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(cut=st.booleans(), data=st.data())
+def mutate_and_load(files, root, case, cut, data):
+    raw = files[case]
     pos = data.draw(st.integers(0, len(raw) - 1), label="position")
     if cut:
         mutated = raw[:pos]
     else:
         byte = data.draw(st.integers(0, 255), label="byte")
         mutated = raw[:pos] + bytes([byte]) + raw[pos + 1 :]
-    path.write_bytes(mutated)
-    try:
-        loaded = LOADERS[name](path)
-    except FormatError:
-        return
-    if name in TABLES:
-        assert np.isfinite(loaded).all()
+    load_mutated(files, root, case, mutated)
+
+
+def test_truncated_or_overwritten_file_loads_or_raises_format_error(originals):
+    files, root = originals
+    for case in sorted(files):
+        mutate_and_load(files, root, case)
+
+
+@pytest.mark.parametrize("case, old, new", PINNED, ids=[p[0] for p in PINNED])
+def test_pinned_overwrite_loads_or_raises_format_error(originals, case, old, new):
+    files, root = originals
+    assert files[case].count(old) == 1
+    load_mutated(files, root, case, files[case].replace(old, new))

@@ -35,6 +35,9 @@ def test_missing_key_and_bad_value_name_key_and_file():
 def test_optional_float():
     assert optional_float("none") is None
     assert optional_float("-1.5") == -1.5
+    for text in ("nan", "-inf", "-1e084545344292156"):
+        with pytest.raises(ValueError, match="finite"):
+            optional_float(text)
 
 
 def test_read_key_values_rejects_non_utf8(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from xood.datasets import make_blobs
-from xood.errors import ContractError, FormatError
+from xood.errors import ContractError
 from xood.features import FeatureKind, extract_features, fit_power_transform
 from xood.logistic import (
     LAMBDA_GRID,
@@ -12,10 +12,8 @@ from xood.logistic import (
     fit_l_detector,
     fit_logreg,
     fit_split_scaler,
-    load_l_detector,
     logreg_gradient,
     logreg_loss,
-    save_l_detector,
     score_l,
     split_features,
 )
@@ -235,27 +233,3 @@ def test_fit_l_detector_end_to_end(fixture):
     # weights order: intercept + one pair per feature dimension
     assert det.weights.shape == (2 * pt.dim + 1,)
 
-
-def test_l_detector_round_trip(tmp_path, fixture):
-    net, pt, calib, means_source = fixture
-    ts = build_training_set(net, calib, pt, seed=9)
-    det, _ = fit_l_detector(ts, means_source, grid=(1.0,))
-    save_l_detector(det, tmp_path)
-    back = load_l_detector(tmp_path)
-    assert back.reg_lambda == det.reg_lambda
-    assert back.threshold == pytest.approx(det.threshold, rel=1e-6)
-    np.testing.assert_allclose(
-        score_l(back, ts.features), score_l(det, ts.features), atol=1e-4
-    )
-
-
-def test_l_detector_load_rejects_mismatched_weights(tmp_path, fixture):
-    net, pt, calib, means_source = fixture
-    ts = build_training_set(net, calib, pt, seed=9)
-    det, _ = fit_l_detector(ts, means_source, grid=(1.0,))
-    save_l_detector(det, tmp_path)
-    from xood.xten import write_tensor
-
-    write_tensor(tmp_path / "weights.xten", np.zeros(3, np.float32))
-    with pytest.raises(FormatError, match="weights.xten has shape"):
-        load_l_detector(tmp_path)

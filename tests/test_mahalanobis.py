@@ -8,13 +8,10 @@ from xood.mahalanobis import (
     cholesky_lower,
     confidence,
     fit_mahalanobis,
-    load_m_detector,
     lower_quantile_threshold,
     mahalanobis_score,
-    save_m_detector,
 )
 from xood.rng import Stream
-from xood.xten import write_tensor
 
 
 def gauss_jordan_inverse(m):
@@ -184,40 +181,3 @@ def test_calibrated_decide_accepts_95_percent():
     far = np.full((5, 3), 50.0)
     assert not (det.score(far) > det.threshold).any()
 
-
-def test_persistence_round_trip(tmp_path):
-    s = Stream(10)
-    x = s.normal(100 * 3).reshape(100, 3)
-    det = calibrate(fit_mahalanobis(x), confidence(fit_mahalanobis(x), x[:50]))
-    save_m_detector(det, tmp_path)
-    back = load_m_detector(tmp_path)
-    assert back.reg_c == det.reg_c
-    assert back.threshold == pytest.approx(det.threshold, rel=1e-6)
-    q = s.normal(20 * 3).reshape(20, 3)
-    # parameters pass through float32 tensors; scores agree to that precision
-    np.testing.assert_allclose(
-        mahalanobis_score(back, q), mahalanobis_score(det, q), rtol=1e-4
-    )
-
-
-def test_load_ignores_stale_covariance_file(tmp_path):
-    # older versions also wrote cov.xten; the factor alone defines the scores
-    s = Stream(12)
-    x = s.normal(60 * 3).reshape(60, 3)
-    det = calibrate(fit_mahalanobis(x), confidence(fit_mahalanobis(x), x))
-    save_m_detector(det, tmp_path)
-    assert not (tmp_path / "cov.xten").exists()
-    q = s.normal(20 * 3).reshape(20, 3)
-    want = mahalanobis_score(load_m_detector(tmp_path), q)
-    write_tensor(tmp_path / "cov.xten", np.cov(x, rowvar=False))
-    back = load_m_detector(tmp_path)
-    np.testing.assert_array_equal(mahalanobis_score(back, q), want)
-
-
-def test_load_rejects_wrong_detector_kind(tmp_path):
-    det = fit_mahalanobis(Stream(11).normal(60).reshape(30, 2))
-    save_m_detector(det, tmp_path)
-    text = (tmp_path / "detector.txt").read_text()
-    (tmp_path / "detector.txt").write_text(text.replace("mahalanobis", "other"))
-    with pytest.raises(ContractError):
-        load_m_detector(tmp_path)

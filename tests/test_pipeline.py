@@ -3,7 +3,12 @@ import pytest
 
 from xood.datasets import Dataset, gen_noise, make_blobs, split
 from xood.errors import ContractError, FormatError
-from xood.features import FeatureKind, apply_power_transform, extract_features
+from xood.features import (
+    FeatureKind,
+    apply_power_transform,
+    extract_features,
+    save_power_transform,
+)
 from xood.logistic import LDetector
 from xood.mahalanobis import MDetector, confidence
 from xood.network import TrainConfig, forward_with_taps, train_reference_cnn
@@ -16,6 +21,7 @@ from xood.pipeline import (
     score_images,
 )
 from xood.rng import derive_seed
+from xood.xten import write_tensor
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +32,15 @@ def world():
         train.images, train.labels, TrainConfig(epochs=4, batch_size=32, seed=3)
     )
     return net, train, calib
+
+
+@pytest.fixture(scope="module")
+def bundles(world):
+    net, train, calib = world
+    return {
+        "m": fit_m_bundle(net, train, calib),
+        "l": fit_l_bundle(net, train, calib, seed=77, grid=(1.0,))[0],
+    }
 
 
 def test_run_network_batching_is_invisible(world):
@@ -101,33 +116,67 @@ def test_fit_l_bundle_cv_structure(world):
     assert scores.min() >= 0.0 and scores.max() <= 1.0
 
 
-def test_bundle_round_trip_m(tmp_path, world):
-    net, train, calib = world
-    bundle = fit_m_bundle(net, train, calib)
-    save_bundle(bundle, tmp_path / "det")
-    back = load_bundle(tmp_path / "det")
-    assert isinstance(back.detector, MDetector)
-    assert back.kind is FeatureKind.MINMAX
-    noise = gen_noise("uniform", 20, (1, 16, 16), seed=6)
-    np.testing.assert_allclose(
-        score_images(back, net, noise.images),
-        score_images(bundle, net, noise.images),
-        rtol=1e-4, atol=1e-6,
-    )
+def assert_round_trip_exact(bundle, back, net):
+    """``back`` holds ``bundle``'s scalars and scores images bit for bit."""
+    assert type(back.detector) is type(bundle.detector)
+    assert back.kind is bundle.kind
+    penalty = "reg_c" if bundle.detector.method == "m" else "reg_lambda"
+    assert getattr(back.detector, penalty) == getattr(bundle.detector, penalty)
+    assert back.detector.threshold == bundle.detector.threshold
+    for kind, seed in (("uniform", 6), ("gaussian", 7)):
+        images = gen_noise(kind, 20, (1, 16, 16), seed=seed).images
+        want = score_images(bundle, net, images)
+        assert score_images(back, net, images).tobytes() == want.tobytes()
 
 
-def test_bundle_round_trip_l(tmp_path, world):
+def test_bundle_round_trip_m(tmp_path, world, bundles):
+    save_bundle(bundles["m"], tmp_path / "det")
+    assert_round_trip_exact(bundles["m"], load_bundle(tmp_path / "det"), world[0])
+
+
+def test_bundle_round_trip_l(tmp_path, world, bundles):
+    save_bundle(bundles["l"], tmp_path / "det")
+    assert_round_trip_exact(bundles["l"], load_bundle(tmp_path / "det"), world[0])
+
+
+def test_load_bundle_ignores_stale_covariance_file(tmp_path, world, bundles):
+    # older versions also wrote cov.xten; the factor alone defines the scores
+    net, _, calib = world
+    target = tmp_path / "det"
+    save_bundle(bundles["m"], target)
+    assert not (target / "cov.xten").exists()
+    want = score_images(load_bundle(target), net, calib.images)
+    write_tensor(target / "cov.xten", np.eye(bundles["m"].transform.dim))
+    got = score_images(load_bundle(target), net, calib.images)
+    np.testing.assert_array_equal(got, want)
+
+
+def test_load_bundle_rejects_wrong_detector_tag(tmp_path, bundles):
+    for method, tag in (("m", "mahalanobis"), ("l", "logistic")):
+        target = tmp_path / method
+        save_bundle(bundles[method], target)
+        text = (target / "detector.txt").read_text()
+        (target / "detector.txt").write_text(text.replace(tag, "other"))
+        with pytest.raises(FormatError, match=f"does not hold a {tag} detector"):
+            load_bundle(target)
+
+
+def test_load_bundle_rejects_mismatched_weights(tmp_path, bundles):
+    target = tmp_path / "det"
+    save_bundle(bundles["l"], target)
+    write_tensor(target / "weights.xten", np.zeros(3))
+    with pytest.raises(FormatError, match="weights.xten has shape"):
+        load_bundle(target)
+
+
+def test_load_bundle_rejects_dim_other_than_power_transform(tmp_path, world, bundles):
     net, train, calib = world
-    bundle, _ = fit_l_bundle(net, train, calib, seed=77, grid=(1.0,))
-    save_bundle(bundle, tmp_path / "det")
-    back = load_bundle(tmp_path / "det")
-    assert isinstance(back.detector, LDetector)
-    noise = gen_noise("gaussian", 20, (1, 16, 16), seed=6)
-    np.testing.assert_allclose(
-        score_images(back, net, noise.images),
-        score_images(bundle, net, noise.images),
-        atol=1e-4,
-    )
+    target = tmp_path / "det"
+    save_bundle(bundles["m"], target)
+    narrow = fit_m_bundle(net, train, calib, kind=FeatureKind.L2).transform
+    save_power_transform(narrow, target / "power_transform.txt")
+    with pytest.raises(FormatError, match="dim=6, the power transform 3"):
+        load_bundle(target)
 
 
 def test_load_bundle_error_paths(tmp_path, world):

@@ -1,3 +1,4 @@
+import itertools
 import struct
 
 import numpy as np
@@ -9,13 +10,15 @@ from xood.xten import decode_tensor, encode_tensor, read_tensor, write_tensor
 
 
 def test_round_trip_bit_exact(tmp_path):
-    for shape in [(1,), (5,), (3, 4), (2, 1, 28, 28)]:
+    for dtype, shape in itertools.product(
+        (np.float32, np.float64), [(1,), (5,), (3, 4), (2, 1, 28, 28)]
+    ):
         arr = Stream(hash(shape) & 0xFFFF).normal(int(np.prod(shape)))
-        arr = arr.astype(np.float32).reshape(shape)
+        arr = arr.astype(dtype).reshape(shape)
         path = tmp_path / "t.xten"
         write_tensor(path, arr)
         back = read_tensor(path)
-        assert back.dtype == np.float32
+        assert back.dtype == dtype
         assert back.shape == arr.shape
         assert back.tobytes() == arr.tobytes()
 
@@ -27,11 +30,12 @@ def test_special_values_survive():
 
 
 def test_header_layout():
-    blob = encode_tensor(np.zeros((2, 3), dtype=np.float32))
-    assert blob[:4] == b"XTEN"
-    assert blob[4] == 1 and blob[5] == 0 and blob[6] == 2
-    assert struct.unpack_from("<II", blob, 7) == (2, 3)
-    assert len(blob) == 7 + 8 + 4 * 6
+    for code, dtype in enumerate((np.float32, np.float64)):
+        blob = encode_tensor(np.zeros((2, 3), dtype=dtype))
+        assert blob[:4] == b"XTEN"
+        assert blob[4] == 1 and blob[5] == code and blob[6] == 2
+        assert struct.unpack_from("<II", blob, 7) == (2, 3)
+        assert len(blob) == 7 + 8 + np.dtype(dtype).itemsize * 6
 
 
 def test_scalar_promoted_to_1d():
@@ -87,6 +91,8 @@ def test_decode_at_offset():
     assert first.shape == (4,) and second.shape == (2, 2)
 
 
-def test_float64_input_is_cast():
-    back, _ = decode_tensor(encode_tensor(np.array([1.0, 2.0])))
-    assert back.dtype == np.float32
+def test_non_float64_input_is_cast_to_float32():
+    for arr in (np.array([1, 2]), np.array([True, False]), np.float16([1.5])):
+        back, _ = decode_tensor(encode_tensor(arr))
+        assert back.dtype == np.float32
+        np.testing.assert_array_equal(back, arr)
