@@ -18,6 +18,7 @@ from xood.logistic import (
     split_features,
 )
 from xood.network import TrainConfig, forward_with_taps, train_reference_cnn
+from xood.pipeline import DetectorBundle, load_bundle, save_bundle
 from xood.rng import Stream
 
 
@@ -233,3 +234,14 @@ def test_fit_l_detector_end_to_end(fixture):
     # weights order: intercept + one pair per feature dimension
     assert det.weights.shape == (2 * pt.dim + 1,)
 
+
+def test_l_detector_round_trip(tmp_path, fixture):
+    net, pt, calib, means_source = fixture
+    ts = build_training_set(net, calib, pt, seed=9)
+    det, _ = fit_l_detector(ts, means_source, grid=(1.0,))
+    save_bundle(DetectorBundle(FeatureKind.MINMAX, pt, det), tmp_path)
+    back = load_bundle(tmp_path).detector
+    assert back.reg_lambda == det.reg_lambda
+    assert back.threshold == det.threshold
+    # parameters are stored as float64, so scores agree bit for bit
+    assert score_l(back, ts.features).tobytes() == score_l(det, ts.features).tobytes()

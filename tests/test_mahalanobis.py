@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from xood.errors import ContractError, SingularityError
+from xood.features import FeatureKind, fit_power_transform
 from xood.mahalanobis import (
     MDetector,
     calibrate,
@@ -11,6 +12,7 @@ from xood.mahalanobis import (
     lower_quantile_threshold,
     mahalanobis_score,
 )
+from xood.pipeline import DetectorBundle, load_bundle, save_bundle
 from xood.rng import Stream
 
 
@@ -181,3 +183,16 @@ def test_calibrated_decide_accepts_95_percent():
     far = np.full((5, 3), 50.0)
     assert not (det.score(far) > det.threshold).any()
 
+
+def test_persistence_round_trip(tmp_path):
+    s = Stream(10)
+    x = s.normal(100 * 3).reshape(100, 3)
+    det = calibrate(fit_mahalanobis(x), confidence(fit_mahalanobis(x), x[:50]))
+    bundle = DetectorBundle(FeatureKind.MINMAX, fit_power_transform(x), det)
+    save_bundle(bundle, tmp_path)
+    back = load_bundle(tmp_path).detector
+    assert back.reg_c == det.reg_c
+    assert back.threshold == det.threshold
+    q = s.normal(20 * 3).reshape(20, 3)
+    # parameters are stored as float64, so scores agree bit for bit
+    assert mahalanobis_score(back, q).tobytes() == mahalanobis_score(det, q).tobytes()
