@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -56,6 +57,7 @@ from .features import FeatureKind, feature_names, write_feature_csv
 from .keyvalue import read_key_values, read_table, read_utf8
 from .logistic import LAMBDA_GRID
 from .network import (
+    DEFAULT_BATCH,
     Network,
     TrainConfig,
     evaluate_accuracy,
@@ -78,8 +80,29 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _checked(convert, rule: str, ok):
+    """An argparse ``type``: ``convert`` the text and refuse a value that is
+    not ``ok``, so a bad number exits 2 before any work."""
+    def check(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {rule}")
+    return check
+
+
+_COUNT = _checked(int, "an integer >= 1", lambda v: v >= 1)
+_FRACTION = _checked(float, "a number in (0, 1)", lambda v: 0.0 < v < 1.0)
+_PENALTY = _checked(
+    float, "a finite number >= 0", lambda v: math.isfinite(v) and v >= 0.0
+)
+
+
 def _lambda_grid(text: str) -> tuple[float, ...]:
-    values = tuple(float(v) for v in text.split(",") if v.strip())
+    values = tuple(_PENALTY(v) for v in text.split(",") if v.strip())
     if not values:
         raise ValueError("lambda grid is empty")
     return values
@@ -99,9 +122,9 @@ _SCHEMAS: dict[str, dict[str, dict]] = {
     "gen": {**_COMMON,
         "kind": dict(required=True, choices=(
             "blobs", "gratings", *(k.value for k in NoiseKind))),
-        "count": dict(type=int, required=True, help="number of images"),
-        "side": dict(type=int, default=28, help="image side length"),
-        "classes": dict(type=int, default=4, help="class count (blobs only)"),
+        "count": dict(type=_COUNT, required=True, help="number of images"),
+        "side": dict(type=_COUNT, default=28, help="image side length"),
+        "classes": dict(type=_COUNT, default=4, help="class count (blobs only)"),
         "images-out": dict(required=True),
         "labels-out": dict(help="label output (labeled kinds only)"),
         "format": _FORMAT,
@@ -110,14 +133,18 @@ _SCHEMAS: dict[str, dict[str, dict]] = {
     "train": {**_COMMON,
         "images": dict(required=True),
         "labels": dict(required=True),
-        "epochs": dict(type=int, default=5),
-        "learning-rate": dict(type=float, default=0.1),
-        "batch-size": dict(type=int, default=64),
+        "epochs": dict(
+            type=_checked(int, "an integer >= 0", lambda v: v >= 0), default=5),
+        "learning-rate": dict(
+            type=_checked(float, "a finite number > 0",
+                          lambda v: math.isfinite(v) and v > 0.0),
+            default=0.1),
+        "batch-size": dict(type=_COUNT, default=64),
         "holdout-fraction": dict(
-            type=float, default=0.2,
+            type=_FRACTION, default=0.2,
             help="fraction held out of training as the calibration split"),
         "min-accuracy": dict(
-            type=float, default=0.0,
+            type=_checked(float, "a finite number", math.isfinite), default=0.0,
             help="fail if training accuracy falls below this floor"),
         "out": dict(required=True, help="model file to write"),
         **_FORCE,
@@ -126,7 +153,6 @@ _SCHEMAS: dict[str, dict[str, dict]] = {
         "model": dict(required=True),
         "images": dict(required=True),
         "feature-kind": _FEATURE_KIND,
-        "batch-size": dict(type=int, default=256),
         "out": dict(required=True, help="feature CSV to write"),
         **_FORCE,
     },
@@ -134,10 +160,9 @@ _SCHEMAS: dict[str, dict[str, dict]] = {
         "model": dict(required=True),
         "images": dict(required=True),
         "labels": dict(required=True),
-        "holdout-fraction": dict(type=float, default=0.2),
-        "reg-c": dict(type=float, default=10.0, help="covariance regularizer C"),
+        "holdout-fraction": dict(type=_FRACTION, default=0.2),
+        "reg-c": dict(type=_PENALTY, default=10.0, help="covariance regularizer C"),
         "feature-kind": _FEATURE_KIND,
-        "batch-size": dict(type=int, default=256),
         "out": dict(required=True, help="detector bundle directory"),
         **_FORCE,
     },
@@ -145,10 +170,9 @@ _SCHEMAS: dict[str, dict[str, dict]] = {
         "model": dict(required=True),
         "images": dict(required=True),
         "labels": dict(required=True),
-        "holdout-fraction": dict(type=float, default=0.2),
+        "holdout-fraction": dict(type=_FRACTION, default=0.2),
         "lambda-grid": dict(type=_lambda_grid, default=LAMBDA_GRID),
         "feature-kind": _FEATURE_KIND,
-        "batch-size": dict(type=int, default=256),
         "out": dict(required=True, help="detector bundle directory"),
         **_FORCE,
     },
@@ -156,7 +180,6 @@ _SCHEMAS: dict[str, dict[str, dict]] = {
         "model": dict(required=True),
         "detector": dict(required=True, help="detector bundle directory"),
         "images": dict(required=True),
-        "batch-size": dict(type=int, default=256),
         "out": dict(required=True, help="score CSV to write"),
         **_FORCE,
     },
@@ -177,8 +200,8 @@ _SCHEMAS: dict[str, dict[str, dict]] = {
         "images": dict(required=True),
         "detector-m": dict(help="bundle directory for the Mahalanobis detector"),
         "detector-l": dict(help="bundle directory for the logistic detector"),
-        "repeats": dict(type=int, default=10),
-        "batch-size": dict(type=int, default=256),
+        "repeats": dict(
+            type=_checked(int, "an integer >= 2", lambda v: v >= 2), default=10),
         "out": dict(required=True, help="timing CSV"),
         **_FORCE,
     },
@@ -195,8 +218,7 @@ _SCHEMAS: dict[str, dict[str, dict]] = {
         "model": dict(required=True),
         "id-images": dict(required=True),
         "ood-images": dict(required=True),
-        "bins": dict(type=int, default=40),
-        "batch-size": dict(type=int, default=256),
+        "bins": dict(type=_COUNT, default=40),
         "out": dict(required=True, help="output directory"),
         **_FORCE,
     },
@@ -306,14 +328,14 @@ def _ensure_writable(path: str, force: bool) -> None:
 def _load_dataset(images: str, labels: str | None = None) -> Dataset:
     ds = load_images_any(images)
     if labels is not None:
-        ds = Dataset(ds.images, load_labels_any(labels, len(ds)), ds.name)
+        ds = Dataset(ds.images, load_labels_any(labels, len(ds)))
     return ds
 
 
 def _save_images(ds: Dataset, cfg: dict) -> None:
     labels_out = cfg["labels-out"]
     if labels_out and ds.labels is None:
-        raise ConfigError(f"--labels-out given but {ds.name!r} has no labels")
+        raise ConfigError("--labels-out given but the images have no labels")
     if cfg["format"] == "xten":
         save_dataset(ds, cfg["images-out"], labels_out)
     else:
@@ -322,10 +344,8 @@ def _save_images(ds: Dataset, cfg: dict) -> None:
 
 def _training_split(ds: Dataset, cfg: dict) -> tuple[Dataset, Dataset]:
     """The (train, calibration) split shared by train, fit-m, and fit-l."""
-    fraction = 1.0 - cfg["holdout-fraction"]
-    if not 0.0 < cfg["holdout-fraction"] < 1.0:
-        raise ConfigError("--holdout-fraction must be in (0, 1)")
-    return split(ds, fraction, derive_seed(cfg["seed"], "calibration-split"))
+    return split(ds, 1.0 - cfg["holdout-fraction"],
+                 derive_seed(cfg["seed"], "calibration-split"))
 
 
 def _fit_inputs(cfg: dict) -> tuple[Network, Dataset, Dataset]:
@@ -341,8 +361,6 @@ def _fit_inputs(cfg: dict) -> tuple[Network, Dataset, Dataset]:
 
 def cmd_gen(cfg: dict) -> dict:
     kind, n, side = cfg["kind"], cfg["count"], cfg["side"]
-    if n < 1 or side < 1:
-        raise ConfigError("--count and --side must be positive")
     if kind == "blobs":
         ds = make_blobs(n, cfg["classes"], side, cfg["seed"])
     elif kind == "gratings":
@@ -381,9 +399,7 @@ def cmd_train(cfg: dict) -> dict:
 def cmd_extract(cfg: dict) -> dict:
     net = load_network(cfg["model"])
     ds = _load_dataset(cfg["images"])
-    outputs = pipeline.run_network(
-        net, ds.images, cfg["feature-kind"], cfg["batch-size"]
-    )
+    outputs = pipeline.run_network(net, ds.images, cfg["feature-kind"])
     names = feature_names(cfg["feature-kind"], net.num_activation_layers)
     write_feature_csv(cfg["out"], outputs.features, names)
     return {
@@ -395,8 +411,7 @@ def cmd_extract(cfg: dict) -> dict:
 def cmd_fit_m(cfg: dict) -> dict:
     net, train_part, calib_part = _fit_inputs(cfg)
     bundle = pipeline.fit_m_bundle(
-        net, train_part, calib_part, cfg["reg-c"], cfg["feature-kind"],
-        cfg["batch-size"],
+        net, train_part, calib_part, cfg["reg-c"], cfg["feature-kind"]
     )
     pipeline.save_bundle(bundle, cfg["out"])
     return {"threshold": bundle.detector.threshold, "dim": bundle.transform.dim}
@@ -406,7 +421,7 @@ def cmd_fit_l(cfg: dict) -> dict:
     net, train_part, calib_part = _fit_inputs(cfg)
     bundle, cv = pipeline.fit_l_bundle(
         net, train_part, calib_part, cfg["seed"], cfg["lambda-grid"],
-        cfg["feature-kind"], cfg["batch-size"],
+        cfg["feature-kind"],
     )
     pipeline.save_bundle(bundle, cfg["out"])
     return {
@@ -421,7 +436,7 @@ def cmd_score(cfg: dict) -> dict:
     net = load_network(cfg["model"])
     bundle = pipeline.load_bundle(cfg["detector"])
     ds = _load_dataset(cfg["images"])
-    scores = pipeline.score_images(bundle, net, ds.images, cfg["batch-size"])
+    scores = pipeline.score_images(bundle, net, ds.images)
     lines = ["index,score"] + [f"{i},{s:.12g}" for i, s in enumerate(scores)]
     Path(cfg["out"]).write_text("\n".join(lines) + "\n")
     return {"scored": scores.shape[0], "mean_score": float(scores.mean())}
@@ -480,12 +495,11 @@ def cmd_bench(cfg: dict) -> dict:
     net = load_network(cfg["model"])
     ds = _load_dataset(cfg["images"])
     images = ds.images
-    batch = cfg["batch-size"]
 
     def baseline():
         # plain classification, no feature extraction
-        for start in range(0, images.shape[0], batch):
-            forward_with_taps(net, images[start : start + batch])
+        for start in range(0, images.shape[0], DEFAULT_BATCH):
+            forward_with_taps(net, images[start : start + DEFAULT_BATCH])
 
     stats = {"baseline": metrics.time_call(baseline, cfg["repeats"])}
     for key in ("detector-m", "detector-l"):
@@ -493,7 +507,7 @@ def cmd_bench(cfg: dict) -> dict:
             bundle = pipeline.load_bundle(cfg[key])
 
             def scored(b=bundle):
-                pipeline.score_images(b, net, images, batch)
+                pipeline.score_images(b, net, images)
 
             stats[f"xood-{key[-1]}"] = metrics.time_call(scored, cfg["repeats"])
     base_mean = stats["baseline"].mean
@@ -521,12 +535,8 @@ def cmd_hist(cfg: dict) -> dict:
     net = load_network(cfg["model"])
     id_ds = _load_dataset(cfg["id-images"])
     ood_ds = _load_dataset(cfg["ood-images"])
-    id_feats = pipeline.run_network(
-        net, id_ds.images, FeatureKind.MINMAX, cfg["batch-size"]
-    ).features
-    ood_feats = pipeline.run_network(
-        net, ood_ds.images, FeatureKind.MINMAX, cfg["batch-size"]
-    ).features
+    id_feats = pipeline.run_network(net, id_ds.images).features
+    ood_feats = pipeline.run_network(net, ood_ds.images).features
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = ["layer,stat,id_p01,id_p99,ood_outside_fraction"]

@@ -37,7 +37,6 @@ IDX_LABELS_MAGIC = 0x00000801
 class Dataset:
     images: np.ndarray  # (N, C, H, W) float32 in [0, 1]
     labels: np.ndarray | None = None  # (N,) int64, or None for unlabeled sets
-    name: str = ""
 
     def __post_init__(self):
         self.images = np.asarray(self.images, dtype=np.float32)
@@ -62,9 +61,9 @@ class Dataset:
     def __len__(self) -> int:
         return self.images.shape[0]
 
-    def subset(self, indices: np.ndarray, name: str = "") -> "Dataset":
+    def subset(self, indices: np.ndarray) -> "Dataset":
         labels = None if self.labels is None else self.labels[indices]
-        return Dataset(self.images[indices], labels, name or self.name)
+        return Dataset(self.images[indices], labels)
 
 
 # ---------------------------------------------------------------------------
@@ -72,9 +71,7 @@ class Dataset:
 
 
 def load_idx(
-    images_path: str | Path,
-    labels_path: str | Path | None = None,
-    name: str = "",
+    images_path: str | Path, labels_path: str | Path | None = None
 ) -> Dataset:
     buf = Path(images_path).read_bytes()
     if len(buf) < 16:
@@ -92,7 +89,7 @@ def load_idx(
     labels = None
     if labels_path is not None:
         labels = _load_idx_labels(labels_path, n)
-    return Dataset(images, labels, name or Path(images_path).stem)
+    return Dataset(images, labels)
 
 
 def _load_idx_labels(path: str | Path, expected: int) -> np.ndarray:
@@ -159,7 +156,7 @@ def save_dataset(
         write_tensor(labels_path, ds.labels.astype(np.float32))
 
 
-def load_images_any(path: str | Path, name: str = "") -> Dataset:
+def load_images_any(path: str | Path) -> Dataset:
     """Load an image file, sniffing XTEN vs IDX by magic."""
     with open(path, "rb") as f:
         head = f.read(4)
@@ -167,9 +164,9 @@ def load_images_any(path: str | Path, name: str = "") -> Dataset:
         images = read_tensor(path)
         if images.ndim == 3:
             images = images[:, None, :, :]
-        return Dataset(images, None, name or Path(path).stem)
+        return Dataset(images)
     if head == struct.pack(">I", IDX_IMAGES_MAGIC):
-        return load_idx(path, None, name)
+        return load_idx(path)
     raise FormatError(f"unrecognized image file magic {head!r}", offset=0)
 
 
@@ -229,7 +226,7 @@ def gen_noise(
     else:
         flat = np.clip(stream.normal(count, mean=0.5, std=0.25), 0.0, 1.0)
     images = flat.astype(np.float32).reshape(n, *shape)
-    return Dataset(images, None, f"noise-{kind.value}")
+    return Dataset(images)
 
 
 def split(ds: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -242,10 +239,7 @@ def split(ds: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     cut = int(fraction * n)
     if cut == 0 or cut == n:
         raise ContractError(f"split of {n} at {fraction} leaves an empty part")
-    return (
-        ds.subset(order[:cut], f"{ds.name}[a]"),
-        ds.subset(order[cut:], f"{ds.name}[b]"),
-    )
+    return ds.subset(order[:cut]), ds.subset(order[cut:])
 
 
 def make_blobs(
@@ -253,7 +247,6 @@ def make_blobs(
     num_classes: int = 4,
     side: int = 28,
     seed: int = 0,
-    name: str = "blobs",
 ) -> Dataset:
     """Labeled images of one Gaussian bump; the class is the bump's location.
 
@@ -276,12 +269,10 @@ def make_blobs(
     images = amp[:, None, None] * np.exp(-d2 / (2.0 * sigma[:, None, None] ** 2))
     images += stream.uniform(n * side * side, 0.0, 0.04).reshape(n, side, side)
     images = np.clip(images, 0.0, 1.0).astype(np.float32)[:, None]
-    return Dataset(images, labels, name)
+    return Dataset(images, labels)
 
 
-def make_gratings(
-    n: int, side: int = 28, seed: int = 0, name: str = "gratings"
-) -> Dataset:
+def make_gratings(n: int, side: int = 28, seed: int = 0) -> Dataset:
     """Unlabeled oriented sinusoidal gratings; structurally unlike blobs."""
     if n < 1:
         raise ContractError(f"need at least one image, got {n}")
@@ -297,4 +288,4 @@ def make_gratings(
     ) / side
     waves = np.sin(2.0 * np.pi * freq[:, None, None] * u + phase[:, None, None])
     images = 0.5 + 0.5 * contrast[:, None, None] * waves
-    return Dataset(images.astype(np.float32)[:, None], None, name)
+    return Dataset(images.astype(np.float32)[:, None])

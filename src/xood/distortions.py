@@ -105,7 +105,7 @@ def distort_geometric(ds: Dataset, seed: int) -> Dataset:
         brightness = stream.uniform(1, *GEOMETRIC_BRIGHTNESS)[0]
         warped = warp_image(ds.images[i], angle, zoom, shift_x, shift_y, flip)
         out[i] = np.clip(warped.astype(np.float64) * brightness, 0.0, 1.0)
-    return Dataset(out, ds.labels, f"{ds.name}+geometric")
+    return Dataset(out, ds.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +124,7 @@ def distort_mixup(ds: Dataset, seed: int) -> Dataset:
         partner
     ].astype(np.float64)
     labels = np.where(weight >= 0.5, ds.labels, ds.labels[partner])
-    return Dataset(mixed.astype(np.float32), labels, f"{ds.name}+mixup")
+    return Dataset(mixed.astype(np.float32), labels)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +166,7 @@ def distort_noise_affine(ds: Dataset, seed: int) -> Dataset:
         variance = stream.uniform(1, 0.0, NOISE_VARIANCE_MAX)[0]
         a, b = sample_pixel_affine(stream)
         out[i] = noise_affine_image(ds.images[i], variance, a, b, stream)
-    return Dataset(out, ds.labels, f"{ds.name}+noise")
+    return Dataset(out, ds.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +216,7 @@ def distort_blur_affine(ds: Dataset, seed: int) -> Dataset:
         variance = stream.uniform(1, *BLUR_VARIANCE)[0]
         a, b = sample_pixel_affine(stream)
         out[i] = blur_affine_image(ds.images[i], variance, a, b)
-    return Dataset(out, ds.labels, f"{ds.name}+blur")
+    return Dataset(out, ds.labels)
 
 
 # Order matters: it fixes the fold layout of the supervised detector's

@@ -41,7 +41,7 @@ from .features import (
     FeatureKind, PowerTransform, apply_power_transform, pin_constant_stds,
 )
 from .mahalanobis import calibrate
-from .network import DEFAULT_BATCH, Network, run_network
+from .network import Network, run_network
 from .rng import derive_seed
 
 logger = logging.getLogger(__name__)
@@ -263,7 +263,6 @@ def build_training_set(
     pt: PowerTransform,
     seed: int,
     kind: FeatureKind = FeatureKind.MINMAX,
-    batch_size: int = DEFAULT_BATCH,
 ) -> LabeledFeatureSet:
     """Calibration data plus one distorted copy per family.
 
@@ -280,7 +279,7 @@ def build_training_set(
     labels = []
     fold_ids = []
     for fold, source in enumerate(sources):
-        outputs = run_network(net, source.images, kind, batch_size)
+        outputs = run_network(net, source.images, kind)
         blocks.append(apply_power_transform(pt, outputs.features))
         labels.append((outputs.predictions == source.labels).astype(np.float64))
         fold_ids.append(np.full(len(source), fold, dtype=np.int64))

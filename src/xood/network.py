@@ -39,6 +39,7 @@ from typing import Callable
 import numpy as np
 
 from . import tensor_ops as ops
+from .datasets import Dataset
 from .errors import (
     ContractError,
     DimensionError,
@@ -174,11 +175,10 @@ def _apply_layer(layer: LayerSpec, x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ForwardResult:
-    """Predictions, probabilities, logits, and the per-Relu tap tensors."""
+    """Predictions, probabilities, and the per-Relu tap tensors."""
 
     predictions: np.ndarray  # (N,) int64, argmax ties -> lowest class id
     probabilities: np.ndarray  # (N, K) float32
-    logits: np.ndarray  # (N, K) float32
     taps: list  # r entries, one per Relu input; see forward_with_taps
 
 
@@ -202,15 +202,12 @@ def forward_with_taps(
         )
     taps: list = []
     x = batch
-    logits = None
     for layer in net.layers:
         if layer.kind is LayerKind.RELU:
             taps.append(x if tap_map is None else tap_map(x))
-        if layer.kind is LayerKind.SOFTMAX:
-            logits = x
         x = _apply_layer(layer, x)
     predictions = np.argmax(x, axis=1).astype(np.int64)
-    return ForwardResult(predictions, x, logits, taps)
+    return ForwardResult(predictions, x, taps)
 
 
 @dataclass
@@ -369,19 +366,10 @@ def train_reference_cnn(
     ``epochs == 0`` returns the seeded initialization unchanged. A
     non-finite epoch loss raises TrainingDivergedError naming the epoch.
     """
-    images = np.asarray(images, dtype=np.float32)
-    labels = np.asarray(labels)
-    if images.ndim != 4:
-        raise ContractError(f"images must be (N,C,H,W), got {images.shape}")
-    if labels.shape != (images.shape[0],):
-        raise ContractError(
-            f"labels shape {labels.shape} does not match {images.shape[0]} images"
-        )
-    if images.size and (images.min() < 0.0 or images.max() > 1.0):
-        raise ContractError("pixel values must lie in [0, 1]")
-    if labels.size == 0 or labels.min() < 0:
-        raise ContractError("labels must be non-negative class ids")
-    labels = labels.astype(np.int64)
+    ds = Dataset(images, labels)
+    images, labels = ds.images, ds.labels
+    if labels.size == 0:
+        raise ContractError("training set is empty")
     num_classes = int(labels.max()) + 1
     if num_classes < 2:
         raise ContractError("training data must contain at least 2 classes")
@@ -414,14 +402,9 @@ def train_reference_cnn(
     return net
 
 
-def evaluate_accuracy(
-    net: Network,
-    images: np.ndarray,
-    labels: np.ndarray,
-    batch_size: int = DEFAULT_BATCH,
-) -> float:
+def evaluate_accuracy(net: Network, images: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of images whose argmax prediction matches the label."""
-    predictions = run_network(net, images, batch_size=batch_size).predictions
+    predictions = run_network(net, images).predictions
     return int((predictions == labels).sum()) / images.shape[0]
 
 

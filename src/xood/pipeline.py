@@ -25,12 +25,13 @@ from .features import (
     FeatureKind,
     PowerTransform,
     apply_power_transform,
+    feature_width,
     fit_power_transform,
     load_power_transform,
     save_power_transform,
 )
 from .keyvalue import finite_float, optional_float, read_key_values
-from .network import DEFAULT_BATCH, Network, run_network
+from .network import Network, run_network
 from .xten import read_tensor, write_tensor
 
 logger = logging.getLogger(__name__)
@@ -44,13 +45,13 @@ class DetectorBundle:
 
 
 def _fit_transform(
-    net: Network, train: Dataset, kind: FeatureKind, batch_size: int
+    net: Network, train: Dataset, kind: FeatureKind
 ) -> tuple[PowerTransform, np.ndarray]:
     """Fit the power transform on the correctly classified training rows;
     returns it and those rows transformed."""
     if train.labels is None:
         raise ContractError("training dataset must be labeled")
-    outputs = run_network(net, train.images, kind, batch_size)
+    outputs = run_network(net, train.images, kind)
     correct = outputs.predictions == train.labels
     n_correct = int(correct.sum())
     logger.info("fitting on %d/%d correctly classified images", n_correct, len(train))
@@ -69,13 +70,12 @@ def fit_m_bundle(
     calibration: Dataset,
     reg_c: float = mahalanobis.DEFAULT_REG_C,
     kind: FeatureKind = FeatureKind.MINMAX,
-    batch_size: int = DEFAULT_BATCH,
 ) -> DetectorBundle:
     """Fit the unsupervised detector from correctly classified training
     images and calibrate its threshold on the held-out split."""
-    pt, transformed = _fit_transform(net, train, kind, batch_size)
+    pt, transformed = _fit_transform(net, train, kind)
     det = mahalanobis.fit_mahalanobis(transformed, reg_c)
-    calib_outputs = run_network(net, calibration.images, kind, batch_size)
+    calib_outputs = run_network(net, calibration.images, kind)
     calib_transformed = apply_power_transform(pt, calib_outputs.features)
     mahalanobis.calibrate(det, det.score(calib_transformed))
     return DetectorBundle(kind, pt, det)
@@ -88,26 +88,31 @@ def fit_l_bundle(
     seed: int,
     grid: tuple[float, ...] = logistic.LAMBDA_GRID,
     kind: FeatureKind = FeatureKind.MINMAX,
-    batch_size: int = DEFAULT_BATCH,
 ) -> tuple[DetectorBundle, logistic.CVResult]:
     """Fit the supervised detector from the calibration split and its
     distorted copies; the power transform comes from the training data."""
-    pt, means_source = _fit_transform(net, train, kind, batch_size)
-    training_set = logistic.build_training_set(
-        net, calibration, pt, seed, kind, batch_size
-    )
+    pt, means_source = _fit_transform(net, train, kind)
+    training_set = logistic.build_training_set(net, calibration, pt, seed, kind)
     det, cv = logistic.fit_l_detector(training_set, means_source, grid)
     return DetectorBundle(kind, pt, det), cv
 
 
 def score_images(
-    bundle: DetectorBundle,
-    net: Network,
-    images: np.ndarray,
-    batch_size: int = DEFAULT_BATCH,
+    bundle: DetectorBundle, net: Network, images: np.ndarray
 ) -> np.ndarray:
-    """Confidence scores for raw images (forward, extract, transform, score)."""
-    outputs = run_network(net, images, bundle.kind, batch_size)
+    """Confidence scores for raw images (forward, extract, transform, score).
+
+    A bundle whose feature kind gives ``net`` a width other than its power
+    transform's is refused before the forward pass."""
+    layers = net.num_activation_layers
+    width = feature_width(bundle.kind, layers)
+    if width != bundle.transform.dim:
+        raise ContractError(
+            f"feature kind {bundle.kind.value!r} gives {width} columns for a "
+            f"network with {layers} activation layers, but the bundle's power "
+            f"transform has {bundle.transform.dim}"
+        )
+    outputs = run_network(net, images, bundle.kind)
     transformed = apply_power_transform(bundle.transform, outputs.features)
     return bundle.detector.score(transformed)
 

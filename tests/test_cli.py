@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from xood import cli
+from xood import cli, pipeline
 from xood.cli import main, read_scores_csv
 from xood.features import read_feature_csv
 from xood.network import load_network, save_network
@@ -297,19 +297,52 @@ def test_config_repeatable_option_is_replaced_by_flags(ws, tmp_path, flag):
     )
 
 
+_MODEL = ("--model", "{root}/model.xnet")
+_LABELED = ("--images", "{root}/train.xten", "--labels", "{root}/labels.xten")
+_GEN = ("gen", "--kind", "blobs", "--count", 5, "--images-out", "{out}")
+_TRAIN = ("train", *_LABELED, "--out", "{out}")
+_FIT_M = ("fit-m", *_MODEL, *_LABELED, "--out", "{out}")
+_FIT_L = ("fit-l", *_MODEL, *_LABELED, "--out", "{out}")
+_BENCH = ("bench", *_MODEL, "--images", "{root}/noise.xten", "--out", "{out}")
+_HIST = ("hist", *_MODEL, "--id-images", "{root}/train.xten",
+         "--ood-images", "{root}/noise.xten", "--out", "{out}")
+
+
 @pytest.mark.parametrize(
     "args",
     [
-        ("gen", "--kind", "nope", "--count", 5),
-        ("gen", "--kind", "uniform", "--count", 5, "--format", "nope"),
+        ("gen", "--kind", "nope", "--count", 5, "--images-out", "{out}"),
+        ("gen", "--kind", "uniform", "--count", 5, "--format", "nope",
+         "--images-out", "{out}"),
+        (*_GEN, "--classes", 0),
+        (*_TRAIN, "--epochs", -1),
+        (*_TRAIN, "--learning-rate", 0),
+        (*_TRAIN, "--learning-rate", "nan"),
+        (*_TRAIN, "--batch-size", 0),
+        (*_TRAIN, "--min-accuracy", "nan"),
+        (*_FIT_M, "--reg-c", "nan"),
+        (*_FIT_L, "--lambda-grid", "nan"),
+        (*_FIT_L, "--lambda-grid", "inf"),
+        (*_FIT_L, "--lambda-grid=-1"),
+        (*_BENCH, "--repeats", 1),
+        (*_HIST, "--bins", -3),
+        (*_HIST, "--bins", 0),
+        # rules that handlers checked before argparse did
+        (*_GEN, "--side", 0),
+        (*_FIT_M, "--holdout-fraction", 1),
     ],
-    ids=["gen-kind", "format"],
+    ids=["gen-kind", "format", "classes-0", "epochs-negative", "learning-rate-0",
+         "learning-rate-nan", "batch-size-0", "min-accuracy-nan", "reg-c-nan",
+         "lambda-nan", "lambda-inf", "lambda-negative", "repeats-1",
+         "bins-negative", "bins-0", "side-0", "holdout-1"],
 )
 def test_unknown_choice_exits_2(ws, tmp_path, args):
-    # an unknown distortion family is checked in test_distort_round_trip
-    _, run = ws
-    assert run(*args, "--images-out", tmp_path / "x.xten") == 2
-    assert not (tmp_path / "x.xten").exists()
+    """An unknown choice or an out-of-range number exits 2 before any work.
+    An unknown distortion family is checked in test_distort_round_trip."""
+    root, run = ws
+    out = tmp_path / "out"
+    assert run(*(str(arg).format(root=root, out=out) for arg in args)) == 2
+    assert not out.exists()
 
 
 def test_missing_required_option_is_config_error(ws):
@@ -380,6 +413,46 @@ def test_unknown_flag_exits_2(ws, tmp_path):
         "--labels", root / "labels.xten", "--distortion-seed", 3,
         "--out", tmp_path / "m2",
     ) == 2
+    # inference batches are fixed; only train takes --batch-size
+    model, images = root / "model.xnet", root / "train.xten"
+    labeled = ("--images", images, "--labels", root / "labels.xten")
+    for args in (
+        ("extract", "--model", model, "--images", images),
+        ("fit-m", "--model", model, *labeled),
+        ("fit-l", "--model", model, *labeled),
+        ("score", "--model", model, "--detector", root / "mdet", "--images", images),
+        ("bench", "--model", model, "--images", images),
+        ("hist", "--model", model, "--id-images", images,
+         "--ood-images", root / "noise.xten"),
+    ):
+        assert run(*args, "--batch-size", 256, "--out", tmp_path / "x") == 2
+    assert not (tmp_path / "x").exists()
+
+
+def test_misfit_feature_kind_fails_before_the_forward_pass(
+    ws, tmp_path, monkeypatch, capsys
+):
+    import shutil
+
+    root, run = ws
+    det = tmp_path / "mdet"
+    shutil.copytree(root / "mdet", det)
+    text = (det / "bundle.txt").read_text()
+    (det / "bundle.txt").write_text(
+        text.replace("feature_kind=minmax", "feature_kind=min")
+    )
+
+    def forward(*args, **kwargs):
+        raise AssertionError("ran the network before checking the bundle")
+
+    monkeypatch.setattr(pipeline, "run_network", forward)
+    assert run(
+        "score", "--model", root / "model.xnet", "--detector", det,
+        "--images", root / "noise.xten", "--out", tmp_path / "s.csv",
+    ) == 3
+    err = capsys.readouterr().err
+    assert "'min' gives 3 columns" in err and "3 activation layers" in err
+    assert "has 6" in err
 
 
 @pytest.mark.parametrize(
