@@ -95,6 +95,7 @@ def _checked(convert, rule: str, ok):
 
 
 _COUNT = _checked(int, "an integer >= 1", lambda v: v >= 1)
+_CLASSES = _checked(int, "an integer >= 2", lambda v: v >= 2)
 _FRACTION = _checked(float, "a number in (0, 1)", lambda v: 0.0 < v < 1.0)
 _PENALTY = _checked(
     float, "a finite number >= 0", lambda v: math.isfinite(v) and v >= 0.0
@@ -124,7 +125,8 @@ _SCHEMAS: dict[str, dict[str, dict]] = {
             "blobs", "gratings", *(k.value for k in NoiseKind))),
         "count": dict(type=_COUNT, required=True, help="number of images"),
         "side": dict(type=_COUNT, default=28, help="image side length"),
-        "classes": dict(type=_COUNT, default=4, help="class count (blobs only)"),
+        "classes": dict(type=_CLASSES, default=4,
+                        help="class count (blobs only)"),
         "images-out": dict(required=True),
         "labels-out": dict(help="label output (labeled kinds only)"),
         "format": _FORMAT,
@@ -362,6 +364,8 @@ def _fit_inputs(cfg: dict) -> tuple[Network, Dataset, Dataset]:
 def cmd_gen(cfg: dict) -> dict:
     kind, n, side = cfg["kind"], cfg["count"], cfg["side"]
     if kind == "blobs":
+        if n < cfg["classes"]:
+            raise ConfigError(f"--count {n} is below --classes {cfg['classes']}")
         ds = make_blobs(n, cfg["classes"], side, cfg["seed"])
     elif kind == "gratings":
         ds = make_gratings(n, side, cfg["seed"])

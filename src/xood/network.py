@@ -319,13 +319,28 @@ def build_reference_cnn(
 def _batch_loss_and_grad(
     net: Network, xb: np.ndarray, yb: np.ndarray
 ) -> tuple[float, list]:
-    """Forward through the logits, cross-entropy, and per-layer gradients."""
-    inputs = []
-    x = xb
-    for layer in net.layers[:-1]:  # stop before the softmax
-        inputs.append(x)
-        x = _apply_layer(layer, x)
-    logits = x.astype(np.float64)
+    """Forward through the logits, cross-entropy, and per-layer gradients.
+
+    The backward pass reuses each conv layer's forward im2col buffer and
+    each pool layer's output, and computes no gradient for the images.
+    """
+    acts = [xb]  # acts[i] is layer i's input, acts[i + 1] its output
+    columns = {}
+    for i, layer in enumerate(net.layers[:-1]):  # stop before the softmax
+        x = acts[i]
+        if layer.kind is LayerKind.CONV2D:
+            kh, kw = layer.weight.shape[2:]
+            columns[i] = ops.conv2d_columns(
+                x, kh, kw, layer.stride, layer.padding
+            )
+            x = ops.conv2d(
+                x, layer.weight, layer.bias, layer.stride, layer.padding,
+                cols=columns[i],
+            )
+        else:
+            x = _apply_layer(layer, x)
+        acts.append(x)
+    logits = acts.pop().astype(np.float64)
     n = logits.shape[0]
     # mean cross-entropy via logsumexp; never produces NaN on finite logits
     m = logits.max(axis=1, keepdims=True)
@@ -337,7 +352,8 @@ def _batch_loss_and_grad(
     grad = (grad / n).astype(np.float32)
 
     updates = []
-    for layer, x_in in zip(reversed(net.layers[:-1]), reversed(inputs)):
+    for i in reversed(range(len(acts))):
+        layer, x_in = net.layers[i], acts[i]
         kind = layer.kind
         if kind is LayerKind.DENSE:
             grad, gw, gb = ops.dense_backward(x_in, layer.weight, grad)
@@ -347,10 +363,13 @@ def _batch_loss_and_grad(
         elif kind is LayerKind.FLATTEN:
             grad = grad.reshape(x_in.shape)
         elif kind is LayerKind.MAXPOOL2D:
-            grad = ops.maxpool2d_backward(x_in, layer.window, grad)
+            grad = ops.maxpool2d_backward(
+                x_in, layer.window, grad, pooled=acts[i + 1]
+            )
         elif kind is LayerKind.CONV2D:
             grad, gw, gb = ops.conv2d_backward(
-                x_in, layer.weight, grad, layer.padding
+                x_in, layer.weight, grad, layer.padding,
+                cols=columns[i], input_grad=i > 0,
             )
             updates.append((layer, gw, gb))
         else:

@@ -9,7 +9,14 @@ hand-written backward passes the trainer needs. Conventions:
 * convolution is cross-correlation with zero padding
 
 Backward passes cover exactly what the reference CNN uses: stride-1
-convolutions and non-overlapping max pooling.
+convolutions and non-overlapping max pooling. They can reuse what the
+forward pass already computed, so a training step does each piece of work
+once: ``conv2d`` and ``conv2d_backward`` accept the im2col buffer built by
+``conv2d_columns`` (``cols=``), ``conv2d_backward(..., input_grad=False)``
+skips the input gradient (the layer that reads the images needs none), and
+``maxpool2d_backward`` accepts the pooled forward output (``pooled=``).
+Each reuse is an exact copy of what the kernel would otherwise compute, so
+results are bit-identical with or without it.
 
 The spatial kernels share one strategy: for each window offset (dy, dx)
 take the strided view ``x[:, :, dy::stride, dx::stride]`` cut to the
@@ -85,9 +92,50 @@ def _im2col(
 
 
 def _pad(x: np.ndarray, padding: int) -> np.ndarray:
+    """Zero-pad the two spatial axes; bitwise ``np.pad``, at a fraction of
+    its per-call cost."""
     if not padding:
         return x
-    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    n, c, h, w = x.shape
+    out = np.zeros((n, c, h + 2 * padding, w + 2 * padding), x.dtype)
+    out[:, :, padding : padding + h, padding : padding + w] = x
+    return out
+
+
+def _conv_extents(
+    x: np.ndarray, kh: int, kw: int, stride: int, padding: int
+) -> tuple[int, int]:
+    if stride < 1 or padding < 0:
+        raise DimensionError(f"bad stride {stride} or padding {padding}")
+    ho = _out_extent(x.shape[2], kh, stride, padding, "height")
+    wo = _out_extent(x.shape[3], kw, stride, padding, "width")
+    return ho, wo
+
+
+def conv2d_columns(
+    x: np.ndarray, kh: int, kw: int, stride: int = 1, padding: int = 0
+) -> np.ndarray:
+    """The (N, C*kh*kw, Ho*Wo) im2col buffer of (N,C,H,W) for a kh x kw
+    conv2d; pass it as ``cols=`` to conv2d and conv2d_backward to build it
+    once for both."""
+    x = _as_f32("input", x, 4)
+    ho, wo = _conv_extents(x, kh, kw, stride, padding)
+    return _im2col(_pad(x, padding), kh, kw, stride, ho, wo)
+
+
+def _columns(
+    cols: np.ndarray | None, x: np.ndarray, kh: int, kw: int,
+    stride: int, padding: int, ho: int, wo: int,
+) -> np.ndarray:
+    """The im2col buffer of ``x``: ``cols`` after a shape check, or built
+    when ``cols`` is None."""
+    if cols is None:
+        return _im2col(_pad(x, padding), kh, kw, stride, ho, wo)
+    cols = _as_f32("cols", cols, 3)
+    want = (x.shape[0], x.shape[1] * kh * kw, ho * wo)
+    if cols.shape != want:
+        raise DimensionError(f"im2col buffer has shape {cols.shape}, expected {want}")
+    return cols
 
 
 def conv2d(
@@ -96,12 +144,17 @@ def conv2d(
     bias: np.ndarray,
     stride: int = 1,
     padding: int = 0,
+    *,
+    cols: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Cross-correlate (N,C,H,W) with (F,C,kh,kw) kernels, zero padding."""
+    """Cross-correlate (N,C,H,W) with (F,C,kh,kw) kernels, zero padding.
+
+    ``cols``, if given, is ``conv2d_columns(x, kh, kw, stride, padding)``.
+    """
     x = _as_f32("input", x, 4)
     kernel = _as_f32("kernel", kernel, 4)
     bias = _as_f32("bias", bias, 1)
-    n, c, h, w = x.shape
+    n, c = x.shape[:2]
     f, kc, kh, kw = kernel.shape
     if kc != c:
         raise DimensionError(
@@ -109,11 +162,8 @@ def conv2d(
         )
     if bias.shape[0] != f:
         raise DimensionError(f"bias has {bias.shape[0]} entries for {f} filters")
-    if stride < 1 or padding < 0:
-        raise DimensionError(f"bad stride {stride} or padding {padding}")
-    ho = _out_extent(h, kh, stride, padding, "height")
-    wo = _out_extent(w, kw, stride, padding, "width")
-    cols = _im2col(_pad(x, padding), kh, kw, stride, ho, wo)
+    ho, wo = _conv_extents(x, kh, kw, stride, padding)
+    cols = _columns(cols, x, kh, kw, stride, padding, ho, wo)
     # (f, c*kh*kw) @ (n, c*kh*kw, ho*wo) -> (n, f, ho*wo), already NCHW
     out = np.matmul(kernel.reshape(f, -1), cols)
     out += bias[:, None]
@@ -125,19 +175,29 @@ def conv2d_backward(
     kernel: np.ndarray,
     grad_out: np.ndarray,
     padding: int = 0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of a stride-1 conv2d w.r.t. input, kernel, and bias."""
+    *,
+    cols: np.ndarray | None = None,
+    input_grad: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Gradients of a stride-1 conv2d w.r.t. input, kernel, and bias.
+
+    ``cols``, if given, is the forward pass's
+    ``conv2d_columns(x, kh, kw, 1, padding)``. With ``input_grad=False``
+    the input gradient is not computed and comes back as None.
+    """
     x = _as_f32("input", x, 4)
     kernel = _as_f32("kernel", kernel, 4)
     grad_out = _as_f32("grad_out", grad_out, 4)
     f, c, kh, kw = kernel.shape
     n, _, ho, wo = grad_out.shape
     grad_bias = grad_out.sum(axis=(0, 2, 3))
-    cols = _im2col(_pad(x, padding), kh, kw, 1, ho, wo)
+    cols = _columns(cols, x, kh, kw, 1, padding, ho, wo)
     # (n, f, ho*wo) @ (n, ho*wo, c*kh*kw), summed over n -> (f, c, kh, kw)
     grad_kernel = np.matmul(
         grad_out.reshape(n, f, ho * wo), cols.transpose(0, 2, 1)
     ).sum(axis=0).reshape(f, c, kh, kw)
+    if not input_grad:
+        return None, grad_kernel, grad_bias
     # full correlation of grad_out with the flipped, channel-swapped kernel
     flipped = kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
     grad_xp = conv2d(grad_out, flipped, np.zeros(c, np.float32), padding=kh - 1)
@@ -205,12 +265,17 @@ def maxpool2d(x: np.ndarray, window: int = 2, stride: int = 2) -> np.ndarray:
 
 
 def maxpool2d_backward(
-    x: np.ndarray, window: int, grad_out: np.ndarray
+    x: np.ndarray,
+    window: int,
+    grad_out: np.ndarray,
+    *,
+    pooled: np.ndarray | None = None,
 ) -> np.ndarray:
     """Gradient of non-overlapping maxpool2d (stride == window, H,W divisible).
 
     Routes each window's gradient to the first occurrence of its maximum
-    in row-major window order.
+    in row-major window order. ``pooled``, if given, is the forward
+    pass's ``maxpool2d(x, window, window)``.
     """
     x = _as_f32("input", x, 4)
     n, c, h, w = x.shape
@@ -219,7 +284,14 @@ def maxpool2d_backward(
             f"pool backward needs H,W divisible by {window}, got {h}x{w}"
         )
     ho, wo = h // window, w // window
-    pooled = maxpool2d(x, window, window)
+    if pooled is None:
+        pooled = maxpool2d(x, window, window)
+    else:
+        pooled = _as_f32("pooled", pooled, 4)
+        if pooled.shape != (n, c, ho, wo):
+            raise DimensionError(
+                f"pooled has shape {pooled.shape}, expected {(n, c, ho, wo)}"
+            )
     grad_bits = np.asarray(grad_out, dtype=np.float32).view(np.uint32)
     # the windows tile x, so every cell of grad_x is written exactly once
     grad_x = np.empty_like(x)

@@ -315,6 +315,9 @@ _HIST = ("hist", *_MODEL, "--id-images", "{root}/train.xten",
         ("gen", "--kind", "uniform", "--count", 5, "--format", "nope",
          "--images-out", "{out}"),
         (*_GEN, "--classes", 0),
+        (*_GEN, "--classes", 1),
+        ("gen", "--kind", "blobs", "--count", 3, "--classes", 5,
+         "--images-out", "{out}"),
         (*_TRAIN, "--epochs", -1),
         (*_TRAIN, "--learning-rate", 0),
         (*_TRAIN, "--learning-rate", "nan"),
@@ -331,10 +334,11 @@ _HIST = ("hist", *_MODEL, "--id-images", "{root}/train.xten",
         (*_GEN, "--side", 0),
         (*_FIT_M, "--holdout-fraction", 1),
     ],
-    ids=["gen-kind", "format", "classes-0", "epochs-negative", "learning-rate-0",
-         "learning-rate-nan", "batch-size-0", "min-accuracy-nan", "reg-c-nan",
-         "lambda-nan", "lambda-inf", "lambda-negative", "repeats-1",
-         "bins-negative", "bins-0", "side-0", "holdout-1"],
+    ids=["gen-kind", "format", "classes-0", "classes-1", "count-below-classes",
+         "epochs-negative", "learning-rate-0", "learning-rate-nan",
+         "batch-size-0", "min-accuracy-nan", "reg-c-nan", "lambda-nan",
+         "lambda-inf", "lambda-negative", "repeats-1", "bins-negative",
+         "bins-0", "side-0", "holdout-1"],
 )
 def test_unknown_choice_exits_2(ws, tmp_path, args):
     """An unknown choice or an out-of-range number exits 2 before any work.

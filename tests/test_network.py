@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from xood import tensor_ops
 from xood.datasets import make_blobs
 from xood.errors import ContractError, DimensionError, FormatError
 from xood.network import (
@@ -13,6 +14,8 @@ from xood.network import (
     LayerSpec,
     Network,
     TrainConfig,
+    _apply_layer,
+    _batch_loss_and_grad,
     _encode_network,
     build_reference_cnn,
     evaluate_accuracy,
@@ -161,6 +164,91 @@ def test_training_is_bit_deterministic():
     a = train_reference_cnn(ds.images, ds.labels, cfg)
     b = train_reference_cnn(ds.images, ds.labels, cfg)
     assert networks_equal(a, b)
+
+
+def batch_step_loop(net, xb, yb):
+    """One training step with the default kernel calls: each backward
+    kernel rebuilds what it needs, and every conv returns an input gradient."""
+    inputs, x = [], xb
+    for layer in net.layers[:-1]:
+        inputs.append(x)
+        x = _apply_layer(layer, x)
+    logits = x.astype(np.float64)
+    n = logits.shape[0]
+    m = logits.max(axis=1, keepdims=True)
+    lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
+    loss = float(np.mean(lse - logits[np.arange(n), yb]))
+    grad = np.exp(logits - lse[:, None])
+    grad[np.arange(n), yb] -= 1.0
+    grad = (grad / n).astype(np.float32)
+    updates = []
+    for layer, x_in in zip(reversed(net.layers[:-1]), reversed(inputs)):
+        if layer.kind is LayerKind.DENSE:
+            grad, gw, gb = tensor_ops.dense_backward(x_in, layer.weight, grad)
+            updates.append((layer, gw, gb))
+        elif layer.kind is LayerKind.RELU:
+            grad = tensor_ops.relu_backward(x_in, grad)
+        elif layer.kind is LayerKind.FLATTEN:
+            grad = grad.reshape(x_in.shape)
+        elif layer.kind is LayerKind.MAXPOOL2D:
+            grad = tensor_ops.maxpool2d_backward(x_in, layer.window, grad)
+        else:
+            grad, gw, gb = tensor_ops.conv2d_backward(
+                x_in, layer.weight, grad, layer.padding
+            )
+            updates.append((layer, gw, gb))
+    return loss, updates
+
+
+def test_training_step_is_bitwise_the_default_kernels():
+    ds = make_blobs(24, 3, 8, seed=6)
+    net = build_reference_cnn((1, 8, 8), 3, seed=7)
+    loss, updates = _batch_loss_and_grad(net, ds.images, ds.labels)
+    want_loss, want = batch_step_loop(net, ds.images, ds.labels)
+    assert loss == want_loss
+    assert len(updates) == len(want) == 4
+    for (layer, gw, gb), (want_layer, want_gw, want_gb) in zip(updates, want):
+        assert layer is want_layer
+        for got, expected in ((gw, want_gw), (gb, want_gb)):
+            assert got.dtype == expected.dtype == np.float32
+            np.testing.assert_array_equal(
+                got.view(np.uint32), expected.view(np.uint32)
+            )
+
+
+def test_training_step_does_each_piece_of_work_once(monkeypatch):
+    """The forward pass convolves and pools each layer once; backward
+    re-pools nothing and computes no gradient for the images, so the only
+    conv2d inside conv2d_backward is the second conv's input gradient."""
+    calls = {"conv2d": 0, "conv2d in backward": 0, "maxpool2d": 0}
+    in_backward = []
+    conv, conv_backward, pool = (
+        tensor_ops.conv2d, tensor_ops.conv2d_backward, tensor_ops.maxpool2d
+    )
+
+    def counted_conv(*args, **kwargs):
+        calls["conv2d in backward" if in_backward else "conv2d"] += 1
+        return conv(*args, **kwargs)
+
+    def counted_conv_backward(*args, **kwargs):
+        in_backward.append(True)
+        try:
+            return conv_backward(*args, **kwargs)
+        finally:
+            in_backward.pop()
+
+    def counted_pool(*args, **kwargs):
+        calls["maxpool2d"] += 1
+        return pool(*args, **kwargs)
+
+    # building the net checks its shapes on an empty batch: not counted
+    net = build_reference_cnn((1, 8, 8), 3, seed=5)
+    ds = make_blobs(12, 3, 8, seed=4)
+    monkeypatch.setattr(tensor_ops, "conv2d", counted_conv)
+    monkeypatch.setattr(tensor_ops, "conv2d_backward", counted_conv_backward)
+    monkeypatch.setattr(tensor_ops, "maxpool2d", counted_pool)
+    _batch_loss_and_grad(net, ds.images, ds.labels)
+    assert calls == {"conv2d": 2, "conv2d in backward": 1, "maxpool2d": 2}
 
 
 def accuracy_loop(net, images, labels, batch_size):

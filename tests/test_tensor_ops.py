@@ -5,8 +5,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from xood.errors import DimensionError
 from xood.rng import Stream
 from xood.tensor_ops import (
+    _pad,
     conv2d,
     conv2d_backward,
+    conv2d_columns,
     dense,
     dense_backward,
     flatten,
@@ -195,6 +197,50 @@ def test_conv2d_backward_reference_layers_match_finite_differences():
             )
 
 
+def test_conv2d_reuse_of_columns_is_bitwise():
+    """Passing the forward im2col buffer, or skipping the input gradient,
+    changes no bit of what the default calls return."""
+    s = Stream(220)
+    for shape, kshape in REFERENCE_CONV_SHAPES:
+        x, k = rand(s, *shape), rand(s, *kshape) * 0.3
+        b, grad = rand(s, kshape[0]), rand(s, shape[0], kshape[0], *shape[2:])
+        cols = conv2d_columns(x, 3, 3, 1, 1)
+        assert cols.shape == (shape[0], shape[1] * 9, shape[2] * shape[3])
+        assert_bitwise(conv2d(x, k, b, 1, 1, cols=cols), conv2d(x, k, b, 1, 1))
+        want = conv2d_backward(x, k, grad, 1)
+        for got, expected in zip(conv2d_backward(x, k, grad, 1, cols=cols), want):
+            assert_bitwise(got, expected)
+        for reuse in ({"cols": cols}, {}):
+            grad_x, grad_k, grad_b = conv2d_backward(
+                x, k, grad, 1, input_grad=False, **reuse
+            )
+            assert grad_x is None
+            assert_bitwise(grad_k, want[1])
+            assert_bitwise(grad_b, want[2])
+    # strided forward
+    x, k, b = rand(s, 2, 2, 6, 6), rand(s, 3, 2, 2, 2), rand(s, 3)
+    cols = conv2d_columns(x, 2, 2, stride=2)
+    assert_bitwise(conv2d(x, k, b, 2, cols=cols), conv2d(x, k, b, 2))
+    with pytest.raises(DimensionError, match="im2col buffer"):
+        conv2d(x, k, b, 1, cols=cols)
+    with pytest.raises(DimensionError, match="bad stride"):
+        conv2d_columns(x, 2, 2, stride=0)
+
+
+def test_pad_is_bitwise_np_pad():
+    s = Stream(230)
+    for shape in [(2, 3, 5, 4), (1, 1, 1, 1), (0, 2, 4, 4)]:
+        x = rand(s, *shape)
+        if x.size:
+            x.flat[0] = -0.0
+        assert _pad(x, 0) is x
+        for padding in (1, 2):
+            want = np.pad(
+                x, ((0, 0), (0, 0), (padding, padding), (padding, padding))
+            )
+            assert_bitwise(_pad(x, padding), want)
+
+
 def test_dense_matches_matmul_and_backward():
     s = Stream(300)
     x, w, b = rand(s, 4, 6), rand(s, 6, 3), rand(s, 3)
@@ -247,9 +293,12 @@ def test_maxpool_is_bitwise_the_windowed_argmax_kernel():
     nans[0, 0, 0, 1] = nans[0, 0, 1, 0] = nans[1, 3, 5, 5] = np.nan
     for x in (ties, nans, rand(s, 2, 8, 28, 28)):
         assert_bitwise(maxpool2d(x, 2, 2), maxpool_windowed(x, 2, 2))
-        assert_bitwise(
-            maxpool2d_backward(x, 2, grad), maxpool_backward_argmax(x, 2, grad)
-        )
+        want = maxpool_backward_argmax(x, 2, grad)
+        assert_bitwise(maxpool2d_backward(x, 2, grad), want)
+        pooled = maxpool2d(x, 2, 2)
+        assert_bitwise(maxpool2d_backward(x, 2, grad, pooled=pooled), want)
+    with pytest.raises(DimensionError, match="pooled"):
+        maxpool2d_backward(ties, 2, grad, pooled=pooled[:1])
     # non-divisible extent: the last row and column fall outside every window
     odd = s.integers(2 * 3 * 7 * 7, 3).astype(np.float32).reshape(2, 3, 7, 7)
     assert_bitwise(maxpool2d(odd, 2, 2), maxpool_windowed(odd, 2, 2))
