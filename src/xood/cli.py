@@ -4,9 +4,8 @@ Subcommands cover the whole pipeline at desk scale: ``gen`` synthesizes
 datasets, ``train`` fits the reference CNN (holding out a calibration
 split), ``extract`` dumps per-image features, ``fit-m``/``fit-l`` build
 detector bundles, ``score`` applies a bundle, ``eval`` turns score files
-into metric rows, ``bench`` measures scoring overhead, ``distort`` applies
-one distortion family, and ``hist`` writes per-layer extreme-value
-histograms.
+into metric rows, ``distort`` applies one distortion family, and ``hist``
+writes per-layer extreme-value histograms.
 
 Conventions:
 
@@ -57,11 +56,9 @@ from .features import FeatureKind, feature_names, write_feature_csv
 from .keyvalue import read_key_values, read_table, read_utf8
 from .logistic import LAMBDA_GRID
 from .network import (
-    DEFAULT_BATCH,
     Network,
     TrainConfig,
     evaluate_accuracy,
-    forward_with_taps,
     load_network,
     save_network,
     train_reference_cnn,
@@ -195,16 +192,6 @@ _SCHEMAS: dict[str, dict[str, dict]] = {
         "out": dict(required=True, help="metrics CSV"),
         "append": dict(action="store_true",
                        help="append rows to an existing CSV"),
-        **_FORCE,
-    },
-    "bench": {**_COMMON,
-        "model": dict(required=True),
-        "images": dict(required=True),
-        "detector-m": dict(help="bundle directory for the Mahalanobis detector"),
-        "detector-l": dict(help="bundle directory for the logistic detector"),
-        "repeats": dict(
-            type=_checked(int, "an integer >= 2", lambda v: v >= 2), default=10),
-        "out": dict(required=True, help="timing CSV"),
         **_FORCE,
     },
     "distort": {**_COMMON,
@@ -495,36 +482,6 @@ def cmd_eval(cfg: dict) -> dict:
     return {"rows": len(rows)}
 
 
-def cmd_bench(cfg: dict) -> dict:
-    net = load_network(cfg["model"])
-    ds = _load_dataset(cfg["images"])
-    images = ds.images
-
-    def baseline():
-        # plain classification, no feature extraction
-        for start in range(0, images.shape[0], DEFAULT_BATCH):
-            forward_with_taps(net, images[start : start + DEFAULT_BATCH])
-
-    stats = {"baseline": metrics.time_call(baseline, cfg["repeats"])}
-    for key in ("detector-m", "detector-l"):
-        if cfg[key]:
-            bundle = pipeline.load_bundle(cfg[key])
-
-            def scored(b=bundle):
-                pipeline.score_images(b, net, images)
-
-            stats[f"xood-{key[-1]}"] = metrics.time_call(scored, cfg["repeats"])
-    base_mean = stats["baseline"].mean
-    lines = ["method,mean_seconds,ci99_seconds,overhead"]
-    for name, st in stats.items():
-        rel = metrics.overhead(st.mean, base_mean)
-        lines.append(
-            f"{name},{st.mean:.6f},{st.ci99:.6f},{metrics.format_overhead(rel)}"
-        )
-    Path(cfg["out"]).write_text("\n".join(lines) + "\n")
-    return {"images": images.shape[0], "baseline_mean_seconds": base_mean}
-
-
 def cmd_distort(cfg: dict) -> dict:
     kind = cfg["kind"]
     ds = _load_dataset(cfg["images"], cfg["labels"])
@@ -581,7 +538,6 @@ _HANDLERS = {
     "fit-l": cmd_fit_l,
     "score": cmd_score,
     "eval": cmd_eval,
-    "bench": cmd_bench,
     "distort": cmd_distort,
     "hist": cmd_hist,
 }

@@ -9,11 +9,12 @@ power transform, the diagonal of M sits near 1 and a single scalar C
 textbook Mahalanobis distance, while C >> ||M|| collapses the score
 ordering onto plain Euclidean distance.
 
-Scoring computes D(x) = sqrt((x - mu)^T M'^-1 (x - mu)) by one triangular
-solve against the cached Cholesky factor. The matrix is never inverted
-explicitly. Confidence is -D; an input is accepted as in-distribution when
-its confidence exceeds a threshold calibrated to the 5th percentile of
-held-out in-distribution confidences.
+Scoring computes D(x) = sqrt((x - mu)^T M'^-1 (x - mu)) as ||z|| with
+L z = x - mu, one ``np.linalg.solve`` call against the cached lower Cholesky
+factor L. The matrix is never inverted explicitly. Confidence is -D; an
+input is accepted as in-distribution when its confidence exceeds a
+threshold calibrated to the 5th percentile of held-out in-distribution
+confidences.
 """
 
 from __future__ import annotations
@@ -55,17 +56,6 @@ def cholesky_lower(matrix: np.ndarray) -> np.ndarray:
                 a[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]
             ) / lower[j, j]
     return lower
-
-
-def _solve_lower(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Forward substitution: solve lower @ z = rhs for (d,) or (d, n) rhs."""
-    z = np.array(rhs, dtype=np.float64, copy=True)
-    d = lower.shape[0]
-    for j in range(d):
-        if j:
-            z[j] -= lower[j, :j] @ z[:j]
-        z[j] /= lower[j, j]
-    return z
 
 
 @dataclass
@@ -118,7 +108,7 @@ def mahalanobis_score(det: MDetector, features: np.ndarray) -> np.ndarray:
         raise ContractError(
             f"features shape {x.shape} does not match detector dim {det.dim}"
         )
-    z = _solve_lower(det.factor, (x - det.mean).T)
+    z = np.linalg.solve(det.factor, (x - det.mean).T)
     d = np.sqrt((z * z).sum(axis=0))
     return d[0] if single else d
 

@@ -25,8 +25,6 @@ import numpy as np
 
 from .errors import ContractError
 
-_Z99 = 2.5758293035489004  # two-sided 99% normal quantile
-
 
 def _check_scores(scores: np.ndarray, is_id: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scores = np.asarray(scores, dtype=np.float64)
@@ -142,15 +140,13 @@ def format_overhead(value: float) -> str:
 
 @dataclass
 class TimingStats:
-    mean: float
-    ci99: float  # half-width of the 99% normal CI of the mean
     times: tuple[float, ...]
 
 
 def time_call(
     fn: Callable[[], object], repeats: int = 10, warmup: int = 2
 ) -> TimingStats:
-    """Wall-clock timing: run ``warmup`` unmeasured calls, then average
+    """Wall-clock timing: run ``warmup`` unmeasured calls, then record
     ``repeats`` measured ones."""
     if repeats < 2:
         raise ContractError(f"need at least 2 repeats, got {repeats}")
@@ -161,7 +157,4 @@ def time_call(
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
-    arr = np.array(times)
-    mean = float(arr.mean())
-    sd = float(arr.std(ddof=1))
-    return TimingStats(mean, _Z99 * sd / math.sqrt(repeats), tuple(times))
+    return TimingStats(tuple(times))

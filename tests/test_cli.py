@@ -233,23 +233,6 @@ def test_hist_outputs(ws, tmp_path):
         assert counts == 2 * (240 + 60)  # every image once per stat
 
 
-def test_bench_reports_overheads(ws, tmp_path):
-    root, run = ws
-    out = tmp_path / "bench.csv"
-    assert run(
-        "bench", "--model", root / "model.xnet", "--images", root / "noise.xten",
-        "--detector-m", root / "mdet", "--detector-l", root / "ldet",
-        "--repeats", 3, "--out", out,
-    ) == 0
-    lines = out.read_text().splitlines()
-    assert lines[0] == "method,mean_seconds,ci99_seconds,overhead"
-    methods = [l.split(",")[0] for l in lines[1:]]
-    assert methods == ["baseline", "xood-m", "xood-l"]
-    assert lines[1].split(",")[3] == "0%"
-    for line in lines[1:]:
-        assert float(line.split(",")[1]) > 0.0
-
-
 def test_config_file_defaults_cli_overrides(ws, tmp_path):
     root, run = ws
     cfg = tmp_path / "train.cfg"
@@ -303,7 +286,6 @@ _GEN = ("gen", "--kind", "blobs", "--count", 5, "--images-out", "{out}")
 _TRAIN = ("train", *_LABELED, "--out", "{out}")
 _FIT_M = ("fit-m", *_MODEL, *_LABELED, "--out", "{out}")
 _FIT_L = ("fit-l", *_MODEL, *_LABELED, "--out", "{out}")
-_BENCH = ("bench", *_MODEL, "--images", "{root}/noise.xten", "--out", "{out}")
 _HIST = ("hist", *_MODEL, "--id-images", "{root}/train.xten",
          "--ood-images", "{root}/noise.xten", "--out", "{out}")
 
@@ -327,7 +309,6 @@ _HIST = ("hist", *_MODEL, "--id-images", "{root}/train.xten",
         (*_FIT_L, "--lambda-grid", "nan"),
         (*_FIT_L, "--lambda-grid", "inf"),
         (*_FIT_L, "--lambda-grid=-1"),
-        (*_BENCH, "--repeats", 1),
         (*_HIST, "--bins", -3),
         (*_HIST, "--bins", 0),
         # rules that handlers checked before argparse did
@@ -337,7 +318,7 @@ _HIST = ("hist", *_MODEL, "--id-images", "{root}/train.xten",
     ids=["gen-kind", "format", "classes-0", "classes-1", "count-below-classes",
          "epochs-negative", "learning-rate-0", "learning-rate-nan",
          "batch-size-0", "min-accuracy-nan", "reg-c-nan", "lambda-nan",
-         "lambda-inf", "lambda-negative", "repeats-1", "bins-negative",
+         "lambda-inf", "lambda-negative", "bins-negative",
          "bins-0", "side-0", "holdout-1"],
 )
 def test_unknown_choice_exits_2(ws, tmp_path, args):
@@ -425,12 +406,23 @@ def test_unknown_flag_exits_2(ws, tmp_path):
         ("fit-m", "--model", model, *labeled),
         ("fit-l", "--model", model, *labeled),
         ("score", "--model", model, "--detector", root / "mdet", "--images", images),
-        ("bench", "--model", model, "--images", images),
         ("hist", "--model", model, "--id-images", images,
          "--ood-images", root / "noise.xten"),
     ):
         assert run(*args, "--batch-size", 256, "--out", tmp_path / "x") == 2
     assert not (tmp_path / "x").exists()
+
+
+def test_readme_names_exactly_the_cli_commands(tmp_path):
+    assert set(cli._SCHEMAS) == set(cli._HANDLERS)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    prose = readme.replace("from xood import", "")
+    named = set(re.findall(r"(?<![\w-])xood ([a-z][\w-]*)", prose))
+    assert named == set(cli._SCHEMAS)
+    # a command missing from the schema table exits 2 and writes nothing
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_misfit_feature_kind_fails_before_the_forward_pass(

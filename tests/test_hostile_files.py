@@ -2,8 +2,9 @@
 a table or bundle that loads holds only finite numbers.
 
 Every format, and every file of a saved xood-m and xood-l bundle, draws its
-own truncations and single-byte overwrites. Faults that only one byte value
-at one position reaches are pinned in ``PINNED``.
+own truncations, single-byte overwrites and swaps of two equal-length,
+non-overlapping byte spans. Faults that only one byte value at one position
+reaches are pinned in ``PINNED``.
 """
 
 import numpy as np
@@ -138,15 +139,23 @@ def load_mutated(files, root, case, mutated):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(cut=st.booleans(), data=st.data())
-def mutate_and_load(files, root, case, cut, data):
+@given(how=st.sampled_from(("cut", "overwrite", "swap")), data=st.data())
+def mutate_and_load(files, root, case, how, data):
     raw = files[case]
-    pos = data.draw(st.integers(0, len(raw) - 1), label="position")
-    if cut:
-        mutated = raw[:pos]
+    if how == "swap":
+        # the equal-length spans [a, a + n) and [b, b + n) trade places
+        n = data.draw(st.integers(1, len(raw) // 2), label="length")
+        a = data.draw(st.integers(0, len(raw) - 2 * n), label="first")
+        b = data.draw(st.integers(a + n, len(raw) - n), label="second")
+        mutated = (raw[:a] + raw[b : b + n] + raw[a + n : b]
+                   + raw[a : a + n] + raw[b + n :])
     else:
-        byte = data.draw(st.integers(0, 255), label="byte")
-        mutated = raw[:pos] + bytes([byte]) + raw[pos + 1 :]
+        pos = data.draw(st.integers(0, len(raw) - 1), label="position")
+        if how == "cut":
+            mutated = raw[:pos]
+        else:
+            byte = data.draw(st.integers(0, 255), label="byte")
+            mutated = raw[:pos] + bytes([byte]) + raw[pos + 1 :]
     load_mutated(files, root, case, mutated)
 
 
