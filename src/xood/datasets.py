@@ -79,6 +79,9 @@ def load_idx(
     magic, n, h, w = struct.unpack_from(">IIII", buf, 0)
     if magic != IDX_IMAGES_MAGIC:
         raise FormatError(f"bad IDX image magic 0x{magic:08x}", offset=0)
+    for i, d in enumerate((n, h, w)):
+        if d < 1:
+            raise FormatError(f"IDX dim {i} must be >= 1, got {d}", offset=4 + 4 * i)
     if len(buf) != 16 + n * h * w:
         raise FormatError(
             f"IDX payload is {len(buf) - 16} bytes, expected {n * h * w}",

@@ -2,9 +2,10 @@
 training rows for the supervised detector.
 
 Four families, all deterministic per seed and all clipping pixels back to
-[0, 1]. Geometric, noise, and blur draw their per-image parameters from a
-stream forked as ``seed XOR image_index``, so results do not depend on
-batch boundaries; mixup is inherently batch-level (it samples one
+[0, 1]. Geometric, noise, and blur transform ``CHUNK`` images at a time;
+image i draws its parameters from a stream forked as ``seed XOR i``, the
+chunk's streams drawing in lockstep, so results do not depend on chunk or
+batch boundaries. Mixup is inherently batch-level (it samples one
 permutation) and uses the seed directly.
 
 * geometric: horizontal flip (p 0.5), rotation U(-90, 90) degrees, zoom
@@ -38,74 +39,74 @@ GEOMETRIC_BRIGHTNESS = (0.2, 2.0)
 NOISE_VARIANCE_MAX = 2.0
 BLUR_VARIANCE = (0.2, 5.0)
 AFFINE_SCALE_RANGE = (1.0 / 8.0, 8.0)
+CHUNK = 256  # images per lockstep pass; bounds the float64 temporaries
+
+
+def _per_image(ds: Dataset, seed: int, family) -> Dataset:
+    """Run ``family(images, streams, draw)`` on ``CHUNK`` images at a time.
+    ``draw(low, high)`` gives each image, as an (n, 1, 1, 1) array, the
+    uniform that ``Stream(seed).fork(i).uniform(1, low, high)`` would."""
+    out = np.empty_like(ds.images)
+    for start in range(0, len(ds), CHUNK):
+        stop = min(start + CHUNK, len(ds))
+        streams = Stream(seed).fork(np.arange(start, stop, dtype=np.uint64)[:, None])
+        def draw(low=0.0, high=1.0):
+            return low + streams.uniform(1).reshape(-1, 1, 1, 1) * (high - low)
+        out[start:stop] = family(ds.images[start:stop], streams, draw)
+    return Dataset(out, ds.labels)
 
 
 # ---------------------------------------------------------------------------
 # geometric
 
 
-def warp_image(
-    img: np.ndarray,
-    angle_deg: float,
-    zoom: float,
-    shift_x: float,
-    shift_y: float,
-    flip: bool,
-) -> np.ndarray:
-    """Flip, rotate, zoom, then shift one (C, H, W) image about its center,
-    sampling bilinearly with zero fill outside the source."""
-    c, h, w = img.shape
+def warp_images(images: np.ndarray, angle_deg, zoom, shift_x, shift_y, flip):
+    """Flip, rotate, zoom, then shift (N, C, H, W) images about their centers,
+    sampling bilinearly with zero fill outside the source. Each parameter is
+    a scalar or an (N, 1, 1, 1) array of per-image values."""
+    n, c, h, w = images.shape
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
     # invert the forward chain: shift, then zoom, then rotation, then flip
-    x0 = (xx - cx - shift_x) / zoom
-    y0 = (yy - cy - shift_y) / zoom
-    rad = math.radians(angle_deg)
-    cos_t, sin_t = math.cos(rad), math.sin(rad)
-    xs = cos_t * x0 + sin_t * y0
-    ys = -sin_t * x0 + cos_t * y0
-    if flip:
-        xs = -xs
-    return _bilinear(img, ys + cy, xs + cx)
-
-
-def _bilinear(img: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    c, h, w = img.shape
+    px = (xx - cx - shift_x) / zoom
+    py = (yy - cy - shift_y) / zoom
+    rad = np.radians(angle_deg)
+    cos_t, sin_t = np.cos(rad), np.sin(rad)
+    xs = cos_t * px + sin_t * py
+    ys = -sin_t * px + cos_t * py + cy
+    xs = np.where(flip, -xs, xs) + cx
+    # bilinear: each corner's weight times its pixel, zero off the image
     y0 = np.floor(ys).astype(np.int64)
     x0 = np.floor(xs).astype(np.int64)
     dy = ys - y0
     dx = xs - x0
-    out = np.zeros((c,) + ys.shape, dtype=np.float64)
-    src = img.astype(np.float64)
-    corners = (
-        (y0, x0, (1.0 - dy) * (1.0 - dx)),
-        (y0, x0 + 1, (1.0 - dy) * dx),
-        (y0 + 1, x0, dy * (1.0 - dx)),
-        (y0 + 1, x0 + 1, dy * dx),
-    )
-    for yi, xi, weight in corners:
+    src = images.reshape(n, c, h * w)
+    out = np.zeros((n, c, h * w), dtype=np.float64)
+    for yi, xi, weight in (
+        (y0, x0, (1.0 - dy) * (1.0 - dx)), (y0, x0 + 1, (1.0 - dy) * dx),
+        (y0 + 1, x0, dy * (1.0 - dx)), (y0 + 1, x0 + 1, dy * dx),
+    ):
         valid = (yi >= 0) & (yi < h) & (xi >= 0) & (xi < w)
-        yc = np.clip(yi, 0, h - 1)
-        xc = np.clip(xi, 0, w - 1)
-        out += (weight * valid) * src[:, yc, xc]
-    return out.astype(np.float32)
+        flat = np.clip(yi, 0, h - 1) * w + np.clip(xi, 0, w - 1)
+        picked = np.take_along_axis(src, flat.reshape(-1, 1, h * w), axis=2)
+        out += (weight * valid).reshape(-1, 1, h * w) * picked
+    return out.reshape(n, c, h, w).astype(np.float32)
+
+
+def _geometric(images: np.ndarray, streams: Stream, draw) -> np.ndarray:
+    h, w = images.shape[2:]
+    flip = draw() < 0.5
+    angle = draw(-GEOMETRIC_ROTATION_DEG, GEOMETRIC_ROTATION_DEG)
+    zoom = draw(*GEOMETRIC_ZOOM)
+    shift_x = draw(-GEOMETRIC_SHIFT_FRAC, GEOMETRIC_SHIFT_FRAC) * w
+    shift_y = draw(-GEOMETRIC_SHIFT_FRAC, GEOMETRIC_SHIFT_FRAC) * h
+    brightness = draw(*GEOMETRIC_BRIGHTNESS)
+    warped = warp_images(images, angle, zoom, shift_x, shift_y, flip)
+    return np.clip(warped * brightness, 0.0, 1.0)
 
 
 def distort_geometric(ds: Dataset, seed: int) -> Dataset:
-    base = Stream(seed)
-    out = np.empty_like(ds.images)
-    h, w = ds.images.shape[2], ds.images.shape[3]
-    for i in range(len(ds)):
-        stream = base.fork(i)
-        flip = bool(stream.bernoulli(1, 0.5)[0])
-        angle = stream.uniform(1, -GEOMETRIC_ROTATION_DEG, GEOMETRIC_ROTATION_DEG)[0]
-        zoom = stream.uniform(1, *GEOMETRIC_ZOOM)[0]
-        shift_x = stream.uniform(1, -GEOMETRIC_SHIFT_FRAC, GEOMETRIC_SHIFT_FRAC)[0] * w
-        shift_y = stream.uniform(1, -GEOMETRIC_SHIFT_FRAC, GEOMETRIC_SHIFT_FRAC)[0] * h
-        brightness = stream.uniform(1, *GEOMETRIC_BRIGHTNESS)[0]
-        warped = warp_image(ds.images[i], angle, zoom, shift_x, shift_y, flip)
-        out[i] = np.clip(warped.astype(np.float64) * brightness, 0.0, 1.0)
-    return Dataset(out, ds.labels)
+    return _per_image(ds, seed, _geometric)
 
 
 # ---------------------------------------------------------------------------
@@ -130,43 +131,28 @@ def distort_mixup(ds: Dataset, seed: int) -> Dataset:
 # ---------------------------------------------------------------------------
 # pixel affine shared by the noise and blur families
 
+# libm's exp: numpy's SIMD exp differs from it in the last bit for some
+# arguments, and each scale stays bit-equal to a scalar draw's
+_exp = np.vectorize(math.exp, otypes=[np.float64])
 
-def affine_offset_bounds(a: float) -> tuple[float, float]:
-    """Offset range for pixel scale ``a``: U(min(0, 1-a), max(0, 1-a))."""
-    return min(0.0, 1.0 - a), max(0.0, 1.0 - a)
 
-
-def sample_pixel_affine(stream: Stream) -> tuple[float, float]:
-    """Draw (a, b): a log-uniform on [1/8, 8], b uniform on the offset range."""
-    lo, hi = math.log(AFFINE_SCALE_RANGE[0]), math.log(AFFINE_SCALE_RANGE[1])
-    a = math.exp(stream.uniform(1, lo, hi)[0])
-    b = stream.uniform(1, *affine_offset_bounds(a))[0]
+def pixel_affine(draw) -> tuple[np.ndarray, np.ndarray]:
+    """Draw (a, b): a log-uniform on [1/8, 8], b ~ U(min(0, 1-a), max(0, 1-a))."""
+    a = _exp(draw(*map(math.log, AFFINE_SCALE_RANGE)))
+    b = draw(np.minimum(0.0, 1.0 - a), np.maximum(0.0, 1.0 - a))
     return a, b
 
 
-def apply_pixel_affine(img: np.ndarray, a: float, b: float) -> np.ndarray:
-    return np.clip(img.astype(np.float64) * a + b, 0.0, 1.0).astype(np.float32)
-
-
-def noise_affine_image(
-    img: np.ndarray, variance: float, a: float, b: float, stream: Stream
-) -> np.ndarray:
+def _noise_affine(images: np.ndarray, streams: Stream, draw) -> np.ndarray:
     """Additive N(0, variance) pixel noise followed by the pixel affine."""
-    noisy = img.astype(np.float64) + stream.normal(
-        img.size, std=math.sqrt(variance)
-    ).reshape(img.shape)
-    return np.clip(noisy * a + b, 0.0, 1.0).astype(np.float32)
+    variance = draw(0.0, NOISE_VARIANCE_MAX)
+    a, b = pixel_affine(draw)
+    noise = streams.normal(images[0].size, std=np.sqrt(variance).reshape(-1, 1))
+    return np.clip((images + noise.reshape(images.shape)) * a + b, 0.0, 1.0)
 
 
 def distort_noise_affine(ds: Dataset, seed: int) -> Dataset:
-    base = Stream(seed)
-    out = np.empty_like(ds.images)
-    for i in range(len(ds)):
-        stream = base.fork(i)
-        variance = stream.uniform(1, 0.0, NOISE_VARIANCE_MAX)[0]
-        a, b = sample_pixel_affine(stream)
-        out[i] = noise_affine_image(ds.images[i], variance, a, b, stream)
-    return Dataset(out, ds.labels)
+    return _per_image(ds, seed, _noise_affine)
 
 
 # ---------------------------------------------------------------------------
@@ -183,40 +169,38 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
     return kernel / kernel.sum()
 
 
-def blur_image(img: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable Gaussian blur of (C, H, W) with reflected boundaries."""
-    kernel = gaussian_kernel(sigma)
-    radius = (kernel.shape[0] - 1) // 2
-    c, h, w = img.shape
-    if radius >= h or radius >= w:
-        raise ContractError(
-            f"blur radius {radius} too large for a {h}x{w} image"
-        )
-    work = img.astype(np.float64)
-    padded = np.pad(work, ((0, 0), (radius, radius), (0, 0)), mode="reflect")
-    rows = np.zeros_like(work)
-    for k, tap in enumerate(kernel):
-        rows += tap * padded[:, k : k + h, :]
-    padded = np.pad(rows, ((0, 0), (0, 0), (radius, radius)), mode="reflect")
-    cols = np.zeros_like(work)
-    for k, tap in enumerate(kernel):
-        cols += tap * padded[:, :, k : k + w]
-    return cols.astype(np.float32)
+def blur_images(images: np.ndarray, sigmas) -> np.ndarray:
+    """Separable Gaussian blur of (N, C, H, W) images with reflected
+    boundaries, image i with standard deviation ``sigmas[i]``. Images are
+    blurred in groups of one kernel radius, each with its own taps."""
+    sigmas = np.asarray(sigmas, dtype=np.float64).reshape(-1)
+    radii = np.ceil(3.0 * sigmas).astype(np.int64)
+    h, w = images.shape[2:]
+    out = np.empty(images.shape, dtype=np.float32)
+    for radius in np.unique(radii):
+        members = np.flatnonzero(radii == radius)
+        taps = np.stack([gaussian_kernel(s) for s in sigmas[members]])
+        if radius >= h or radius >= w:
+            raise ContractError(f"blur radius {radius} too large for a {h}x{w} image")
+        work = images[members].astype(np.float64)
+        for _ in range(2):  # along the rows, then along the transposed columns
+            padded = np.pad(work, ((0, 0), (0, 0), (radius, radius), (0, 0)), "reflect")
+            acc = np.zeros_like(work)
+            for k, tap in enumerate(taps.T):
+                acc += tap[:, None, None, None] * padded[:, :, k : k + work.shape[2]]
+            work = acc.swapaxes(2, 3)
+        out[members] = work
+    return out
 
 
-def blur_affine_image(img: np.ndarray, variance: float, a: float, b: float) -> np.ndarray:
-    return apply_pixel_affine(blur_image(img, math.sqrt(variance)), a, b)
+def _blur_affine(images: np.ndarray, streams: Stream, draw) -> np.ndarray:
+    variance = draw(*BLUR_VARIANCE)
+    a, b = pixel_affine(draw)
+    return np.clip(blur_images(images, np.sqrt(variance)) * a + b, 0.0, 1.0)
 
 
 def distort_blur_affine(ds: Dataset, seed: int) -> Dataset:
-    base = Stream(seed)
-    out = np.empty_like(ds.images)
-    for i in range(len(ds)):
-        stream = base.fork(i)
-        variance = stream.uniform(1, *BLUR_VARIANCE)[0]
-        a, b = sample_pixel_affine(stream)
-        out[i] = blur_affine_image(ds.images[i], variance, a, b)
-    return Dataset(out, ds.labels)
+    return _per_image(ds, seed, _blur_affine)
 
 
 # Order matters: it fixes the fold layout of the supervised detector's

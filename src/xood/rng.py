@@ -9,8 +9,8 @@ the values seen by an existing one.
 Streams are counter-based SplitMix64 generators: the k-th output word is
 ``mix64(seed + (k+1) * GOLDEN)``.  That makes bulk generation a single
 vectorized uint64 expression, keeps results identical across platforms
-(no libm or BLAS involvement), and lets a per-item stream be forked as
-``seed XOR item_index``.
+(no libm or BLAS involvement), and lets per-item streams be forked as
+``seed XOR item_index``, one at a time or many in lockstep.
 """
 
 from __future__ import annotations
@@ -67,8 +67,10 @@ class Stream:
         self._seed = seed & _MASK64
         self._count = 0
 
-    def fork(self, index: int) -> "Stream":
-        """Independent per-item stream, derived as ``seed XOR index``."""
+    def fork(self, index: int | np.ndarray) -> "Stream":
+        """Independent per-item stream, derived as ``seed XOR index``. An
+        (n, 1) uint64 ``index`` forks n streams that share one counter: each
+        draw gains a leading axis, and its row i is ``fork(index[i, 0])``'s."""
         return Stream(self._seed ^ (index & _MASK64))
 
     def words(self, n: int) -> np.ndarray:
@@ -93,10 +95,10 @@ class Stream:
         u2 = (self.words(pairs) >> np.uint64(11)).astype(np.float64) * _U53
         radius = np.sqrt(-2.0 * np.log(u1))
         theta = (2.0 * math.pi) * u2
-        out = np.empty(2 * pairs)
-        out[0::2] = radius * np.cos(theta)
-        out[1::2] = radius * np.sin(theta)
-        return mean + std * out[:n]
+        out = np.empty(u1.shape[:-1] + (2 * pairs,))
+        out[..., 0::2] = radius * np.cos(theta)
+        out[..., 1::2] = radius * np.sin(theta)
+        return mean + std * out[..., :n]
 
     def integers(self, n: int, bound: int) -> np.ndarray:
         """``n`` int64 values uniform on [0, bound).

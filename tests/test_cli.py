@@ -1,4 +1,5 @@
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -379,6 +380,22 @@ def test_unreadable_inputs_are_data_errors(ws, tmp_path):
         "eval", "--id-scores", root / "id_scores.csv",
         "--ood-scores", tmp_path / "bad.csv", "--out", tmp_path / "m.csv",
     ) == 3
+
+
+@pytest.mark.parametrize("command", ["score", "extract", "hist"])
+def test_empty_idx_image_file_is_data_error(ws, tmp_path, command):
+    # a well-formed IDX image header that declares zero images
+    root, run = ws
+    empty = tmp_path / "empty.idx"
+    empty.write_bytes(struct.pack(">IIII", 0x00000803, 0, 16, 16))
+    args = {
+        "score": ("--detector", root / "mdet", "--images", empty),
+        "extract": ("--images", empty),
+        "hist": ("--id-images", empty, "--ood-images", root / "noise.xten"),
+    }[command]
+    out = tmp_path / "out"
+    assert run(command, "--model", root / "model.xnet", *args, "--out", out) == 3
+    assert not out.exists()
 
 
 def test_accuracy_floor_is_numerical_error(ws, tmp_path):

@@ -67,6 +67,11 @@ def test_idx_error_reporting(tmp_path):
     p.write_bytes(struct.pack(">IIII", 0x00000803, 1, 2, 2) + b"\x00" * 3)
     with pytest.raises(FormatError, match="payload is 3 bytes, expected 4"):
         load_idx(p)
+    for dims, index in (((0, 2, 2), 0), ((1, 2, 0), 2)):
+        p.write_bytes(struct.pack(">IIII", 0x00000803, *dims))
+        with pytest.raises(FormatError, match=f"IDX dim {index} must be >= 1") as err:
+            load_idx(p)
+        assert err.value.offset == 4 + 4 * index
 
     im = tmp_path / "im.idx"
     write_idx_images(im, np.zeros((2, 2, 2), np.uint8))

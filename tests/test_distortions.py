@@ -1,27 +1,55 @@
+import math
+
 import numpy as np
 import pytest
 
 from xood.datasets import Dataset, make_blobs
 from xood.distortions import (
+    AFFINE_SCALE_RANGE,
+    BLUR_VARIANCE,
+    CHUNK,
     DISTORTION_FAMILIES,
-    affine_offset_bounds,
-    apply_pixel_affine,
-    blur_image,
+    GEOMETRIC_BRIGHTNESS,
+    GEOMETRIC_ROTATION_DEG,
+    GEOMETRIC_SHIFT_FRAC,
+    GEOMETRIC_ZOOM,
+    NOISE_VARIANCE_MAX,
+    _noise_affine,
+    blur_images,
     distort_blur_affine,
     distort_geometric,
     distort_mixup,
     distort_noise_affine,
     gaussian_kernel,
-    noise_affine_image,
-    warp_image,
+    pixel_affine,
+    warp_images,
 )
 from xood.errors import ContractError
 from xood.rng import Stream
+
+PER_IMAGE = (distort_geometric, distort_noise_affine, distort_blur_affine)
 
 
 @pytest.fixture(scope="module")
 def blobs():
     return make_blobs(24, 4, 16, seed=13)
+
+
+@pytest.fixture(scope="module")
+def many():
+    """More images than one chunk, the second chunk only partly full."""
+    return make_blobs(CHUNK + 44, 4, 16, seed=17)
+
+
+def draws(*values):
+    """A stand-in for the per-chunk ``draw`` that returns ``values`` in turn."""
+    values = iter(values)
+    return lambda low=0.0, high=1.0: next(values)
+
+
+def pixel_affine_only(img, a, b):
+    # zero-variance noise leaves the pixel affine x <- a*x + b alone
+    return _noise_affine(img[None], Stream(0), draws(0.0, math.log(a), b))[0]
 
 
 def test_all_families_deterministic_and_in_range(blobs):
@@ -38,15 +66,15 @@ def test_all_families_deterministic_and_in_range(blobs):
 
 def test_geometric_identity_parameters():
     img = make_blobs(2, 2, 12, seed=3).images[0]
-    out = warp_image(img, angle_deg=0.0, zoom=1.0, shift_x=0.0, shift_y=0.0,
-                     flip=False)
+    out = warp_images(img[None], angle_deg=0.0, zoom=1.0, shift_x=0.0, shift_y=0.0,
+                      flip=False)[0]
     np.testing.assert_allclose(out, img, atol=1e-6)
 
 
 def test_geometric_flip_is_horizontal_mirror():
     img = np.zeros((1, 4, 4), np.float32)
     img[0, 1, 0] = 1.0
-    out = warp_image(img, 0.0, 1.0, 0.0, 0.0, flip=True)
+    out = warp_images(img[None], 0.0, 1.0, 0.0, 0.0, flip=True)[0]
     want = img[:, :, ::-1]
     np.testing.assert_allclose(out, want, atol=1e-6)
 
@@ -54,7 +82,7 @@ def test_geometric_flip_is_horizontal_mirror():
 def test_geometric_integer_shift_translates():
     img = np.zeros((1, 6, 6), np.float32)
     img[0, 2, 2] = 1.0
-    out = warp_image(img, 0.0, 1.0, shift_x=2.0, shift_y=1.0, flip=False)
+    out = warp_images(img[None], 0.0, 1.0, shift_x=2.0, shift_y=1.0, flip=False)[0]
     want = np.zeros_like(img)
     want[0, 3, 4] = 1.0
     np.testing.assert_allclose(out, want, atol=1e-6)
@@ -63,8 +91,8 @@ def test_geometric_integer_shift_translates():
 def test_geometric_rotation_quarter_turn():
     img = np.zeros((1, 5, 5), np.float32)
     img[0, 2, 4] = 1.0  # point east of center
-    out = warp_image(img, angle_deg=90.0, zoom=1.0, shift_x=0.0, shift_y=0.0,
-                     flip=False)
+    out = warp_images(img[None], angle_deg=90.0, zoom=1.0, shift_x=0.0, shift_y=0.0,
+                      flip=False)[0]
     # rotating the image by +90 deg carries east to one of the vertical
     # neighbors; accept either sign convention but demand an exact pixel
     hits = np.argwhere(out[0] > 0.9)
@@ -75,15 +103,15 @@ def test_geometric_rotation_quarter_turn():
 def test_geometric_zoom_spreads_mass():
     img = np.zeros((1, 9, 9), np.float32)
     img[0, 4, 4] = 1.0
-    grown = warp_image(img, 0.0, 1.1, 0.0, 0.0, False)
+    grown = warp_images(img[None], 0.0, 1.1, 0.0, 0.0, False)[0]
     assert grown[0, 4, 4] == pytest.approx(1.0, abs=1e-6)  # center fixed
-    shrunk = warp_image(img, 0.0, 0.9, 0.0, 0.0, False)
+    shrunk = warp_images(img[None], 0.0, 0.9, 0.0, 0.0, False)[0]
     assert shrunk[0, 4, 4] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_geometric_fill_is_zero(blobs):
     img = np.ones((1, 8, 8), np.float32)
-    out = warp_image(img, 0.0, 1.0, shift_x=4.0, shift_y=0.0, flip=False)
+    out = warp_images(img[None], 0.0, 1.0, shift_x=4.0, shift_y=0.0, flip=False)[0]
     assert float(out[0, :, :4].max()) == 0.0  # vacated half is zero-filled
     assert float(out[0, :, 4:].min()) == pytest.approx(1.0, abs=1e-6)
 
@@ -126,30 +154,37 @@ def test_mixup_label_follows_dominant_weight():
 
 
 def test_affine_offset_bounds_hand_values():
-    assert affine_offset_bounds(2.0) == (-1.0, 0.0)
-    assert affine_offset_bounds(0.5) == (0.0, 0.5)
-    assert affine_offset_bounds(1.0) == (0.0, 0.0)
+    # the offset b is drawn from the range its scale a gives it
+    for a, bounds in ((2.0, (-1.0, 0.0)), (0.5, (0.0, 0.5)), (1.0, (0.0, 0.0))):
+        ranges = []
+
+        def draw(low, high):
+            ranges.append((low, high))
+            return math.log(a) if len(ranges) == 1 else low
+
+        assert pixel_affine(draw) == (a, bounds[0])
+        assert ranges[1] == bounds
 
 
 def test_pixel_affine_identity_and_clip():
     img = np.linspace(0, 1, 16, dtype=np.float32).reshape(1, 4, 4)
-    np.testing.assert_array_equal(apply_pixel_affine(img, 1.0, 0.0), img)
-    out = apply_pixel_affine(img, 8.0, 0.0)
+    np.testing.assert_array_equal(pixel_affine_only(img, 1.0, 0.0), img)
+    out = pixel_affine_only(img, 8.0, 0.0)
     assert float(out.max()) == 1.0  # clipped
-    out = apply_pixel_affine(img, 1.0, -0.5)
+    out = pixel_affine_only(img, 1.0, -0.5)
     assert float(out.min()) == 0.0
 
 
 def test_noise_zero_variance_identity():
     img = np.linspace(0, 1, 36, dtype=np.float32).reshape(1, 6, 6)
-    out = noise_affine_image(img, 0.0, 1.0, 0.0, Stream(3))
+    out = _noise_affine(img[None], Stream(3), draws(0.0, 0.0, 0.0))[0]
     np.testing.assert_allclose(out, img, atol=1e-7)
 
 
 def test_noise_variance_scales_spread(blobs):
     img = np.full((1, 32, 32), 0.5, np.float32)
-    lo = noise_affine_image(img, 0.01, 1.0, 0.0, Stream(4))
-    hi = noise_affine_image(img, 1.0, 1.0, 0.0, Stream(4))
+    lo = _noise_affine(img[None], Stream(4), draws(0.01, 0.0, 0.0))
+    hi = _noise_affine(img[None], Stream(4), draws(1.0, 0.0, 0.0))
     assert float(hi.std()) > 3.0 * float(lo.std())
 
 
@@ -167,7 +202,7 @@ def test_blur_matches_direct_2d_convolution():
     img = np.zeros((1, 15, 15), np.float32)
     img[0, 7, 7] = 1.0
     sigma = 1.2
-    out = blur_image(img, sigma)
+    out = blur_images(img[None], [sigma])[0]
     # direct 2-D Gaussian evaluated on the grid; far from edges the
     # reflected padding contributes nothing
     k = gaussian_kernel(sigma)
@@ -181,7 +216,7 @@ def test_blur_matches_direct_2d_convolution():
 
 def test_blur_constant_image_invariant():
     img = np.full((2, 10, 10), 0.37, np.float32)
-    out = blur_image(img, 1.7)
+    out = blur_images(img[None], [1.7])[0]
     np.testing.assert_allclose(out, img, atol=1e-6)
 
 
@@ -191,19 +226,79 @@ def test_blur_reduces_high_frequency_energy(blobs):
         return float(np.abs(np.diff(images, axis=3)).mean())
     # affine rescale can amplify values, so compare per-image normalized TV
     raw = blobs.images
-    assert tv(blur_image(raw[0], 1.5)[None]) < tv(raw[:1])
+    assert tv(blur_images(raw[:1], [1.5])) < tv(raw[:1])
     assert out.images.shape == raw.shape
 
 
-def test_family_results_do_not_depend_on_batch_boundaries(blobs):
-    # distorting a subset must reproduce the same images when the per-image
-    # streams are forked from the same seed and absolute index
-    whole = distort_noise_affine(blobs, seed=55)
-    head = distort_noise_affine(blobs.subset(np.arange(5)), seed=55)
-    np.testing.assert_array_equal(whole.images[:5], head.images)
+def test_family_results_do_not_depend_on_batch_boundaries(many):
+    # distorting a prefix must reproduce the same images when the per-image
+    # streams are forked from the same seed and absolute index, also when
+    # the prefix ends its last chunk early
+    for family in PER_IMAGE:
+        whole = family(many, seed=55)
+        for stop in (5, CHUNK + 5):
+            head = family(many.subset(np.arange(stop)), seed=55)
+            np.testing.assert_array_equal(whole.images[:stop], head.images)
+
+
+def scalar_pixel_affine(stream):
+    a = math.exp(stream.uniform(1, *map(math.log, AFFINE_SCALE_RANGE))[0])
+    return a, stream.uniform(1, min(0.0, 1.0 - a), max(0.0, 1.0 - a))[0]
+
+
+def one_image(family, img, stream):
+    """``family`` applied to one (C, H, W) image with scalar draws from
+    ``stream``, in the order the family draws them."""
+    if family is distort_geometric:
+        h, w = img.shape[1:]
+        turn, frac = GEOMETRIC_ROTATION_DEG, GEOMETRIC_SHIFT_FRAC
+        flip = bool(stream.bernoulli(1, 0.5)[0])
+        angle = stream.uniform(1, -turn, turn)[0]
+        zoom = stream.uniform(1, *GEOMETRIC_ZOOM)[0]
+        shift_x = stream.uniform(1, -frac, frac)[0] * w
+        shift_y = stream.uniform(1, -frac, frac)[0] * h
+        brightness = stream.uniform(1, *GEOMETRIC_BRIGHTNESS)[0]
+        warped = warp_images(img[None], angle, zoom, shift_x, shift_y, flip)[0]
+        return np.clip(warped.astype(np.float64) * brightness, 0.0, 1.0)
+    if family is distort_noise_affine:
+        variance = stream.uniform(1, 0.0, NOISE_VARIANCE_MAX)[0]
+        a, b = scalar_pixel_affine(stream)
+        noise = stream.normal(img.size, std=math.sqrt(variance)).reshape(img.shape)
+        return np.clip((img.astype(np.float64) + noise) * a + b, 0.0, 1.0)
+    variance = stream.uniform(1, *BLUR_VARIANCE)[0]
+    a, b = scalar_pixel_affine(stream)
+    blurred = blur_images(img[None], [math.sqrt(variance)])[0]
+    return np.clip(blurred.astype(np.float64) * a + b, 0.0, 1.0)
+
+
+def test_pixel_affine_in_lockstep_equals_scalar_draws():
+    # every image's (a, b) is bit-equal to its own scalar draw, not just close
+    streams = Stream(9).fork(np.arange(CHUNK, dtype=np.uint64)[:, None])
+    a, b = pixel_affine(lambda low, high: low + streams.uniform(1) * (high - low))
+    for i in range(CHUNK):
+        assert (a[i, 0], b[i, 0]) == scalar_pixel_affine(Stream(9).fork(i)), i
+
+
+@pytest.mark.parametrize("family", PER_IMAGE, ids=lambda f: f.__name__)
+def test_family_matches_one_image_at_a_time_at_chunk_edges(many, family):
+    # image i of a chunked, lockstep run is bit-equal to the family's
+    # formula on image i alone with scalar draws from fork(i)
+    for seed in (5, 2**64 - 1):
+        out = family(many, seed).images
+        for i in (0, CHUNK - 1, CHUNK, len(many) - 1):
+            want = one_image(family, many.images[i], Stream(seed).fork(i))
+            assert out[i].tobytes() == want.astype(np.float32).tobytes(), (seed, i)
+
+
+def test_families_map_no_images_to_no_images():
+    empty = Dataset(np.zeros((0, 1, 16, 16), np.float32), np.zeros(0, np.int64))
+    for name, family in DISTORTION_FAMILIES.items():
+        out = family(empty, seed=3)
+        assert out.images.shape == empty.images.shape, name
+        assert out.labels.shape == (0,), name
 
 
 def test_blur_rejects_overlarge_radius():
     img = np.zeros((1, 4, 4), np.float32)
     with pytest.raises(ContractError, match="radius"):
-        blur_image(img, 3.0)
+        blur_images(img[None], [3.0])

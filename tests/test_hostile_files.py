@@ -159,7 +159,7 @@ def mutate_and_load(files, root, case, how, data):
     load_mutated(files, root, case, mutated)
 
 
-def test_truncated_or_overwritten_file_loads_or_raises_format_error(originals):
+def test_mutated_file_loads_or_raises_format_error(originals):
     files, root = originals
     for case in sorted(files):
         mutate_and_load(files, root, case)

@@ -118,3 +118,34 @@ def test_mix64_avalanche():
     for bit in range(0, 64, 7):
         flips.append(bin(mix64(1234567) ^ mix64(1234567 ^ (1 << bit))).count("1"))
     assert min(flips) > 10 and max(flips) < 54
+
+
+LOCKSTEP_INDICES = np.array(
+    [0, 1, 7, (1 << 32) - 1, 1 << 32, (1 << 32) + 1, 1 << 63, MASK], dtype=np.uint64
+)
+
+
+@pytest.mark.parametrize("seed", [0, MASK])
+def test_lockstep_fork_rows_equal_single_forks(seed):
+    # one counter for all rows: each draw below must line up with the same
+    # sequence of calls on the single stream fork(i)
+    lockstep = Stream(seed).fork(LOCKSTEP_INDICES[:, None])
+    draws = [
+        lockstep.words(5),
+        lockstep.uniform(4, -2.0, 5.0),
+        lockstep.normal(7, mean=1.5, std=2.0),
+        lockstep.normal(6),
+        lockstep.uniform(3),
+    ]
+    for row, index in enumerate(LOCKSTEP_INDICES):
+        single = Stream(seed).fork(int(index))
+        want = [
+            single.words(5),
+            single.uniform(4, -2.0, 5.0),
+            single.normal(7, mean=1.5, std=2.0),
+            single.normal(6),
+            single.uniform(3),
+        ]
+        for got, expected in zip(draws, want):
+            assert got.shape == (len(LOCKSTEP_INDICES),) + expected.shape
+            assert got[row].tobytes() == expected.tobytes()
