@@ -41,6 +41,12 @@ BLUR_VARIANCE = (0.2, 5.0)
 AFFINE_SCALE_RANGE = (1.0 / 8.0, 8.0)
 CHUNK = 256  # images per lockstep pass; bounds the float64 temporaries
 
+# Per-image parameters go through libm, as a scalar draw's do: numpy's SIMD
+# exp, cos and sin may differ from it in the last bit for some arguments.
+_exp, _cos, _sin = (
+    np.vectorize(f, otypes=[np.float64]) for f in (math.exp, math.cos, math.sin)
+)
+
 
 def _per_image(ds: Dataset, seed: int, family) -> Dataset:
     """Run ``family(images, streams, draw)`` on ``CHUNK`` images at a time.
@@ -71,7 +77,7 @@ def warp_images(images: np.ndarray, angle_deg, zoom, shift_x, shift_y, flip):
     px = (xx - cx - shift_x) / zoom
     py = (yy - cy - shift_y) / zoom
     rad = np.radians(angle_deg)
-    cos_t, sin_t = np.cos(rad), np.sin(rad)
+    cos_t, sin_t = _cos(rad), _sin(rad)
     xs = cos_t * px + sin_t * py
     ys = -sin_t * px + cos_t * py + cy
     xs = np.where(flip, -xs, xs) + cx
@@ -131,10 +137,6 @@ def distort_mixup(ds: Dataset, seed: int) -> Dataset:
 # ---------------------------------------------------------------------------
 # pixel affine shared by the noise and blur families
 
-# libm's exp: numpy's SIMD exp differs from it in the last bit for some
-# arguments, and each scale stays bit-equal to a scalar draw's
-_exp = np.vectorize(math.exp, otypes=[np.float64])
-
 
 def pixel_affine(draw) -> tuple[np.ndarray, np.ndarray]:
     """Draw (a, b): a log-uniform on [1/8, 8], b ~ U(min(0, 1-a), max(0, 1-a))."""
@@ -173,13 +175,13 @@ def blur_images(images: np.ndarray, sigmas) -> np.ndarray:
     """Separable Gaussian blur of (N, C, H, W) images with reflected
     boundaries, image i with standard deviation ``sigmas[i]``. Images are
     blurred in groups of one kernel radius, each with its own taps."""
-    sigmas = np.asarray(sigmas, dtype=np.float64).reshape(-1)
-    radii = np.ceil(3.0 * sigmas).astype(np.int64)
+    kernels = [gaussian_kernel(s) for s in np.asarray(sigmas, np.float64).reshape(-1)]
+    radii = np.array([(len(k) - 1) // 2 for k in kernels])
     h, w = images.shape[2:]
     out = np.empty(images.shape, dtype=np.float32)
     for radius in np.unique(radii):
         members = np.flatnonzero(radii == radius)
-        taps = np.stack([gaussian_kernel(s) for s in sigmas[members]])
+        taps = np.stack([kernels[m] for m in members])
         if radius >= h or radius >= w:
             raise ContractError(f"blur radius {radius} too large for a {h}x{w} image")
         work = images[members].astype(np.float64)

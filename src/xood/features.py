@@ -78,23 +78,13 @@ def _lp_norm(p: int, sign: int = 0) -> Callable[[np.ndarray], np.ndarray]:
     return reduce
 
 
-def _extreme(ufunc: np.ufunc) -> Callable[[np.ndarray], np.ndarray]:
-    """Row-wise ``ufunc`` (np.minimum or np.maximum) of an (N, K) matrix,
-    bit for bit ``.min(axis=1)`` or ``.max(axis=1)``; ``reduceat`` over
-    the row offsets has less fixed cost per row, which narrow taps feel."""
-    return lambda flat: ufunc.reduceat(
-        flat.ravel(), np.arange(0, flat.size, flat.shape[1])
-    )
-
-
-_MIN, _MAX = _extreme(np.minimum), _extreme(np.maximum)
-
 # Per kind, the columns each layer contributes, in order: (name suffix,
 # reduction of the (N, -1) flattened tap to one value per image).
 _COLUMNS = {
-    FeatureKind.MINMAX: (("min", _MIN), ("max", _MAX)),
-    FeatureKind.MIN: (("min", _MIN),),
-    FeatureKind.MAX: (("max", _MAX),),
+    FeatureKind.MINMAX: (("min", methodcaller("min", axis=1)),
+                         ("max", methodcaller("max", axis=1))),
+    FeatureKind.MIN: (("min", methodcaller("min", axis=1)),),
+    FeatureKind.MAX: (("max", methodcaller("max", axis=1)),),
     FeatureKind.POSITIVITY: (
         ("positivity", lambda flat: (flat > 0).mean(axis=1, dtype=np.float64)),
     ),
@@ -117,41 +107,22 @@ def feature_names(kind: FeatureKind, num_layers: int) -> list[str]:
             for suffix, _ in _COLUMNS[kind]]
 
 
-def reduce_tap(
-    tap: np.ndarray,
-    kind: FeatureKind = FeatureKind.MINMAX,
-    *,
-    defer_max: bool = False,
-) -> list[np.ndarray | None]:
+def reduce_tap(tap: np.ndarray, kind: FeatureKind = FeatureKind.MINMAX) -> list[np.ndarray]:
     """Per-image scalar columns for one tap tensor of shape (N, ...).
 
     Callers that hold the tensor right after it is produced should reduce
     it immediately: the reads then stay in cache instead of waiting until
-    later layers have pushed the tap out to memory. With ``defer_max`` a
-    max column is left as None, for ``max_from_pool`` to fill in.
+    later layers have pushed the tap out to memory.
     """
     flat = tap.reshape(tap.shape[0], -1)
-    return [None if defer_max and name == "max" else reduction(flat)
-            for name, reduction in _COLUMNS[kind]]
-
-
-def max_from_pool(tap: np.ndarray, pooled: np.ndarray) -> np.ndarray:
-    """Per-image max of ``tap``, read off ``pooled``, a max-pool of
-    relu(tap) whose windows cover the whole tap: where the pooled max is
-    positive it is the tap's own, bit for bit, at a quarter of the reads
-    for 2x2 pools. Other rows (max <= 0, or NaN) are reduced from the tap."""
-    top = _MAX(pooled.reshape(pooled.shape[0], -1))
-    rest = ~(top > 0)
-    if rest.any():
-        top[rest] = _MAX(tap[rest].reshape(int(rest.sum()), -1))
-    return top
+    return [reduction(flat) for _, reduction in _COLUMNS[kind]]
 
 
 def assemble_columns(columns: list[np.ndarray]) -> np.ndarray:
     """Stack per-image scalar columns into a float32 feature matrix."""
     if not columns:
         raise ContractError("need at least one feature column")
-    return np.stack(columns, axis=1).astype(np.float32, copy=False)
+    return np.stack(columns, axis=1).astype(np.float32)
 
 
 def extract_features(

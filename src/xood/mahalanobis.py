@@ -10,10 +10,8 @@ textbook Mahalanobis distance, while C >> ||M|| collapses the score
 ordering onto plain Euclidean distance.
 
 Scoring computes D(x) = sqrt((x - mu)^T M'^-1 (x - mu)) as ||z|| with
-z = L^-1 (x - mu): the inverse of the lower Cholesky factor L is built once
-per detector, so a batch costs one matmul. M' itself is never inverted.
-Against a solve per call the distances agree to 6e-15 relative (random
-covariances, d = 6 and 64, C = 1e-3 and 10). Confidence is -D; an
+L z = x - mu, one ``np.linalg.solve`` call against the cached lower Cholesky
+factor L. The matrix is never inverted explicitly. Confidence is -D; an
 input is accepted as in-distribution when its confidence exceeds a
 threshold calibrated to the 5th percentile of held-out in-distribution
 confidences.
@@ -22,7 +20,6 @@ confidences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import ClassVar, TypeVar
 
 import numpy as np
@@ -77,11 +74,6 @@ class MDetector:
     def dim(self) -> int:
         return self.mean.shape[0]
 
-    @cached_property
-    def inverse_factor(self) -> np.ndarray:
-        """L^-1, lower triangular like L; built on first use."""
-        return np.tril(np.linalg.solve(self.factor, np.eye(self.dim)))
-
     def score(self, transformed: np.ndarray) -> np.ndarray:
         return confidence(self, transformed)
 
@@ -116,8 +108,8 @@ def mahalanobis_score(det: MDetector, features: np.ndarray) -> np.ndarray:
         raise ContractError(
             f"features shape {x.shape} does not match detector dim {det.dim}"
         )
-    z = (x - det.mean) @ det.inverse_factor.T
-    d = np.sqrt((z * z).sum(axis=1))
+    z = np.linalg.solve(det.factor, (x - det.mean).T)
+    d = np.sqrt((z * z).sum(axis=0))
     return d[0] if single else d
 
 

@@ -34,6 +34,7 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -45,7 +46,7 @@ from .errors import (
     FormatError,
     TrainingDivergedError,
 )
-from .features import FeatureKind, assemble_columns, max_from_pool, reduce_tap
+from .features import FeatureKind, assemble_columns, reduce_tap
 from .keyvalue import KeyValues, decode_utf8
 from .rng import Stream, derive_seed
 from .xten import decode_tensor, encode_tensor
@@ -181,37 +182,17 @@ class ForwardResult:
     taps: list  # r entries, one per Relu input; see forward_with_taps
 
 
-# max_from_pool has a higher fixed cost than a direct max (8.6 against
-# 3.7 us for one 8x28x28 image on a 2-vCPU x86-64); the reads it saves
-# make up for that between 1e5 and 2e5 tap values.
-_POOLED_MAX_MIN_VALUES = 1 << 17
-
-
-def _max_from_pool_pays(layers: list[LayerSpec], j: int, x: np.ndarray) -> bool:
-    """Whether layer j is a max-pool whose windows cover all of relu(x),
-    and ``x`` is large enough for reading its max off that pool to pay."""
-    if (x.size < _POOLED_MAX_MIN_VALUES or j >= len(layers)
-            or layers[j].kind is not LayerKind.MAXPOOL2D):
-        return False
-    window, stride = layers[j].window, layers[j].stride
-    return stride <= window and all(
-        (extent - window) % stride == 0 for extent in x.shape[2:]
-    )
-
-
 def forward_with_taps(
     net: Network,
     batch: np.ndarray,
-    kind: FeatureKind | None = None,
+    tap_map: Callable[[np.ndarray], object] | None = None,
 ) -> ForwardResult:
     """Run the network, recording the input of every Relu layer.
 
-    Without ``kind`` each taps entry is the raw (N, ...) tensor. With it,
-    each entry is ``reduce_tap(tensor, kind)``, reduced as soon as the
-    layer runs, while the tensor is still cache-resident instead of after
-    later layers have evicted it. The max column of a large tap whose Relu
-    output goes straight into a max-pool covering it is read off that
-    pool's output with ``max_from_pool``, bit for bit the same.
+    Without ``tap_map`` each taps entry is the raw (N, ...) tensor. With
+    it, each entry is ``tap_map(tensor)``, applied as soon as the layer
+    runs; reducing a tap there reads it while it is still cache-resident
+    instead of after later layers have evicted it.
     """
     batch = np.asarray(batch, dtype=np.float32)
     if batch.ndim != 4 or batch.shape[1:] != net.input_shape:
@@ -220,21 +201,11 @@ def forward_with_taps(
             f"(N,{','.join(map(str, net.input_shape))})"
         )
     taps: list = []
-    held = None  # the tap whose max column waits for the next layer's pool
     x = batch
-    for i, layer in enumerate(net.layers):
+    for layer in net.layers:
         if layer.kind is LayerKind.RELU:
-            if kind is None:
-                taps.append(x)
-            else:
-                defer = _max_from_pool_pays(net.layers, i + 1, x)
-                taps.append(reduce_tap(x, kind, defer_max=defer))
-                held = x if defer else None
+            taps.append(x if tap_map is None else tap_map(x))
         x = _apply_layer(layer, x)
-        if held is not None and layer.kind is LayerKind.MAXPOOL2D:
-            taps[-1] = [max_from_pool(held, x) if col is None else col
-                        for col in taps[-1]]
-            held = None
     predictions = np.argmax(x, axis=1).astype(np.int64)
     return ForwardResult(predictions, x, taps)
 
@@ -260,11 +231,19 @@ def run_network(
     """
     preds, probs, feats = [], [], []
     for start in range(0, images.shape[0], batch_size):
-        result = forward_with_taps(net, images[start : start + batch_size], kind)
+        result = forward_with_taps(
+            net,
+            images[start : start + batch_size],
+            tap_map=lambda tap: reduce_tap(tap, kind),
+        )
         preds.append(result.predictions)
         probs.append(result.probabilities)
-        feats.append(assemble_columns([col for cols in result.taps for col in cols]))
-    return NetworkOutputs(np.concatenate(preds), np.vstack(probs), np.vstack(feats))
+        feats.append(
+            assemble_columns([col for cols in result.taps for col in cols])
+        )
+    return NetworkOutputs(
+        np.concatenate(preds), np.vstack(probs), np.vstack(feats)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,10 @@ from xood.distortions import (
     GEOMETRIC_SHIFT_FRAC,
     GEOMETRIC_ZOOM,
     NOISE_VARIANCE_MAX,
+    _cos,
+    _exp,
     _noise_affine,
+    _sin,
     blur_images,
     distort_blur_affine,
     distort_geometric,
@@ -277,6 +280,13 @@ def test_pixel_affine_in_lockstep_equals_scalar_draws():
     a, b = pixel_affine(lambda low, high: low + streams.uniform(1) * (high - low))
     for i in range(CHUNK):
         assert (a[i, 0], b[i, 0]) == scalar_pixel_affine(Stream(9).fork(i)), i
+
+
+def test_lockstep_cos_sin_exp_are_libm_bit_for_bit():
+    # rotation terms and pixel scales equal math's, as scalar draws gave them
+    x = Stream(4).uniform(20000, -math.pi, math.pi)
+    for lockstep, scalar in ((_cos, math.cos), (_sin, math.sin), (_exp, math.exp)):
+        assert lockstep(x).tolist() == [scalar(v) for v in x.tolist()], scalar
 
 
 @pytest.mark.parametrize("family", PER_IMAGE, ids=lambda f: f.__name__)

@@ -15,7 +15,6 @@ from xood.features import (
     fit_power_transform,
     load_power_transform,
     read_feature_csv,
-    reduce_tap,
     save_power_transform,
     write_feature_csv,
     yeo_johnson,
@@ -61,18 +60,6 @@ def test_extract_matches_scalar_oracle():
              for i in range(4)]
         )
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
-
-
-def test_min_max_columns_are_bitwise_row_reductions():
-    # signed zeros and NaN included: the columns must be exactly what
-    # .min(axis=1) and .max(axis=1) give, not just equal under ==
-    values = np.array([-0.0, 0.0, 1.0, -1.0, np.nan, np.inf, -np.inf], np.float32)
-    for width in (1, 3, 64, 785):
-        picks = (Stream(width).uniform(37 * width) * len(values)).astype(int)
-        tap = values[picks].reshape(37, width)
-        low, high = reduce_tap(tap, FeatureKind.MINMAX)
-        assert low.tobytes() == tap.min(axis=1).tobytes()
-        assert high.tobytes() == tap.max(axis=1).tobytes()
 
 
 def test_split_l2_hand_value():

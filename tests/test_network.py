@@ -9,12 +9,10 @@ import pytest
 from xood import tensor_ops
 from xood.datasets import make_blobs
 from xood.errors import ContractError, DimensionError, FormatError
-from xood.features import FeatureKind, reduce_tap
 from xood.network import (
     LayerKind,
     LayerSpec,
     Network,
-    _POOLED_MAX_MIN_VALUES,
     TrainConfig,
     _apply_layer,
     _batch_loss_and_grad,
@@ -114,50 +112,6 @@ def test_forward_batch_invariance(toy_net):
         )
         for t_whole, t_part in zip(whole.taps, parts[i].taps):
             np.testing.assert_allclose(t_whole[i], t_part[0], atol=1e-6)
-
-
-def _pool_net(side, window, stride):
-    """conv-relu-pool-dense on (1, side, side); conv channel 0 copies the
-    image, channel 1 is the constant -1."""
-    kernel = np.zeros((2, 1, 3, 3), np.float32)
-    kernel[0, 0, 1, 1] = 1.0
-    out = (side - window) // stride + 1
-    layers = [
-        LayerSpec(LayerKind.CONV2D, weight=kernel,
-                  bias=np.array([0.0, -1.0], np.float32), stride=1, padding=1),
-        LayerSpec(LayerKind.RELU),
-        LayerSpec(LayerKind.MAXPOOL2D, window=window, stride=stride),
-        LayerSpec(LayerKind.FLATTEN),
-        LayerSpec(LayerKind.DENSE, weight=np.ones((2 * out * out, 3), np.float32),
-                  bias=np.zeros(3, np.float32)),
-        LayerSpec(LayerKind.SOFTMAX),
-    ]
-    return Network(layers, (1, side, side), 3)
-
-
-@pytest.mark.parametrize("side,window,stride", [(8, 2, 2), (5, 3, 2), (5, 2, 2)])
-def test_reduced_taps_are_bitwise_reductions_of_raw_taps(side, window, stride):
-    # the first two pools cover the tap, so a max column is read off the
-    # pool once the tap is large enough; the 2x2 pool on 5x5 leaves the
-    # last row and column out
-    n = _POOLED_MAX_MIN_VALUES // (2 * side * side) + 1
-    images = Stream(3).uniform(n * side * side, 0.1, 1.0).astype(np.float32)
-    images = images.reshape(n, 1, side, side)
-    images[1] *= -1  # every tap value < 0: the max must come from the tap
-    images[2, 0, -1, -1] = 5.0  # the max sits in the last row and column
-    images[3, 0, 0, 0] = np.nan
-    net = _pool_net(side, window, stride)
-    raw = forward_with_taps(net, images).taps
-    for kind in (FeatureKind.MINMAX, FeatureKind.MAX, FeatureKind.MIN,
-                 FeatureKind.SUM):
-        for batch in (4, n):  # below and above the size max_from_pool needs
-            got = forward_with_taps(net, images[:batch], kind).taps
-            want = [reduce_tap(tap[:batch], kind) for tap in raw]
-            assert [[col.tobytes() for col in cols] for cols in got] == [
-                [col.tobytes() for col in cols] for cols in want
-            ], (kind, batch)
-    top = forward_with_taps(net, images, FeatureKind.MAX).taps[0][0]
-    assert top[1] < 0 and top[2] == 5.0 and np.isnan(top[3])
 
 
 def test_forward_shape_check(toy_net):
