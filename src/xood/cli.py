@@ -420,6 +420,7 @@ def cmd_fit_l(cfg: dict) -> dict:
         "threshold": bundle.detector.threshold,
         "cv_mean_losses": cv.mean_losses.tolist(),
         "folds": cv.fold_losses.shape[1],
+        "pinned_split_columns": cv.pinned_split_columns,
     }
 
 

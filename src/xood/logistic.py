@@ -13,9 +13,11 @@ training data, then split around the in-distribution feature means:
 
 so a weight can respond differently to a feature sitting above or below
 its usual value. Split features are standardized with statistics computed
-on the full training matrix, and the ridge penalty is chosen by holding
-out one distortion family (plus the clean fold) at a time: k distortions
-give k+1 folds. Ties prefer the larger penalty.
+on the full training matrix. The detector stores the split means and those
+statistics, and scoring applies the same standardization to new features.
+The ridge penalty is chosen by holding out one distortion family (plus the
+clean fold) at a time: k distortions give k+1 folds. Ties prefer the
+larger penalty.
 
 The solver is full-batch Newton with step halving on the objective
 
@@ -76,25 +78,19 @@ def split_features(features: np.ndarray, raw_means: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class SplitScaler:
-    """Split means plus standardization statistics for the split columns."""
-
-    raw_means: np.ndarray  # (d,) column means of the in-distribution features
-    scale_means: np.ndarray  # (2d,)
-    scale_stds: np.ndarray  # (2d,)
-    flags: np.ndarray  # (2d,) bool, True where the std guard fired
-
-
 def fit_split_scaler(
     fit_features: np.ndarray, means_source: np.ndarray
-) -> tuple[SplitScaler, np.ndarray]:
-    """Build the scaler and return the standardized split fit matrix.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Fit the split point and the standardization of the split columns.
 
     ``means_source`` is the matrix of transformed features of correctly
     classified training images; its column means define the split point.
     Standardization statistics come from ``fit_features`` (the full
-    detector training matrix), not from ``means_source``.
+    detector training matrix), not from ``means_source``. Returns
+    ``(raw_means, scale_means, scale_stds, pinned, standardized)``: the
+    three tensors ``LDetector`` stores, the (2d,) flags of the split
+    columns whose std was pinned to 1, and the standardized split fit
+    matrix.
     """
     means_source = np.asarray(means_source, dtype=np.float64)
     if means_source.ndim != 2:
@@ -103,14 +99,9 @@ def fit_split_scaler(
     splitted = split_features(fit_features, raw_means)
     scale_means = splitted.mean(axis=0)
     scale_stds = splitted.std(axis=0)
-    flags = pin_constant_stds(scale_stds, "split columns")
-    scaler = SplitScaler(raw_means, scale_means, scale_stds, flags)
-    return scaler, (splitted - scale_means) / scale_stds
-
-
-def apply_split_scaler(scaler: SplitScaler, features: np.ndarray) -> np.ndarray:
-    splitted = split_features(features, scaler.raw_means)
-    return (splitted - scaler.scale_means) / scaler.scale_stds
+    pinned = pin_constant_stds(scale_stds, "split columns")
+    standardized = (splitted - scale_means) / scale_stds
+    return raw_means, scale_means, scale_stds, pinned, standardized
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +204,8 @@ class CVResult:
     lambdas: tuple[float, ...]
     fold_losses: np.ndarray  # (len(lambdas), n_folds) held-out mean losses
     mean_losses: np.ndarray  # (len(lambdas),)
+    # split columns whose std was pinned to 1; set by fit_l_detector
+    pinned_split_columns: tuple[int, ...] = ()
 
 
 def cross_validate(
@@ -294,12 +287,15 @@ def build_training_set(
 
 @dataclass
 class LDetector:
-    """Fitted logistic detector; immutable after calibration."""
+    """Fitted logistic detector; immutable after calibration. Its arrays
+    are the bundle's tensors, named after their files."""
 
     method: ClassVar[str] = "l"
 
-    scaler: SplitScaler
-    weights: np.ndarray  # (2*2d + 1,), intercept first
+    raw_means: np.ndarray  # (d,) split point: means of the in-distribution features
+    scale_means: np.ndarray  # (2d,) split-column means on the training matrix
+    scale_stds: np.ndarray  # (2d,) split-column stds, constant columns pinned to 1
+    weights: np.ndarray  # (2d + 1,), intercept first
     reg_lambda: float
     threshold: float | None = None
 
@@ -313,10 +309,13 @@ def fit_l_detector(
     grid: tuple[float, ...] = LAMBDA_GRID,
 ) -> tuple[LDetector, CVResult]:
     """Scale, cross-validate the penalty, fit on everything, calibrate."""
-    scaler, x = fit_split_scaler(training.features, means_source)
+    raw_means, scale_means, scale_stds, pinned, x = fit_split_scaler(
+        training.features, means_source
+    )
     cv = cross_validate(x, training.labels, training.fold_ids, grid)
+    cv.pinned_split_columns = tuple(np.flatnonzero(pinned).tolist())
     weights = fit_logreg(x, training.labels, cv.best_lambda)
-    det = LDetector(scaler, weights, cv.best_lambda)
+    det = LDetector(raw_means, scale_means, scale_stds, weights, cv.best_lambda)
     calibrate(det, score_l(det, training.features[training.fold_ids == 0]))
     logger.info(
         "selected lambda %g, threshold %.6f", cv.best_lambda, det.threshold
@@ -327,5 +326,5 @@ def fit_l_detector(
 def score_l(det: LDetector, features: np.ndarray) -> np.ndarray:
     """P(classifier is correct | features), in [0, 1]; higher means
     more in-distribution."""
-    x = apply_split_scaler(det.scaler, features)
+    x = (split_features(features, det.raw_means) - det.scale_means) / det.scale_stds
     return _sigmoid(det.weights[0] + x @ det.weights[1:])

@@ -120,45 +120,37 @@ def score_images(
 # ---------------------------------------------------------------------------
 # bundle persistence: the only reader and writer of a bundle directory
 
-_Format = namedtuple("_Format", "tag penalty shapes positive tensors build")
+_Format = namedtuple("_Format", "detector tag penalty shapes positive")
 
-# Per method, as bundle.txt names it: the detector.txt tag; the penalty's key
-# there, which is also the detector's attribute; each tensor file's shape for
-# feature width d; the tensor (and the view of it) whose entries must be > 0;
-# and the conversions from a detector to its tensors and back.
+# Per method, as bundle.txt names it: the detector class; the detector.txt
+# tag; the penalty's key there; each tensor file's shape for feature width d;
+# and the tensor (and the view of it) whose entries must be > 0. Tensor files
+# and the penalty key are named after the detector's fields.
 _FORMATS = {
     "m": _Format(
+        detector=mahalanobis.MDetector,
         tag="mahalanobis",
         penalty="reg_c",
         shapes=lambda d: {"mean": (d,), "factor": (d, d)},
         positive=("factor", np.diag),
-        tensors=lambda det: {"mean": det.mean, "factor": det.factor},
-        build=lambda t, **scalars: mahalanobis.MDetector(
-            t["mean"], factor=t["factor"], **scalars
-        ),
     ),
     "l": _Format(
+        detector=logistic.LDetector,
         tag="logistic",
         penalty="reg_lambda",
         shapes=lambda d: {
             "raw_means": (d,), "scale_means": (2 * d,), "scale_stds": (2 * d,),
-            "scale_flags": (2 * d,), "weights": (2 * d + 1,),
+            "weights": (2 * d + 1,),
         },
         positive=("scale_stds", np.ravel),
-        tensors=lambda det: {
-            "raw_means": det.scaler.raw_means, "scale_means": det.scaler.scale_means,
-            "scale_stds": det.scaler.scale_stds, "scale_flags": det.scaler.flags,
-            "weights": det.weights,
-        },
-        build=lambda t, **scalars: logistic.LDetector(
-            logistic.SplitScaler(
-                t["raw_means"], t["scale_means"], t["scale_stds"], t["scale_flags"] != 0
-            ),
-            t["weights"],
-            **scalars,
-        ),
     ),
 }
+
+
+def _required(path: Path) -> Path:
+    if not path.is_file():
+        raise FormatError(f"{path} is missing")
+    return path
 
 
 def save_bundle(bundle: DetectorBundle, directory: str | Path) -> None:
@@ -175,15 +167,16 @@ def save_bundle(bundle: DetectorBundle, directory: str | Path) -> None:
         f"detector={fmt.tag}\ndim={bundle.transform.dim}\n"
         f"{fmt.penalty}={float(getattr(det, fmt.penalty))!r}\nthreshold={threshold}\n"
     )
-    for name, values in fmt.tensors(det).items():
-        write_tensor(directory / f"{name}.xten", values.astype(np.float64))
+    for name in fmt.shapes(bundle.transform.dim):
+        write_tensor(directory / f"{name}.xten", getattr(det, name).astype(np.float64))
 
 
 def load_bundle(directory: str | Path) -> DetectorBundle:
     """Read a saved bundle, checking every value: ``dim`` is the power
     transform's width and the tensor shapes follow it, every number is
-    finite and the penalty >= 0. Other files, such as the ``cov.xten`` of
-    older versions, are ignored."""
+    finite and the penalty >= 0. A missing file is a ``FormatError``.
+    Other files, such as the ``cov.xten`` (xood-m) and ``scale_flags.xten``
+    (xood-l) of older versions, are ignored."""
     directory = Path(directory)
     manifest = directory / "bundle.txt"
     if not manifest.is_file():
@@ -194,8 +187,8 @@ def load_bundle(directory: str | Path) -> DetectorBundle:
         raise FormatError(f"unknown detector method {method!r} in {manifest}")
     fmt = _FORMATS[method]
     kind = entries.get("feature_kind", FeatureKind)
-    pt = load_power_transform(directory / "power_transform.txt")
-    manifest = directory / "detector.txt"
+    pt = load_power_transform(_required(directory / "power_transform.txt"))
+    manifest = _required(directory / "detector.txt")
     entries = read_key_values(manifest)
     if entries.get("detector") != fmt.tag:
         raise FormatError(f"{manifest} does not hold a {fmt.tag} detector")
@@ -208,7 +201,7 @@ def load_bundle(directory: str | Path) -> DetectorBundle:
     tensors = {}
     for name, shape in fmt.shapes(dim).items():
         path = directory / f"{name}.xten"
-        tensors[name] = values = read_tensor(path).astype(np.float64)
+        tensors[name] = values = read_tensor(_required(path)).astype(np.float64)
         if values.shape != shape:
             raise FormatError(f"{path} has shape {values.shape}, expected {shape}")
         if not np.isfinite(values).all():
@@ -217,5 +210,5 @@ def load_bundle(directory: str | Path) -> DetectorBundle:
     if not (view(tensors[name]) > 0).all():
         raise FormatError(f"{directory / name}.xten has an entry <= 0")
     threshold = entries.get("threshold", optional_float)
-    detector = fmt.build(tensors, threshold=threshold, **{fmt.penalty: penalty})
+    detector = fmt.detector(**tensors, threshold=threshold, **{fmt.penalty: penalty})
     return DetectorBundle(kind, pt, detector)

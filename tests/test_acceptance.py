@@ -27,7 +27,6 @@ from xood.features import (
 )
 from xood.logistic import (
     LDetector,
-    SplitScaler,
     build_training_set,
     fit_logreg,
     logreg_gradient,
@@ -434,10 +433,7 @@ def test_criterion_10_overhead_and_scaling(depot):
         for i, d in enumerate(widths):
             x = rng.uniform(rows * d).reshape(rows, d)
             det = LDetector(
-                SplitScaler(
-                    np.zeros(d), np.zeros(2 * d), np.ones(2 * d),
-                    np.zeros(2 * d, bool),
-                ),
+                np.zeros(d), np.zeros(2 * d), np.ones(2 * d),
                 rng.uniform(2 * d + 1, -0.5, 0.5),
                 1.0,
             )

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from xood import cli, pipeline
+from xood import cli, logistic, pipeline
 from xood.cli import main, read_scores_csv
 from xood.features import read_feature_csv
 from xood.network import load_network, save_network
@@ -135,6 +135,26 @@ def test_fit_manifests_record_derived_stats(ws):
     l = manifest(root / "ldet" / "run.manifest")
     assert float(l["selected_lambda"]) in (0.01, 1.0)
     assert l["folds"] == "5"
+    assert l["pinned_split_columns"] == ""
+
+
+def test_fit_l_manifest_lists_pinned_split_columns(ws, tmp_path, monkeypatch):
+    root, run = ws
+    fit = logistic.fit_l_detector
+
+    def split_below_every_row(training, means_source, grid):
+        # every value sits above the split point, so each "below" column
+        # (odd index) is constant 0 and has its std pinned
+        return fit(training, training.features.min(axis=0, keepdims=True) - 1.0, grid)
+
+    monkeypatch.setattr(logistic, "fit_l_detector", split_below_every_row)
+    assert run(
+        "fit-l", "--model", root / "model.xnet", "--images", root / "train.xten",
+        "--labels", root / "labels.xten", "--seed", 7,
+        "--lambda-grid", "1.0", "--out", tmp_path / "ldet",
+    ) == 0
+    m = manifest(tmp_path / "ldet" / "run.manifest")
+    assert m["pinned_split_columns"] == "1,3,5,7,9,11"
 
 
 def test_scores_file_shape(ws):
@@ -442,6 +462,18 @@ def test_readme_names_exactly_the_cli_commands(tmp_path):
     assert not out.exists()
 
 
+def test_readme_lists_the_tensor_files_of_each_bundle(ws):
+    root, _ = ws
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    adds = r"xood-([ml])\s+bundle\s+adds\s+(.*?)(?:;|\.\s)"
+    listed = dict(re.findall(adds, readme, re.S))
+    assert set(listed) == {"m", "l"}
+    for method in listed:
+        named = set(re.findall(r"`(\w+\.xten)`", listed[method]))
+        written = {p.name for p in (root / f"{method}det").glob("*.xten")}
+        assert named == written
+
+
 def test_misfit_feature_kind_fails_before_the_forward_pass(
     ws, tmp_path, monkeypatch, capsys
 ):
@@ -531,6 +563,20 @@ def test_mutated_detector_tensor_is_data_error(ws, tmp_path, bundle, name, edit)
         "--images", root / "noise.xten", "--out", tmp_path / "s.csv",
     ) == 3
     assert not (tmp_path / "s.csv").exists()
+
+
+def test_missing_detector_tensor_is_data_error(ws, tmp_path, capsys):
+    import shutil
+
+    root, run = ws
+    det = tmp_path / "ldet"
+    shutil.copytree(root / "ldet", det)
+    (det / "weights.xten").unlink()
+    assert run(
+        "score", "--model", root / "model.xnet", "--detector", det,
+        "--images", root / "noise.xten", "--out", tmp_path / "s.csv",
+    ) == 3
+    assert "weights.xten is missing" in capsys.readouterr().err
 
 
 def _set_cell(col, value):

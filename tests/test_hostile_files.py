@@ -47,7 +47,9 @@ def bundle_numbers(directory):
     if det.method == "m":
         penalty, tensors = det.reg_c, [det.mean, det.factor]
     else:
-        penalty, tensors = det.reg_lambda, [*vars(det.scaler).values(), det.weights]
+        penalty, tensors = det.reg_lambda, [
+            det.raw_means, det.scale_means, det.scale_stds, det.weights
+        ]
     return np.hstack([pt.lambdas, pt.means, pt.stds, penalty, det.threshold,
                       *(t.ravel() for t in tensors)])
 

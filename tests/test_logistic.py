@@ -6,7 +6,8 @@ from xood.errors import ContractError
 from xood.features import FeatureKind, extract_features, fit_power_transform
 from xood.logistic import (
     LAMBDA_GRID,
-    apply_split_scaler,
+    LabeledFeatureSet,
+    LDetector,
     build_training_set,
     cross_validate,
     fit_l_detector,
@@ -56,24 +57,34 @@ def test_split_scaler_standardizes_fit_matrix():
     s = Stream(1)
     fit = s.normal(500 * 3).reshape(500, 3) * 2.0 + 1.0
     source = s.normal(100 * 3).reshape(100, 3)
-    scaler, standardized = fit_split_scaler(fit, source)
-    np.testing.assert_allclose(scaler.raw_means, source.mean(axis=0), atol=1e-12)
+    raw_means, scale_means, scale_stds, pinned, standardized = fit_split_scaler(
+        fit, source
+    )
+    np.testing.assert_allclose(raw_means, source.mean(axis=0), atol=1e-12)
     np.testing.assert_allclose(standardized.mean(axis=0), 0.0, atol=1e-12)
     np.testing.assert_allclose(standardized.std(axis=0), 1.0, atol=1e-12)
-    assert not scaler.flags.any()
-    np.testing.assert_allclose(
-        apply_split_scaler(scaler, fit), standardized, atol=1e-12
-    )
+    assert not pinned.any()
+    # scoring applies the stored standardization to the same rows
+    weights = s.normal(2 * 3 + 1)
+    det = LDetector(raw_means, scale_means, scale_stds, weights, 1.0)
+    want = 1.0 / (1.0 + np.exp(-(weights[0] + standardized @ weights[1:])))
+    np.testing.assert_allclose(score_l(det, fit), want, atol=1e-12)
 
 
 def test_split_scaler_flags_constant_columns(caplog):
     # every fit value sits above the mean: all "below" columns stay zero
     fit = np.abs(Stream(2).normal(100)).reshape(100, 1) + 10.0
     source = np.zeros((20, 1))
-    scaler, standardized = fit_split_scaler(fit, source)
-    assert scaler.flags[1] and not scaler.flags[0]
-    assert scaler.scale_stds[1] == 1.0
+    _, _, scale_stds, pinned, standardized = fit_split_scaler(fit, source)
+    assert pinned[1] and not pinned[0]
+    assert scale_stds[1] == 1.0
     assert np.isfinite(standardized).all()
+    # the fitted detector reports the pinned column with its penalty table
+    labels = (np.arange(100) % 3 != 0).astype(np.float64)
+    training = LabeledFeatureSet(fit, labels, np.arange(100) % 5)
+    det, cv = fit_l_detector(training, source, grid=(1.0,))
+    assert cv.pinned_split_columns == (1,)
+    assert det.scale_stds[1] == 1.0
 
 
 def numeric_gradient(w, x, y, lam, eps=1e-6):

@@ -1,3 +1,6 @@
+import re
+import shutil
+
 import numpy as np
 import pytest
 
@@ -140,15 +143,34 @@ def test_bundle_round_trip_l(tmp_path, world, bundles):
 
 
 def test_load_bundle_ignores_stale_covariance_file(tmp_path, world, bundles):
-    # older versions also wrote cov.xten; the factor alone defines the scores
+    # older versions also wrote cov.xten (xood-m) and scale_flags.xten
+    # (xood-l); the detector's own tensors alone define the scores
     net, _, calib = world
-    target = tmp_path / "det"
-    save_bundle(bundles["m"], target)
-    assert not (target / "cov.xten").exists()
-    want = score_images(load_bundle(target), net, calib.images)
-    write_tensor(target / "cov.xten", np.eye(bundles["m"].transform.dim))
-    got = score_images(load_bundle(target), net, calib.images)
-    np.testing.assert_array_equal(got, want)
+    for method, stale, values in (
+        ("m", "cov.xten", lambda d: np.eye(d)),
+        ("l", "scale_flags.xten", lambda d: np.ones(2 * d)),
+    ):
+        target = tmp_path / method
+        save_bundle(bundles[method], target)
+        assert not (target / stale).exists()
+        want = score_images(load_bundle(target), net, calib.images)
+        write_tensor(target / stale, values(bundles[method].transform.dim))
+        got = score_images(load_bundle(target), net, calib.images)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_load_bundle_names_missing_file(tmp_path, bundles):
+    for method, bundle in bundles.items():
+        saved = tmp_path / method
+        save_bundle(bundle, saved)
+        for path in sorted(saved.iterdir()):
+            if path.name == "bundle.txt":
+                continue
+            target = tmp_path / f"{method}-{path.name}"
+            shutil.copytree(saved, target)
+            (target / path.name).unlink()
+            with pytest.raises(FormatError, match=re.escape(f"{path.name} is missing")):
+                load_bundle(target)
 
 
 def test_load_bundle_rejects_wrong_detector_tag(tmp_path, bundles):
