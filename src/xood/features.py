@@ -78,13 +78,26 @@ def _lp_norm(p: int, sign: int = 0) -> Callable[[np.ndarray], np.ndarray]:
     return reduce
 
 
+def _row_extreme(ufunc: np.ufunc) -> Callable[[np.ndarray], np.ndarray]:
+    """Reduction of each row of the flattened tap by ``ufunc.reduceat``
+    over the row offsets: bit for bit ``.min/.max(axis=1)``, signed-zero
+    ties and NaNs included, at less fixed cost per row on a batch."""
+
+    def reduce(flat: np.ndarray) -> np.ndarray:
+        n, k = flat.shape
+        return ufunc.reduceat(flat.ravel(), np.arange(0, n * k, k))
+
+    return reduce
+
+
+_MIN = ("min", _row_extreme(np.minimum))
+_MAX = ("max", _row_extreme(np.maximum))
 # Per kind, the columns each layer contributes, in order: (name suffix,
 # reduction of the (N, -1) flattened tap to one value per image).
 _COLUMNS = {
-    FeatureKind.MINMAX: (("min", methodcaller("min", axis=1)),
-                         ("max", methodcaller("max", axis=1))),
-    FeatureKind.MIN: (("min", methodcaller("min", axis=1)),),
-    FeatureKind.MAX: (("max", methodcaller("max", axis=1)),),
+    FeatureKind.MINMAX: (_MIN, _MAX),
+    FeatureKind.MIN: (_MIN,),
+    FeatureKind.MAX: (_MAX,),
     FeatureKind.POSITIVITY: (
         ("positivity", lambda flat: (flat > 0).mean(axis=1, dtype=np.float64)),
     ),
@@ -114,15 +127,22 @@ def reduce_tap(tap: np.ndarray, kind: FeatureKind = FeatureKind.MINMAX) -> list[
     it immediately: the reads then stay in cache instead of waiting until
     later layers have pushed the tap out to memory.
     """
-    flat = tap.reshape(tap.shape[0], -1)
+    flat = tap.reshape(tap.shape[0], math.prod(tap.shape[1:]))
     return [reduction(flat) for _, reduction in _COLUMNS[kind]]
 
 
-def assemble_columns(columns: list[np.ndarray]) -> np.ndarray:
-    """Stack per-image scalar columns into a float32 feature matrix."""
+def assemble_columns(
+    columns: list[np.ndarray], out: np.ndarray | None = None
+) -> np.ndarray:
+    """Stack per-image scalar columns into a float32 feature matrix, or
+    write them into ``out``, an (N, len(columns)) float32 block."""
     if not columns:
         raise ContractError("need at least one feature column")
-    return np.stack(columns, axis=1).astype(np.float32)
+    if out is None:
+        out = np.empty((columns[0].shape[0], len(columns)), np.float32)
+    # promoted to float64 if any column is, then rounded once on assignment
+    out[...] = np.array(columns).T
+    return out
 
 
 def extract_features(
@@ -270,9 +290,8 @@ def apply_power_transform(pt: PowerTransform, features: np.ndarray) -> np.ndarra
         raise ContractError(
             f"features shape {x.shape} does not match transform dim {pt.dim}"
         )
-    bad = ~np.isfinite(x)
-    if bad.any():
-        row, col = np.argwhere(bad)[0]
+    if not np.isfinite(x).all():
+        row, col = np.argwhere(~np.isfinite(x))[0]
         raise ContractError(f"non-finite feature at row {row}, column {col}")
     return (yeo_johnson(x, pt.lambdas) - pt.means) / pt.stds
 

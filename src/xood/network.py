@@ -46,7 +46,7 @@ from .errors import (
     FormatError,
     TrainingDivergedError,
 )
-from .features import FeatureKind, assemble_columns, reduce_tap
+from .features import FeatureKind, assemble_columns, feature_width, reduce_tap
 from .keyvalue import KeyValues, decode_utf8
 from .rng import Stream, derive_seed
 from .xten import decode_tensor, encode_tensor
@@ -225,25 +225,29 @@ def run_network(
 ) -> NetworkOutputs:
     """Forward a whole image set in batches, reducing taps as they appear.
 
+    The outputs are allocated once and each batch writes its own rows.
     Each tap is reduced inside the forward pass, while the tensor is still
     cache-resident; the columns match extract_features on retained taps
-    bit for bit.
+    bit for bit. An empty image set still runs one empty batch, which
+    checks its shape, and gives empty outputs.
     """
-    preds, probs, feats = [], [], []
-    for start in range(0, images.shape[0], batch_size):
-        result = forward_with_taps(
-            net,
-            images[start : start + batch_size],
-            tap_map=lambda tap: reduce_tap(tap, kind),
-        )
-        preds.append(result.predictions)
-        probs.append(result.probabilities)
-        feats.append(
-            assemble_columns([col for cols in result.taps for col in cols])
-        )
-    return NetworkOutputs(
-        np.concatenate(preds), np.vstack(probs), np.vstack(feats)
+    n = images.shape[0]
+    out = NetworkOutputs(
+        np.empty(n, np.int64),
+        np.empty((n, net.num_classes), np.float32),
+        np.empty((n, feature_width(kind, net.num_activation_layers)), np.float32),
     )
+    for start in range(0, max(n, 1), batch_size):
+        rows = slice(start, start + batch_size)
+        result = forward_with_taps(
+            net, images[rows], tap_map=lambda tap: reduce_tap(tap, kind)
+        )
+        out.predictions[rows] = result.predictions
+        out.probabilities[rows] = result.probabilities
+        assemble_columns(
+            [col for cols in result.taps for col in cols], out.features[rows]
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -18,15 +18,22 @@ skips the input gradient (the layer that reads the images needs none), and
 Each reuse is an exact copy of what the kernel would otherwise compute, so
 results are bit-identical with or without it.
 
-The spatial kernels share one strategy: for each window offset (dy, dx)
-take the strided view ``x[:, :, dy::stride, dx::stride]`` cut to the
-output extent, and work on whole views. Pooling folds the views with
-``np.maximum``; its backward pass routes each window's gradient to the
-first view, in row-major window order, that equals the pooled maximum.
-Both are exact (max, compare and copy only). Convolution copies the
-views into one (N, C*kh*kw, Ho*Wo) im2col buffer and does one batched
-matmul per call, whose output is already NCHW; the kernel gradient is a
-batched product with the same buffer. The GEMM reorders the float32
+The spatial kernels work on whole strided views, never per window.
+Pooling is a separable fold: ``np.maximum`` over the strided column views
+``x[:, :, :, dx::stride]`` gives each row's window maximum, and a second
+fold over that result's row views gives the window's, 2 * (window - 1)
+ufunc calls instead of window**2 - 1. The result is bit for bit the fold
+over the window's cells in row-major order: a NaN pools to the first NaN,
+and since ``np.maximum`` returns the second of two equal arguments, a tie
+between zeros of opposite sign goes to the last tied cell. The backward
+pass takes, per window offset (dy, dx), the view
+``x[:, :, dy::stride, dx::stride]`` cut to the output extent and routes
+each window's gradient to the first view, in row-major window order, that
+equals the pooled maximum. Both are exact (max, compare and copy only).
+Convolution makes its (N, C*kh*kw, Ho*Wo) im2col buffer with one copy of a
+(N, C, kh, kw, Ho, Wo) window view of the padded input, then does one
+batched matmul per call, whose output is already NCHW; the kernel gradient
+is a batched product with the same buffer. The GEMM reorders the float32
 sums: against the earlier sliding-window tensordot kernel, with numpy's
 OpenBLAS 0.3 on x86-64, the 1-channel reference layer came out
 bit-identical and the 8-channel one within ~2e-7 relative. The float64
@@ -83,12 +90,21 @@ def _window_offsets(
 def _im2col(
     x: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int
 ) -> np.ndarray:
-    """(N,C,H,W) -> (N, C*kh*kw, ho*wo), rows ordered like kernel.reshape(F, -1)."""
+    """(N,C,H,W) -> (N, C*kh*kw, ho*wo), rows ordered like kernel.reshape(F, -1).
+
+    Element [n, c, dy, dx, i, j] of the window view is the (dy, dx) cell of
+    output (i, j)'s window; copying it is the only pass over the data.
+    """
+    x = np.ascontiguousarray(x)
     n, c = x.shape[:2]
-    cols = np.empty((n, c, kh * kw, ho, wo), np.float32)
-    for k, view in enumerate(_window_offsets(x, kh, kw, stride, ho, wo)):
-        cols[:, :, k] = view
-    return cols.reshape(n, c * kh * kw, ho * wo)
+    sn, sc, sh, sw = x.strides
+    # a plain ndarray over x's buffer: as_strided's Python overhead costs
+    # about as much as the copy on a one-image batch
+    windows = np.ndarray(
+        (n, c, kh, kw, ho, wo), np.float32, buffer=x,
+        strides=(sn, sc, sh, sw, sh * stride, sw * stride),
+    )
+    return windows.copy().reshape(n, c * kh * kw, ho * wo)
 
 
 def _pad(x: np.ndarray, padding: int) -> np.ndarray:
@@ -255,11 +271,22 @@ def maxpool2d(x: np.ndarray, window: int = 2, stride: int = 2) -> np.ndarray:
     ho = (h - window) // stride + 1
     wo = (w - window) // stride + 1
     if x.size == 0:
-        # nothing to fold: skip the window * window views
+        # nothing to fold: skip the window views
         return np.empty((n, c, ho, wo), np.float32)
-    views = _window_offsets(x, window, window, stride, ho, wo)
-    out = next(views).copy()
-    for view in views:
+    # each row's window maximum, then the maximum over the window's rows
+    rows = _fold_max([x[:, :, :, dx : dx + stride * wo : stride]
+                      for dx in range(window)])
+    return _fold_max([rows[:, :, dy : dy + stride * ho : stride]
+                      for dy in range(window)])
+
+
+def _fold_max(views: list[np.ndarray]) -> np.ndarray:
+    """Fresh elementwise maximum of ``views``, folded left to right: a NaN
+    resolves to the earliest view holding one, a tie to the latest."""
+    if len(views) == 1:
+        return views[0].copy()
+    out = np.maximum(views[0], views[1])
+    for view in views[2:]:
         np.maximum(out, view, out=out)
     return out
 

@@ -15,6 +15,7 @@ from xood.features import (
     fit_power_transform,
     load_power_transform,
     read_feature_csv,
+    reduce_tap,
     save_power_transform,
     write_feature_csv,
     yeo_johnson,
@@ -82,6 +83,31 @@ def test_minmax_ordering_and_names():
         "layer1_l1_pos", "layer1_l1_neg",
     ]
     assert feature_names(FeatureKind.SUM, 2) == ["layer1_sum", "layer2_sum"]
+
+
+def test_min_max_columns_are_bitwise_row_reductions():
+    """reduce_tap's reduceat columns equal .min/.max(axis=1) bit for bit,
+    also where zeros of both signs tie for the extreme or a NaN sits in
+    the row: both reduce each row by the same contiguous inner loop."""
+    s = Stream(44)
+    for n, shape in [(1, (8, 28, 28)), (5, (16, 14, 14)), (7, (64,)), (3, (1,))]:
+        k = int(np.prod(shape))
+        tap = s.integers(n * k, 2).astype(np.float32).reshape(n, *shape)
+        flat = tap.reshape(n, k)
+        flat[1::2] *= -1  # even rows' min and odd rows' max are zero ties
+        marks = s.integers(n * k, 50).reshape(n, k)
+        flat[(marks < 20) & (flat == 0)] = -0.0
+        flat[(marks >= 30) & (flat == 0)] = 0.0
+        flat[0, marks[0] == 20] = np.nan
+        flat.view(np.uint32)[-1, marks[-1] == 21] = 0xFFC00001
+        lo, hi = reduce_tap(tap, FeatureKind.MINMAX)
+        for got, want in ((lo, flat.min(axis=1)), (hi, flat.max(axis=1))):
+            assert got.dtype == np.float32 and got.shape == (n,)
+            np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+    # an empty batch reduces to empty columns, for every kind
+    for kind in ALL_FEATURE_KINDS:
+        for column in reduce_tap(np.zeros((0, 2, 3, 3), np.float32), kind):
+            assert column.shape == (0,)
 
 
 def test_extract_contract_checks():

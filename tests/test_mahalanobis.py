@@ -115,6 +115,20 @@ def test_score_matches_explicit_inverse():
         )
 
 
+def test_score_matches_triangular_solve():
+    """The derived L^-1 sums in another order than a solve with L; the
+    module docstring states 1e-15 relative, checked here with margin."""
+    s = Stream(5)
+    for trial in range(40):
+        d = 1 + trial % 12
+        x = s.normal(60 * d).reshape(60, d) @ spd_matrix(s, d)
+        det = fit_mahalanobis(x, reg_c=(0.0, 1.0, 10.0)[trial % 3])
+        q = s.normal(7 * d).reshape(7, d) * 3.0
+        z = np.linalg.solve(det.factor, (q - det.mean).T)
+        want = np.sqrt((z * z).sum(axis=0))
+        np.testing.assert_allclose(mahalanobis_score(det, q), want, rtol=1e-14)
+
+
 def test_factor_scale_homogeneity():
     # scaling M' by s^2 scales distances by 1/s
     s = Stream(4)
@@ -193,6 +207,9 @@ def test_persistence_round_trip(tmp_path):
     back = load_bundle(tmp_path).detector
     assert back.reg_c == det.reg_c
     assert back.threshold == det.threshold
+    # the inverse factor is derived at load, never written to the bundle
+    assert sorted(p.name for p in tmp_path.glob("*.xten")) == ["factor.xten", "mean.xten"]
+    assert np.array_equal(back.inverse_factor, det.inverse_factor)
     q = s.normal(20 * 3).reshape(20, 3)
     # parameters are stored as float64, so scores agree bit for bit
     assert mahalanobis_score(back, q).tobytes() == mahalanobis_score(det, q).tobytes()

@@ -369,6 +369,11 @@ def test_load_rejects_inconsistent_manifest(tmp_path, toy_net):
         # a pool window of 4096 x 4096 cells on an empty batch
         [(b"input_shape=1,8,8", b"input_shape=1,4096,4096"),
          (b"layer2.window=2", b"layer2.window=4096")],
+        # a 16384 x 16384 window that tiles conv0's 2**31-value output and
+        # pools it to 1 x 1, so only a later layer refuses the stack
+        [(b"input_shape=1,8,8", b"input_shape=1,16384,16384"),
+         (b"layer2.window=2", b"layer2.window=16384"),
+         (b"layer2.stride=2", b"layer2.stride=16384")],
     ],
 )
 def test_load_checks_declared_shapes_without_allocating(tmp_path, toy_net, patches):

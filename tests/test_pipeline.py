@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from xood.datasets import Dataset, gen_noise, make_blobs, split
-from xood.errors import ContractError, FormatError
+from xood.errors import ContractError, DimensionError, FormatError
 from xood.features import (
     FeatureKind,
     apply_power_transform,
@@ -67,6 +67,22 @@ def test_run_network_matches_retained_tap_extraction(world):
             rows.append(extract_features(result.taps, kind))
         fused = run_network(net, train.images, kind, batch_size=64)
         np.testing.assert_array_equal(fused.features, np.vstack(rows))
+
+
+@pytest.mark.parametrize("method", ["m", "l"])
+def test_empty_image_set_gives_empty_outputs(world, bundles, method):
+    net, train, _ = world
+    none = train.images[:0]
+    bundle = bundles[method]
+    outputs = run_network(net, none, bundle.kind)
+    assert outputs.predictions.shape == (0,)
+    assert outputs.probabilities.shape == (0, net.num_classes)
+    assert outputs.features.shape == (0, bundle.transform.dim)
+    scores = score_images(bundle, net, none)
+    assert scores.shape == (0,) and scores.dtype == np.float64
+    # the empty batch still runs, so a wrong image shape is refused
+    with pytest.raises(DimensionError, match="input shape"):
+        score_images(bundle, net, none[:, :, 1:])
 
 
 def test_fit_m_bundle_uses_correct_rows_only(world):

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -66,6 +68,34 @@ def maxpool_windowed(x, window, stride):
     """The sliding-window max the offset-slice kernel replaced; bitwise oracle."""
     win = sliding_window_view(x, (window, window), axis=(2, 3))
     return win[:, :, ::stride, ::stride].max(axis=(4, 5))
+
+
+def maxpool_per_offset(x, window, stride):
+    """The per-offset fold the separable kernel replaced: one np.maximum
+    per window offset (dy, dx) in row-major order; bitwise oracle."""
+    n, c, h, w = x.shape
+    ho = (h - window) // stride + 1
+    wo = (w - window) // stride + 1
+    out = None
+    for dy in range(window):
+        for dx in range(window):
+            view = x[:, :, dy : dy + stride * ho : stride,
+                     dx : dx + stride * wo : stride]
+            out = view.copy() if out is None else np.maximum(out, view, out=out)
+    return out
+
+
+def im2col_per_offset(x, kh, kw, stride):
+    """The per-offset im2col the one-copy window view replaced."""
+    n, c, h, w = x.shape
+    ho = (h - kh) // stride + 1
+    wo = (w - kw) // stride + 1
+    cols = np.empty((n, c, kh * kw, ho, wo), np.float32)
+    for dy in range(kh):
+        for dx in range(kw):
+            cols[:, :, dy * kw + dx] = x[:, :, dy : dy + stride * ho : stride,
+                                         dx : dx + stride * wo : stride]
+    return cols.reshape(n, c * kh * kw, ho * wo)
 
 
 def maxpool_backward_argmax(x, window, grad_out):
@@ -304,6 +334,65 @@ def test_maxpool_is_bitwise_the_windowed_argmax_kernel():
     assert_bitwise(maxpool2d(odd, 2, 2), maxpool_windowed(odd, 2, 2))
     # overlapping windows, forward only
     assert_bitwise(maxpool2d(odd, 3, 2), maxpool_windowed(odd, 3, 2))
+
+
+POOL_GEOMETRIES = [(1, 1), (2, 2), (2, 1), (3, 1), (3, 2)]
+
+
+@pytest.mark.parametrize("window,stride", POOL_GEOMETRIES)
+def test_maxpool_is_bitwise_the_per_offset_fold(window, stride):
+    s = Stream(420)
+    # values from {-1, 0, 1} with zeros of both signs make most windows hold
+    # a tied maximum; NaNs of both signs and two payloads sit among them
+    x = s.integers(3 * 4 * 11 * 10, 3).astype(np.float32).reshape(3, 4, 11, 10) - 1
+    bits = x.view(np.uint32)
+    marks = s.integers(x.size, 40).reshape(x.shape)
+    x[marks < 8] = 0.0
+    x[marks >= 32] = -0.0
+    bits[marks == 8] = 0x7FC00000  # +NaN
+    bits[marks == 9] = 0xFFC00000  # -NaN
+    bits[marks == 10] = 0x7FC00123  # +NaN with a payload
+    assert np.isnan(x).any() and (bits == 0x80000000).any()
+    for data in (x, x[:, :, ::-1, 1:]):  # also a non-contiguous view
+        assert_bitwise(maxpool2d(data, window, stride),
+                       maxpool_per_offset(data, window, stride))
+
+
+def test_maxpool_nans_and_signed_zero_ties_resolve_in_window_order():
+    """A window holding a NaN pools to its first NaN in row-major order. A
+    tie between zeros of opposite sign goes where np.maximum folded over
+    the cells in row-major order puts it; numpy returns the second of two
+    equal arguments, so that is the last tied cell."""
+    windows = [
+        ((-0.0, 0.0, 0.0, 0.0), 0x00000000),
+        ((0.0, -0.0, -0.0, -0.0), 0x80000000),
+        ((-0.0, -0.0, 0.0, -1.0), 0x00000000),
+        ((0.0, 0.0, -0.0, -1.0), 0x80000000),
+        ((1.0, np.nan, -np.nan, 2.0), 0x7FC00000),
+        ((1.0, 2.0, -np.nan, np.nan), 0xFFC00000),
+    ]
+    for cells, want in windows:
+        x = np.array(cells, np.float32).reshape(1, 1, 2, 2)
+        folded = functools.reduce(np.maximum, x.ravel())
+        assert int(np.float32(folded).view(np.uint32)) == want
+        assert int(maxpool2d(x, 2, 2).view(np.uint32)[0, 0, 0, 0]) == want
+
+
+@pytest.mark.parametrize("kh,stride,side", [(3, 1, 9), (2, 2, 8), (3, 2, 9)])
+def test_im2col_is_the_per_offset_copy_on_non_contiguous_input(kh, stride, side):
+    s = Stream(430)
+    base = rand(s, 2, 3, 9, 18)
+    base.flat[::7] = -0.0
+    x = base[:, :, :side, : 2 * side : 2]  # every other column: not contiguous
+    assert not x.flags.c_contiguous
+    assert_bitwise(conv2d_columns(x, kh, kh, stride, 0),
+                   im2col_per_offset(x, kh, kh, stride))
+    k, b = rand(s, 4, 3, kh, kh), rand(s, 4)
+    dense_x = np.ascontiguousarray(x)
+    assert_bitwise(conv2d(x, k, b, stride), conv2d(dense_x, k, b, stride))
+    # a 1 x 1 window view of a contiguous input is contiguous too; the
+    # buffer is still a fresh copy
+    assert not np.shares_memory(conv2d_columns(dense_x, 1, 1), dense_x)
 
 
 def test_maxpool_backward_routes_to_first_max():
