@@ -120,12 +120,13 @@ def score_images(
 # ---------------------------------------------------------------------------
 # bundle persistence: the only reader and writer of a bundle directory
 
-_Format = namedtuple("_Format", "detector tag penalty shapes positive")
+_Format = namedtuple("_Format", "detector tag penalty shapes positive lower")
 
 # Per method, as bundle.txt names it: the detector class; the detector.txt
 # tag; the penalty's key there; each tensor file's shape for feature width d;
-# and the tensor (and the view of it) whose entries must be > 0. Tensor files
-# and the penalty key are named after the detector's fields.
+# the tensor (and the view of it) whose entries must be > 0; and the tensor
+# that must be lower triangular, if any. Tensor files and the penalty key are
+# named after the detector's fields.
 _FORMATS = {
     "m": _Format(
         detector=mahalanobis.MDetector,
@@ -133,6 +134,8 @@ _FORMATS = {
         penalty="reg_c",
         shapes=lambda d: {"mean": (d,), "factor": (d, d)},
         positive=("factor", np.diag),
+        # a Cholesky factor, so invertible once its diagonal is positive
+        lower="factor",
     ),
     "l": _Format(
         detector=logistic.LDetector,
@@ -143,6 +146,7 @@ _FORMATS = {
             "weights": (2 * d + 1,),
         },
         positive=("scale_stds", np.ravel),
+        lower=None,
     ),
 }
 
@@ -174,7 +178,8 @@ def save_bundle(bundle: DetectorBundle, directory: str | Path) -> None:
 def load_bundle(directory: str | Path) -> DetectorBundle:
     """Read a saved bundle, checking every value: ``dim`` is the power
     transform's width and the tensor shapes follow it, every number is
-    finite and the penalty >= 0. A missing file is a ``FormatError``.
+    finite, the penalty >= 0 and an xood-m factor is lower triangular with
+    a positive diagonal. A missing file is a ``FormatError``.
     Other files, such as the ``cov.xten`` (xood-m) and ``scale_flags.xten``
     (xood-l) of older versions, are ignored."""
     directory = Path(directory)
@@ -209,6 +214,10 @@ def load_bundle(directory: str | Path) -> DetectorBundle:
     name, view = fmt.positive
     if not (view(tensors[name]) > 0).all():
         raise FormatError(f"{directory / name}.xten has an entry <= 0")
+    if fmt.lower is not None and np.triu(tensors[fmt.lower], 1).any():
+        raise FormatError(
+            f"{directory / fmt.lower}.xten has a non-zero entry above its diagonal"
+        )
     threshold = entries.get("threshold", optional_float)
     detector = fmt.detector(**tensors, threshold=threshold, **{fmt.penalty: penalty})
     return DetectorBundle(kind, pt, detector)

@@ -17,6 +17,13 @@ MODULES = (xood, cli, datasets, distortions, features, logistic, mahalanobis,
            network, pipeline, tensor_ops, xten)
 
 
+def assert_bindings_restored(before):
+    """Every module attribute is the object it was in ``before``."""
+    for module, bindings in zip(MODULES, before):
+        for attr, value in bindings.items():
+            assert vars(module)[attr] is value, f"{module.__name__}.{attr}"
+
+
 @pytest.fixture
 def bench_trace(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
@@ -60,7 +67,40 @@ def test_traced_training_step_labels_every_kernel_span(bench_trace):
     assert {n for n in names if n.startswith("tensor_ops.conv2d.")} == {
         "tensor_ops.conv2d.l1", "tensor_ops.conv2d.l2"
     }
-    for module, bindings in zip(MODULES, before):
-        for attr, value in bindings.items():
-            assert vars(module)[attr] is value, f"{module.__name__}.{attr}"
+    assert_bindings_restored(before)
     assert distortions.DISTORTION_FAMILIES == families
+
+
+def test_traced_scoring_spans_one_forward_call_of_three_blocks(bench_trace):
+    """Scoring 130 images runs one forward_with_taps call of three blocks:
+    the benchmark counts images_forwarded from that call's argument and
+    labels each block's conv and pool spans, so every kernel must still be
+    looked up through its module at call time."""
+    before = [dict(vars(module)) for module in MODULES]
+    ds = make_blobs(330, 3, 8, seed=2)
+    train, rest = ds.images[:200], ds.images[200:]
+    net = network.train_reference_cnn(
+        train, ds.labels[:200], TrainConfig(epochs=2, batch_size=16)
+    )
+    bundle = pipeline.fit_m_bundle(
+        net, datasets.Dataset(train, ds.labels[:200]), datasets.Dataset(rest[:60])
+    )
+    tracer = bench_trace.Tracer()
+    hooks = bench_trace.Instrumentation(tracer, 8)
+    hooks.install()
+    try:
+        with tracer.fitting():
+            pipeline.score_images(bundle, net, ds.images[:130])
+    finally:
+        hooks.uninstall()
+    calls = tracer.calls
+    assert calls["pipeline.run_network"] == calls["network.forward_with_taps"] == 1
+    assert tracer.counts["pipeline.images_forwarded"] == 130
+    for kernel in ("conv2d", "maxpool2d"):
+        assert {n for n in calls if n.startswith(f"tensor_ops.{kernel}.")} == {
+            f"tensor_ops.{kernel}.l1", f"tensor_ops.{kernel}.l2"
+        }
+        assert calls[f"tensor_ops.{kernel}.l1"] == calls[f"tensor_ops.{kernel}.l2"] == 3
+    assert calls["tensor_ops.relu"] == calls["features.reduce_tap"] == 9
+    assert calls["tensor_ops.dense"] == 6 and calls["tensor_ops.softmax"] == 3
+    assert_bindings_restored(before)

@@ -172,3 +172,20 @@ def test_pinned_overwrite_loads_or_raises_format_error(originals, case, old, new
     files, root = originals
     assert files[case].count(old) == 1
     load_mutated(files, root, case, files[case].replace(old, new))
+
+
+def test_factor_with_entries_above_its_diagonal_is_refused(originals):
+    """An xood-m factor must be lower triangular: with factor[0, 1] set to
+    f00 * f11 / f10 it is not a Cholesky factor, and it is singular."""
+    files, root = originals
+    path = root / "mdet" / "factor.xten"
+    factor = read_tensor(path)
+    factor[0, 1] = factor[0, 0] * factor[1, 1] / factor[1, 0]
+    assert abs(np.linalg.det(factor)) < 1e-12
+    write_tensor(path, factor)
+    try:
+        with pytest.raises(FormatError, match="factor.xten has a non-zero entry"):
+            load_bundle(root / "mdet")
+    finally:
+        path.write_bytes(files["mdet/factor.xten"])
+    load_bundle(root / "mdet")

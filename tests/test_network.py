@@ -29,6 +29,11 @@ from xood.rng import Stream
 from xood.tensor_ops import conv2d, dense, flatten, maxpool2d, relu, softmax
 
 
+def assert_bitwise(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
 @pytest.fixture(scope="module")
 def toy_net():
     return build_reference_cnn((1, 8, 8), 3, seed=5)
@@ -112,6 +117,94 @@ def test_forward_batch_invariance(toy_net):
         )
         for t_whole, t_part in zip(whole.taps, parts[i].taps):
             np.testing.assert_allclose(t_whole[i], t_part[0], atol=1e-6)
+
+
+# the stack's own order (Relu before pool) through the public ops
+PUBLIC_OPS = {
+    LayerKind.CONV2D: lambda l, x: conv2d(x, l.weight, l.bias, l.stride, l.padding),
+    LayerKind.RELU: lambda l, x: relu(x),
+    LayerKind.MAXPOOL2D: lambda l, x: maxpool2d(x, l.window, l.stride),
+    LayerKind.FLATTEN: lambda l, x: flatten(x),
+    LayerKind.DENSE: lambda l, x: dense(x, l.weight, l.bias),
+    LayerKind.SOFTMAX: lambda l, x: softmax(x),
+}
+
+
+def reference_forward(net, x):
+    taps = []
+    for layer in net.layers:
+        if layer.kind is LayerKind.RELU:
+            taps.append(x)
+        x = PUBLIC_OPS[layer.kind](layer, x)
+    return taps, x
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 130])
+def test_blocked_forward_is_the_stack_order_loop_on_64_row_slices(
+    toy_net, monkeypatch, n
+):
+    x = Stream(32).normal(max(n, 1) * 64).astype(np.float32)[: n * 64]
+    x = x.reshape(n, 1, 8, 8)
+    x.flat[::5] = -0.0
+    blocks = [x[start : start + 64] for start in range(0, max(n, 1), 64)]
+    want = [reference_forward(toy_net, block) for block in blocks]
+    relu_inputs = []
+    monkeypatch.setattr(
+        tensor_ops, "relu", lambda t: relu_inputs.append(t.shape) or relu(t)
+    )
+    got = forward_with_taps(toy_net, x)
+    # one block per 64 images, an empty set included, and every Relu that
+    # feeds a pool runs on the pooled values
+    sizes = [block.shape[0] for block in blocks]
+    assert relu_inputs == [
+        shape for b in sizes for shape in ((b, 8, 4, 4), (b, 16, 2, 2), (b, 64))
+    ]
+    assert len(got.taps) == 3
+    for j, tap in enumerate(got.taps):
+        assert_bitwise(tap, np.concatenate([taps[j] for taps, _ in want]))
+    probabilities = np.concatenate([probs for _, probs in want])
+    assert_bitwise(got.probabilities, probabilities)
+    np.testing.assert_array_equal(got.predictions, probabilities.argmax(axis=1))
+    assert got.predictions.shape == (n,) and got.predictions.dtype == np.int64
+    assert got.probabilities.shape == (n, 3)
+
+
+def test_relu_deferred_past_pools_on_any_stack():
+    # Relus back to back, a Relu feeding two pools, and a Relu at the input
+    layers = [
+        LayerSpec(LayerKind.RELU),
+        LayerSpec(LayerKind.RELU),
+        LayerSpec(LayerKind.MAXPOOL2D, window=2, stride=1),
+        LayerSpec(LayerKind.MAXPOOL2D, window=3, stride=2),
+        LayerSpec(LayerKind.RELU),
+        LayerSpec(LayerKind.FLATTEN),
+        LayerSpec(LayerKind.DENSE, weight=Stream(34).normal(18).astype(np.float32)
+                  .reshape(9, 2), bias=np.zeros(2, np.float32)),
+        LayerSpec(LayerKind.SOFTMAX),
+    ]
+    net = Network(layers, (1, 8, 8), 2)
+    x = Stream(35).normal(70 * 64).astype(np.float32).reshape(70, 1, 8, 8)
+    got = forward_with_taps(net, x)
+    want = [reference_forward(net, x[start : start + 64]) for start in (0, 64)]
+    assert len(got.taps) == 3
+    for j, tap in enumerate(got.taps):
+        assert_bitwise(tap, np.concatenate([taps[j] for taps, _ in want]))
+    assert_bitwise(got.probabilities, np.concatenate([p for _, p in want]))
+
+
+def test_tap_map_gets_each_blocks_taps_in_order(toy_net):
+    x = Stream(33).normal(130 * 64).astype(np.float32).reshape(130, 1, 8, 8)
+    whole = forward_with_taps(toy_net, x)
+    seen = []
+
+    def tap_map(index, rows, tap):
+        assert_bitwise(tap, whole.taps[index][rows])
+        seen.append((index, rows.start))
+
+    result = forward_with_taps(toy_net, x, tap_map=tap_map)
+    assert result.taps == []
+    assert seen == [(j, start) for start in (0, 64, 128) for j in range(3)]
+    assert_bitwise(result.probabilities, whole.probabilities)
 
 
 def test_forward_shape_check(toy_net):

@@ -47,25 +47,36 @@ def bundles(world):
 
 
 def test_run_network_batching_is_invisible(world):
+    # run_network forwards in blocks of 64; images forwarded 7 at a time
+    # must give the same outputs up to the dense layers' float32 sums
     net, train, _ = world
-    small = run_network(net, train.images, FeatureKind.MINMAX, batch_size=7)
-    large = run_network(net, train.images, FeatureKind.MINMAX, batch_size=512)
-    np.testing.assert_array_equal(small.predictions, large.predictions)
-    np.testing.assert_allclose(small.features, large.features, atol=1e-6)
-    np.testing.assert_allclose(small.probabilities, large.probabilities, atol=1e-6)
-    assert small.features.shape == (len(train), 6)
+    whole = run_network(net, train.images, FeatureKind.MINMAX)
+    parts = [forward_with_taps(net, train.images[start : start + 7])
+             for start in range(0, len(train), 7)]
+    np.testing.assert_array_equal(
+        whole.predictions, np.concatenate([p.predictions for p in parts])
+    )
+    np.testing.assert_allclose(
+        whole.features, np.vstack([extract_features(p.taps) for p in parts]),
+        atol=1e-6,
+    )
+    np.testing.assert_allclose(
+        whole.probabilities, np.vstack([p.probabilities for p in parts]),
+        atol=1e-6,
+    )
+    assert whole.features.shape == (len(train), 6)
 
 
 def test_run_network_matches_retained_tap_extraction(world):
     # run_network reduces taps inside the forward pass; the result must be
-    # bit-identical to extracting from taps retained until after the batch
+    # bit-identical to extracting from taps retained until after the block
     net, train, _ = world
     for kind in (FeatureKind.MINMAX, FeatureKind.SUM, FeatureKind.SPLIT_L2):
         rows = []
         for start in range(0, len(train), 64):
             result = forward_with_taps(net, train.images[start : start + 64])
             rows.append(extract_features(result.taps, kind))
-        fused = run_network(net, train.images, kind, batch_size=64)
+        fused = run_network(net, train.images, kind)
         np.testing.assert_array_equal(fused.features, np.vstack(rows))
 
 

@@ -358,6 +358,26 @@ def test_maxpool_is_bitwise_the_per_offset_fold(window, stride):
                        maxpool_per_offset(data, window, stride))
 
 
+@pytest.mark.parametrize("window,stride", [(1, 1), (2, 2), (2, 1), (3, 2)])
+def test_relu_commutes_with_maxpool_bit_for_bit(window, stride):
+    """Inference runs a Relu after the max-pool it feeds; both orders must
+    give the same bits, NaN payloads and zero signs included."""
+    s = Stream(425)
+    x = s.integers(3 * 4 * 11 * 10, 3).astype(np.float32).reshape(3, 4, 11, 10) - 1
+    bits = x.view(np.uint32)
+    marks = s.integers(x.size, 40).reshape(x.shape)
+    x[marks < 8] = 0.0
+    x[marks >= 32] = -0.0
+    bits[marks == 8] = 0x7FC00000  # +NaN
+    bits[marks == 9] = 0xFFC00000  # -NaN
+    bits[marks == 10] = 0x7FC00123  # +NaN with a payload
+    bits[marks == 11] = 0xFFC00456  # -NaN with a payload
+    assert (bits == 0x80000000).any() and (bits == 0xFFC00456).any()
+    for data in (x, x[:, :, ::-1, 1:]):  # also a non-contiguous view
+        assert_bitwise(relu(maxpool2d(data, window, stride)),
+                       maxpool2d(relu(data), window, stride))
+
+
 def test_maxpool_nans_and_signed_zero_ties_resolve_in_window_order():
     """A window holding a NaN pools to its first NaN in row-major order. A
     tie between zeros of opposite sign goes where np.maximum folded over
