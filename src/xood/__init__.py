@@ -23,7 +23,6 @@ from .features import (
     FeatureKind,
     PowerTransform,
     apply_power_transform,
-    assemble_columns,
     extract_features,
     fit_power_transform,
     reduce_tap,
@@ -72,7 +71,6 @@ __all__ = [
     "TrainingDivergedError",
     "XoodError",
     "apply_power_transform",
-    "assemble_columns",
     "auroc",
     "build_reference_cnn",
     "confidence",

@@ -4,7 +4,10 @@ Each tapped activation layer is reduced to a handful of scalars per image.
 The default reduction keeps the global minimum and maximum of the tensor
 feeding each Relu, giving 2r features for r activation layers; alternative
 reductions (positivity fraction, sum, Lp norms, split Lp norms) exist for
-ablation-style comparisons and share the same extraction interface.
+ablation-style comparisons and share the same extraction interface:
+``reduce_tap`` writes one tap's columns straight into ``out``, its block
+of a feature matrix allocated once, so no per-column arrays are built and
+stacked.
 
 Extreme values are strongly non-Gaussian, so before any covariance is
 estimated every feature dimension is mapped through a Yeo-Johnson power
@@ -15,7 +18,9 @@ log-likelihood
     l(lambda) = -(n/2) * log(sigma_hat^2(lambda))
                 + (lambda - 1) * sum(sign(x) * log(|x| + 1))
 
-by golden-section search on [-5, 5] to a 1e-4 interval.
+by golden-section search on [-5, 5] to a 1e-4 interval. The transform
+runs its log1p-limit passes only when some element's power lies at the
+limit, and applying a fitted transform standardizes in place.
 """
 
 from __future__ import annotations
@@ -42,6 +47,8 @@ STD_FLOOR = 1e-8
 MIN_FIT_ROWS = 10
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Yeo-Johnson powers closer to 0 than this take the log1p limit
+_LIMIT = np.spacing(1.0)
 
 
 class FeatureKind(str, Enum):
@@ -78,26 +85,16 @@ def _lp_norm(p: int, sign: int = 0) -> Callable[[np.ndarray], np.ndarray]:
     return reduce
 
 
-def _row_extreme(ufunc: np.ufunc) -> Callable[[np.ndarray], np.ndarray]:
-    """Reduction of each row of the flattened tap by ``ufunc.reduceat``
-    over the row offsets: bit for bit ``.min/.max(axis=1)``, signed-zero
-    ties and NaNs included, at less fixed cost per row on a batch."""
-
-    def reduce(flat: np.ndarray) -> np.ndarray:
-        n, k = flat.shape
-        return ufunc.reduceat(flat.ravel(), np.arange(0, n * k, k))
-
-    return reduce
-
-
-_MIN = ("min", _row_extreme(np.minimum))
-_MAX = ("max", _row_extreme(np.maximum))
 # Per kind, the columns each layer contributes, in order: (name suffix,
-# reduction of the (N, -1) flattened tap to one value per image).
+# reduction of the (N, -1) flattened tap to one value per image). Min and
+# max are ufuncs whose ``reduce`` writes straight into the column: it is
+# what ``.min/.max(axis=1)`` run, bit for bit, signed-zero ties and NaNs
+# included, at less fixed cost per call than ``reduceat`` on one image.
+# The other reductions run in float64 and are rounded once into it.
 _COLUMNS = {
-    FeatureKind.MINMAX: (_MIN, _MAX),
-    FeatureKind.MIN: (_MIN,),
-    FeatureKind.MAX: (_MAX,),
+    FeatureKind.MINMAX: (("min", np.minimum), ("max", np.maximum)),
+    FeatureKind.MIN: (("min", np.minimum),),
+    FeatureKind.MAX: (("max", np.maximum),),
     FeatureKind.POSITIVITY: (
         ("positivity", lambda flat: (flat > 0).mean(axis=1, dtype=np.float64)),
     ),
@@ -120,29 +117,23 @@ def feature_names(kind: FeatureKind, num_layers: int) -> list[str]:
             for suffix, _ in _COLUMNS[kind]]
 
 
-def reduce_tap(tap: np.ndarray, kind: FeatureKind = FeatureKind.MINMAX) -> list[np.ndarray]:
-    """Per-image scalar columns for one tap tensor of shape (N, ...).
+def reduce_tap(tap: np.ndarray, kind: FeatureKind, out: np.ndarray) -> None:
+    """Reduce one tap tensor of shape (N, ...) to the kind's per-image
+    columns, written into ``out``, an (N, feature_width(kind, 1)) float32
+    block such as one tap's columns of a feature matrix.
 
-    Callers that hold the tensor right after it is produced should reduce
-    it immediately: the reads then stay in cache instead of waiting until
-    later layers have pushed the tap out to memory.
+    Min and max reduce straight into their column; the other kinds reduce
+    in float64 and are rounded once on assignment. Callers that hold the
+    tensor right after it is produced should reduce it immediately: the
+    reads then stay in cache instead of waiting until later layers have
+    pushed the tap out to memory.
     """
     flat = tap.reshape(tap.shape[0], math.prod(tap.shape[1:]))
-    return [reduction(flat) for _, reduction in _COLUMNS[kind]]
-
-
-def assemble_columns(
-    columns: list[np.ndarray], out: np.ndarray | None = None
-) -> np.ndarray:
-    """Stack per-image scalar columns into a float32 feature matrix, or
-    write them into ``out``, an (N, len(columns)) float32 block."""
-    if not columns:
-        raise ContractError("need at least one feature column")
-    if out is None:
-        out = np.empty((columns[0].shape[0], len(columns)), np.float32)
-    # promoted to float64 if any column is, then rounded once on assignment
-    out[...] = np.array(columns).T
-    return out
+    for j, (_, reduction) in enumerate(_COLUMNS[kind]):
+        if isinstance(reduction, np.ufunc):
+            reduction.reduce(flat, axis=1, out=out[:, j])
+        else:
+            out[:, j] = reduction(flat)
 
 
 def extract_features(
@@ -156,12 +147,13 @@ def extract_features(
     if not taps:
         raise ContractError("need at least one tap tensor")
     n = taps[0].shape[0]
-    columns: list[np.ndarray] = []
-    for tap in taps:
+    per_tap = feature_width(kind, 1)
+    features = np.empty((n, per_tap * len(taps)), np.float32)
+    for j, tap in enumerate(taps):
         if tap.shape[0] != n:
             raise ContractError("tap tensors disagree on batch size")
-        columns += reduce_tap(tap, kind)
-    return assemble_columns(columns)
+        reduce_tap(tap, kind, features[:, j * per_tap : (j + 1) * per_tap])
+    return features
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +166,9 @@ def yeo_johnson(x: np.ndarray, lam: float | np.ndarray) -> np.ndarray:
     ``lam`` is one lambda or an array broadcasting against ``x``, such as
     one lambda per column of an (n, d) matrix. Uses the log1p/expm1 forms
     so the lambda -> 0 and lambda -> 2 limits are approached smoothly.
+    Elements whose power (lambda, or 2 - lambda for x < 0) lies within
+    ``spacing(1)`` of 0 take the log1p limit; when there are none, the
+    limit passes are skipped, which changes no bit of the result.
     """
     x = np.asarray(x, dtype=np.float64)
     pos = x >= 0
@@ -181,9 +176,11 @@ def yeo_johnson(x: np.ndarray, lam: float | np.ndarray) -> np.ndarray:
     sign = np.where(pos, 1.0, -1.0)
     power = np.where(pos, lam, 2.0 - lam)
     base = np.log1p(sign * x)
-    limit = np.abs(power) < np.spacing(1.0)
-    safe = np.where(limit, 1.0, power)
-    return sign * np.where(limit, base, np.expm1(power * base) / safe)
+    limit = np.abs(power) < _LIMIT
+    if limit.any():
+        safe = np.where(limit, 1.0, power)
+        return sign * np.where(limit, base, np.expm1(power * base) / safe)
+    return sign * (np.expm1(power * base) / power)
 
 
 def yeo_johnson_loglik(x: np.ndarray, lam: float) -> float:
@@ -293,7 +290,10 @@ def apply_power_transform(pt: PowerTransform, features: np.ndarray) -> np.ndarra
     if not np.isfinite(x).all():
         row, col = np.argwhere(~np.isfinite(x))[0]
         raise ContractError(f"non-finite feature at row {row}, column {col}")
-    return (yeo_johnson(x, pt.lambdas) - pt.means) / pt.stds
+    y = yeo_johnson(x, pt.lambdas)
+    y -= pt.means
+    y /= pt.stds
+    return y
 
 
 # ---------------------------------------------------------------------------

@@ -118,7 +118,8 @@ def mahalanobis_score(det: MDetector, features: np.ndarray) -> np.ndarray:
             f"features shape {x.shape} does not match detector dim {det.dim}"
         )
     z = (x - det.mean) @ det.inverse_factor.T
-    d = np.sqrt((z * z).sum(axis=1))
+    z *= z
+    d = np.sqrt(z.sum(axis=1))
     return d[0] if single else d
 
 

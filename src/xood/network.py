@@ -18,7 +18,10 @@ images differs from a full block's, by about 1e-6. Within a block,
 a Relu that feeds a max-pool runs after that pool, on a quarter of the
 values, with bit-identical results (see ``forward_with_taps``). Training
 keeps the stack's own order, because its backward pass needs the Relu
-outputs.
+outputs. A batch of at most 64 images is one block, whose tensors are
+returned as the outputs without a copy, so a one-image request pays only
+for its layers. Layers dispatch through one table keyed by layer kind,
+and a network counts its Relus once, when it is built.
 
 The trainer is plain seeded SGD with cross-entropy, no momentum. The
 classifier is a fixture for the detection pipeline, not a contribution in
@@ -45,7 +48,7 @@ from __future__ import annotations
 import logging
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Callable
@@ -60,7 +63,7 @@ from .errors import (
     FormatError,
     TrainingDivergedError,
 )
-from .features import FeatureKind, assemble_columns, feature_width, reduce_tap
+from .features import FeatureKind, feature_width, reduce_tap
 from .keyvalue import KeyValues, decode_utf8
 from .rng import Stream, derive_seed
 from .xten import decode_tensor, encode_tensor
@@ -110,11 +113,15 @@ class LayerSpec:
 
 @dataclass
 class Network:
-    """A validated feed-forward stack ending in softmax over num_classes."""
+    """A validated feed-forward stack ending in softmax over num_classes.
+
+    ``num_activation_layers``, the Relu count, is derived once, when the
+    network is built."""
 
     layers: list[LayerSpec]
     input_shape: tuple[int, int, int]
     num_classes: int
+    num_activation_layers: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         shape = tuple(self.input_shape)
@@ -133,6 +140,8 @@ class Network:
         try:
             for i, layer in enumerate(self.layers):
                 where = f"layer {i}"
+                if not isinstance(layer.kind, LayerKind):
+                    raise ContractError(f"{where}: unknown layer kind {layer.kind!r}")
                 if layer.kind in _WEIGHTED and (
                     layer.weight is None or layer.bias is None
                 ):
@@ -159,32 +168,30 @@ class Network:
             )
         if not self.layers or self.layers[-1].kind is not LayerKind.SOFTMAX:
             raise ContractError("network must end in softmax")
+        self.num_activation_layers = len(self.activation_indices)
 
     @property
     def activation_indices(self) -> list[int]:
         """Positions of the Relu layers, in forward order."""
         return [i for i, l in enumerate(self.layers) if l.kind is LayerKind.RELU]
 
-    @property
-    def num_activation_layers(self) -> int:
-        return len(self.activation_indices)
+
+# Each layer kind's forward kernel. Kernels are looked up in ``tensor_ops``
+# at call time, so a wrapper installed there sees every call.
+_FORWARD = {
+    LayerKind.CONV2D: lambda layer, x: ops.conv2d(
+        x, layer.weight, layer.bias, layer.stride, layer.padding
+    ),
+    LayerKind.RELU: lambda layer, x: ops.relu(x),
+    LayerKind.MAXPOOL2D: lambda layer, x: ops.maxpool2d(x, layer.window, layer.stride),
+    LayerKind.FLATTEN: lambda layer, x: ops.flatten(x),
+    LayerKind.DENSE: lambda layer, x: ops.dense(x, layer.weight, layer.bias),
+    LayerKind.SOFTMAX: lambda layer, x: ops.softmax(x),
+}
 
 
 def _apply_layer(layer: LayerSpec, x: np.ndarray) -> np.ndarray:
-    kind = layer.kind
-    if kind is LayerKind.CONV2D:
-        return ops.conv2d(x, layer.weight, layer.bias, layer.stride, layer.padding)
-    if kind is LayerKind.RELU:
-        return ops.relu(x)
-    if kind is LayerKind.MAXPOOL2D:
-        return ops.maxpool2d(x, layer.window, layer.stride)
-    if kind is LayerKind.FLATTEN:
-        return ops.flatten(x)
-    if kind is LayerKind.DENSE:
-        return ops.dense(x, layer.weight, layer.bias)
-    if kind is LayerKind.SOFTMAX:
-        return ops.softmax(x)
-    raise ContractError(f"unknown layer kind {kind}")
+    return _FORWARD[layer.kind](layer, x)
 
 
 @dataclass
@@ -206,8 +213,11 @@ def forward_with_taps(
     The batch runs through the stack in blocks of ``DEFAULT_BATCH`` rows,
     each Relu that feeds a max-pool after that pool, so every layer reads
     its input from cache (see the module docstring for why 64). The
-    shape is checked once; predictions, probabilities and raw taps go into
-    arrays allocated once. An empty batch still runs one empty block, which
+    shape is checked once. A batch of at most 64 rows is one block, and
+    that block's tensors are the outputs: its softmax output becomes the
+    probabilities and its taps the raw taps, without a copy. A larger
+    batch writes each block's probabilities and raw taps into arrays
+    allocated once. An empty batch still runs one empty block, which
     checks the layer shapes, and gives empty outputs.
 
     Without ``tap_map`` each taps entry is the raw (N, ...) Relu input.
@@ -226,19 +236,10 @@ def forward_with_taps(
             f"(N,{','.join(map(str, net.input_shape))})"
         )
     n = batch.shape[0]
-    predictions = np.empty(n, np.int64)
-    probabilities = np.empty((n, net.num_classes), np.float32)
+    one_block = n <= DEFAULT_BATCH
     taps: list = []
-
-    def keep(index: int, rows: slice, tap: np.ndarray) -> None:
-        if n <= DEFAULT_BATCH:  # one block: its tensors are the outputs
-            taps.append(tap)
-            return
-        if index == len(taps):
-            taps.append(np.empty((n, *tap.shape[1:]), np.float32))
-        taps[index][rows] = tap
-
-    sink = keep if tap_map is None else tap_map
+    if not one_block:
+        probabilities = np.empty((n, net.num_classes), np.float32)
     for start in range(0, max(n, 1), DEFAULT_BATCH):
         rows = slice(start, start + DEFAULT_BATCH)
         x = batch[rows]
@@ -255,14 +256,23 @@ def forward_with_taps(
                 x = ops.relu(x)
                 relu_due = False
             if kind is LayerKind.RELU:
-                sink(index, rows, x)
+                if tap_map is not None:
+                    tap_map(index, rows, x)
+                elif one_block:
+                    taps.append(x)
+                else:
+                    if start == 0:
+                        taps.append(np.empty((n, *x.shape[1:]), np.float32))
+                    taps[index][rows] = x
                 index += 1
                 relu_due = True
             else:
-                x = _apply_layer(layer, x)
-        probabilities[rows] = x
-        np.argmax(x, axis=1, out=predictions[rows])
-    return ForwardResult(predictions, probabilities, taps)
+                x = _FORWARD[kind](layer, x)
+        if one_block:
+            probabilities = x
+        else:
+            probabilities[rows] = x
+    return ForwardResult(probabilities.argmax(axis=1), probabilities, taps)
 
 
 @dataclass
@@ -281,8 +291,9 @@ def run_network(
 
     One ``forward_with_taps`` call runs the set in blocks of
     ``DEFAULT_BATCH`` = 64 images, each Relu that feeds a max-pool after
-    that pool; each block's taps are reduced while they are cache-resident
-    and written to that block's rows of a feature matrix allocated once.
+    that pool; ``reduce_tap`` reduces each block's taps while they are
+    cache-resident, straight into that block's rows of a feature matrix
+    allocated once.
     The columns match extract_features on retained taps bit for bit, an
     empty image set gives empty outputs, and as in ``forward_with_taps``
     only a trailing block of 16 or fewer images can move, by about 1e-6.
@@ -294,10 +305,7 @@ def run_network(
     )
 
     def reduce(index: int, rows: slice, tap: np.ndarray) -> None:
-        assemble_columns(
-            reduce_tap(tap, kind),
-            features[rows, index * per_tap : (index + 1) * per_tap],
-        )
+        reduce_tap(tap, kind, features[rows, index * per_tap : (index + 1) * per_tap])
 
     result = forward_with_taps(net, images, tap_map=reduce)
     return NetworkOutputs(result.predictions, result.probabilities, features)
@@ -478,9 +486,14 @@ def train_reference_cnn(
     return net
 
 
+def _drop_tap(index: int, rows: slice, tap: np.ndarray) -> None:
+    """A ``tap_map`` that keeps nothing."""
+
+
 def evaluate_accuracy(net: Network, images: np.ndarray, labels: np.ndarray) -> float:
-    """Fraction of images whose argmax prediction matches the label."""
-    predictions = run_network(net, images).predictions
+    """Fraction of images whose argmax prediction matches the label; the
+    forward pass drops its taps unreduced."""
+    predictions = forward_with_taps(net, images, tap_map=_drop_tap).predictions
     return int((predictions == labels).sum()) / images.shape[0]
 
 

@@ -352,6 +352,6 @@ def flatten(x: np.ndarray) -> np.ndarray:
 def softmax(x: np.ndarray) -> np.ndarray:
     """Row-wise softmax of (N,K), stabilized by max subtraction."""
     x = _as_f32("input", x, 2)
-    shifted = x - x.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    e = x - x.max(axis=1, keepdims=True)
+    e /= np.exp(e, out=e).sum(axis=1, keepdims=True)
+    return e

@@ -71,11 +71,12 @@ def test_traced_training_step_labels_every_kernel_span(bench_trace):
     assert distortions.DISTORTION_FAMILIES == families
 
 
-def test_traced_scoring_spans_one_forward_call_of_three_blocks(bench_trace):
-    """Scoring 130 images runs one forward_with_taps call of three blocks:
-    the benchmark counts images_forwarded from that call's argument and
-    labels each block's conv and pool spans, so every kernel must still be
-    looked up through its module at call time."""
+def test_traced_scoring_spans_one_forward_call_per_request(bench_trace):
+    """Scoring 1 or 130 images runs one forward_with_taps call of one or
+    three blocks: the benchmark counts images_forwarded from that call's
+    argument and labels each block's conv and pool spans, so every kernel
+    must still be looked up through its module at call time, and
+    reduce_tap through the network module, once per tap per block."""
     before = [dict(vars(module)) for module in MODULES]
     ds = make_blobs(330, 3, 8, seed=2)
     train, rest = ds.images[:200], ds.images[200:]
@@ -85,22 +86,26 @@ def test_traced_scoring_spans_one_forward_call_of_three_blocks(bench_trace):
     bundle = pipeline.fit_m_bundle(
         net, datasets.Dataset(train, ds.labels[:200]), datasets.Dataset(rest[:60])
     )
-    tracer = bench_trace.Tracer()
-    hooks = bench_trace.Instrumentation(tracer, 8)
-    hooks.install()
-    try:
-        with tracer.fitting():
-            pipeline.score_images(bundle, net, ds.images[:130])
-    finally:
-        hooks.uninstall()
-    calls = tracer.calls
-    assert calls["pipeline.run_network"] == calls["network.forward_with_taps"] == 1
-    assert tracer.counts["pipeline.images_forwarded"] == 130
-    for kernel in ("conv2d", "maxpool2d"):
-        assert {n for n in calls if n.startswith(f"tensor_ops.{kernel}.")} == {
-            f"tensor_ops.{kernel}.l1", f"tensor_ops.{kernel}.l2"
-        }
-        assert calls[f"tensor_ops.{kernel}.l1"] == calls[f"tensor_ops.{kernel}.l2"] == 3
-    assert calls["tensor_ops.relu"] == calls["features.reduce_tap"] == 9
-    assert calls["tensor_ops.dense"] == 6 and calls["tensor_ops.softmax"] == 3
-    assert_bindings_restored(before)
+    for n, blocks in ((1, 1), (130, 3)):
+        tracer = bench_trace.Tracer()
+        hooks = bench_trace.Instrumentation(tracer, 8)
+        hooks.install()
+        try:
+            with tracer.fitting():
+                pipeline.score_images(bundle, net, ds.images[:n])
+        finally:
+            hooks.uninstall()
+        calls = tracer.calls
+        assert calls["pipeline.run_network"] == calls["network.forward_with_taps"] == 1
+        assert calls["features.apply_power_transform"] == 1
+        assert tracer.counts["pipeline.images_forwarded"] == n
+        for kernel in ("conv2d", "maxpool2d"):
+            assert {m for m in calls if m.startswith(f"tensor_ops.{kernel}.")} == {
+                f"tensor_ops.{kernel}.l1", f"tensor_ops.{kernel}.l2"
+            }
+            assert calls[f"tensor_ops.{kernel}.l1"] == blocks
+            assert calls[f"tensor_ops.{kernel}.l2"] == blocks
+        assert calls["tensor_ops.relu"] == calls["features.reduce_tap"] == 3 * blocks
+        assert calls["tensor_ops.dense"] == 2 * blocks
+        assert calls["tensor_ops.softmax"] == blocks
+        assert_bindings_restored(before)

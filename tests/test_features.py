@@ -86,9 +86,10 @@ def test_minmax_ordering_and_names():
 
 
 def test_min_max_columns_are_bitwise_row_reductions():
-    """reduce_tap's reduceat columns equal .min/.max(axis=1) bit for bit,
-    also where zeros of both signs tie for the extreme or a NaN sits in
-    the row: both reduce each row by the same contiguous inner loop."""
+    """reduce_tap's min and max columns equal .min/.max(axis=1) bit for
+    bit, also where zeros of both signs tie for the extreme or a NaN sits
+    in the row, when ``out`` is a strided column block of a wider feature
+    matrix; the columns around the block are left alone."""
     s = Stream(44)
     for n, shape in [(1, (8, 28, 28)), (5, (16, 14, 14)), (7, (64,)), (3, (1,))]:
         k = int(np.prod(shape))
@@ -100,14 +101,17 @@ def test_min_max_columns_are_bitwise_row_reductions():
         flat[(marks >= 30) & (flat == 0)] = 0.0
         flat[0, marks[0] == 20] = np.nan
         flat.view(np.uint32)[-1, marks[-1] == 21] = 0xFFC00001
-        lo, hi = reduce_tap(tap, FeatureKind.MINMAX)
-        for got, want in ((lo, flat.min(axis=1)), (hi, flat.max(axis=1))):
-            assert got.dtype == np.float32 and got.shape == (n,)
+        matrix = np.full((n, 6), 7.0, np.float32)
+        block = matrix[:, 2:4]
+        reduce_tap(tap, FeatureKind.MINMAX, block)
+        for got, want in ((block[:, 0], flat.min(axis=1)),
+                          (block[:, 1], flat.max(axis=1))):
             np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+        assert (matrix[:, [0, 1, 4, 5]] == 7.0).all()
     # an empty batch reduces to empty columns, for every kind
     for kind in ALL_FEATURE_KINDS:
-        for column in reduce_tap(np.zeros((0, 2, 3, 3), np.float32), kind):
-            assert column.shape == (0,)
+        out = np.empty((0, feature_width(kind, 1)), np.float32)
+        reduce_tap(np.zeros((0, 2, 3, 3), np.float32), kind, out)
 
 
 def test_extract_contract_checks():
@@ -273,6 +277,48 @@ def test_apply_is_bitwise_the_per_column_transform():
     got = apply_power_transform(pt, x)
     assert got.dtype == np.float64
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def yeo_johnson_where_form(x, lam):
+    """The transform with its limit passes always run: every element goes
+    through where(limit, ...) with a safe divisor; kept as a bitwise oracle
+    for the form that skips them when no power lies at the limit."""
+    x = np.asarray(x, dtype=np.float64)
+    pos = x >= 0
+    sign = np.where(pos, 1.0, -1.0)
+    power = np.where(pos, lam, 2.0 - lam)
+    base = np.log1p(sign * x)
+    limit = np.abs(power) < np.spacing(1.0)
+    safe = np.where(limit, 1.0, power)
+    return sign * np.where(limit, base, np.expm1(power * base) / safe)
+
+
+def test_yeo_johnson_is_bitwise_the_where_form():
+    s = Stream(10)
+    edge = np.array([0.0, -0.0, 1e-300, -1e-300, 1e3, -1e3])
+    x = np.concatenate([edge, s.normal(42) * 3.0]).reshape(-1, 1) * np.ones(7)
+    x[:, 1::2] *= -1  # each edge value also with its sign flipped
+    mixed = np.array([0.0, 2.0, 0.7, -1.3, 1.0, 3.5, 2.0 + 1e-9])
+    ordinary = np.array([0.3, 1.7, 0.7, -1.3, 1.0, 3.5, -5.0])
+
+    def same(got, want):
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    for lambdas in (mixed, ordinary):
+        same(yeo_johnson(x, lambdas), yeo_johnson_where_form(x, lambdas))
+    # one scalar lambda per column, as the fit uses it; a sign-restricted
+    # column puts exactly 0 or 2 where no element's power reaches the limit
+    for j, lam in enumerate(mixed):
+        for col in (x[:, j], x[x[:, j] >= 0, j], x[x[:, j] < 0, j]):
+            same(yeo_johnson(col, lam), yeo_johnson_where_form(col, lam))
+    pt = PowerTransform(mixed, s.normal(7), s.uniform(7, 0.5, 2.0), np.zeros(7, bool))
+    same(apply_power_transform(pt, x),
+         (yeo_johnson_where_form(x, mixed) - pt.means) / pt.stds)
+    bad = x.copy()
+    bad[5, 3] = np.nan
+    with pytest.raises(ContractError, match="row 5, column 3"):
+        apply_power_transform(pt, bad)
 
 
 def test_power_transform_round_trip(tmp_path):

@@ -243,6 +243,9 @@ def test_network_validation():
             (1, 2, 2),
             3,
         )
+    # the layer table is keyed by LayerKind; a bare string is not one
+    with pytest.raises(ContractError, match="layer 0: unknown layer kind 'flatten'"):
+        Network([LayerSpec("flatten"), LayerSpec(LayerKind.SOFTMAX)], (1, 2, 2), 4)
 
 
 def test_epochs_zero_returns_initialization():
