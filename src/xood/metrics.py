@@ -1,4 +1,4 @@
-"""Detection metrics, the softmax baseline, and a small timing harness.
+"""Detection metrics and the softmax baseline.
 
 Score convention everywhere: higher scores mean "more in-distribution".
 The in-distribution set is the positive class.
@@ -11,15 +11,11 @@ The in-distribution set is the positive class.
 * detection_accuracy: best achievable mean of the two per-class accuracies
   over all thresholds, sweeping the n+1 distinct cut positions.
 * msp_baseline: maximum softmax probability per row.
-* overhead: relative wall-clock cost (t - t_base) / t_base.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -124,37 +120,3 @@ def msp_baseline(probabilities: np.ndarray) -> np.ndarray:
             f"row {bad} sums to {sums[bad]:.6f}, not a probability vector"
         )
     return probs.max(axis=1)
-
-
-def overhead(t: float, t_base: float) -> float:
-    """Relative slowdown of t against the baseline t_base."""
-    if t_base <= 0:
-        raise ContractError(f"baseline time must be positive, got {t_base}")
-    return (t - t_base) / t_base
-
-
-def format_overhead(value: float) -> str:
-    """Rounded percent form: 0.3724 -> '37%'."""
-    return f"{round(value * 100):d}%"
-
-
-@dataclass
-class TimingStats:
-    times: tuple[float, ...]
-
-
-def time_call(
-    fn: Callable[[], object], repeats: int = 10, warmup: int = 2
-) -> TimingStats:
-    """Wall-clock timing: run ``warmup`` unmeasured calls, then record
-    ``repeats`` measured ones."""
-    if repeats < 2:
-        raise ContractError(f"need at least 2 repeats, got {repeats}")
-    for _ in range(warmup):
-        fn()
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return TimingStats(tuple(times))

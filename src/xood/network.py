@@ -17,11 +17,12 @@ for any block of 24 or more rows, so only a trailing block of 16 or fewer
 images differs from a full block's, by about 1e-6. Within a block,
 a Relu that feeds a max-pool runs after that pool, on a quarter of the
 values, with bit-identical results (see ``forward_with_taps``). Training
-keeps the stack's own order, because its backward pass needs the Relu
-outputs. A batch of at most 64 images is one block, whose tensors are
-returned as the outputs without a copy, so a one-image request pays only
-for its layers. Layers dispatch through one table keyed by layer kind,
-and a network counts its Relus once, when it is built.
+runs in the same order and walks it back, bit for bit the gradients of
+the stack's own order (see ``_batch_loss_and_grad``). A network derives
+that run order and counts its Relus once, when it is built. A batch of at
+most 64 images is one block, whose tensors are returned as the outputs
+without a copy, so a one-image request pays only for its layers. Layers
+dispatch through one table keyed by layer kind.
 
 The trainer is plain seeded SGD with cross-entropy, no momentum. The
 classifier is a fixture for the detection pipeline, not a contribution in
@@ -115,12 +116,16 @@ class LayerSpec:
 class Network:
     """A validated feed-forward stack ending in softmax over num_classes.
 
-    ``num_activation_layers``, the Relu count, is derived once, when the
-    network is built."""
+    ``run_order``, the (layer, tap index or None) steps in the order the
+    layers run (see ``_run_order``), and ``num_activation_layers``, the
+    Relu count, are derived once, when the network is built."""
 
     layers: list[LayerSpec]
     input_shape: tuple[int, int, int]
     num_classes: int
+    run_order: tuple[tuple[LayerSpec, int | None], ...] = field(
+        init=False, repr=False, compare=False
+    )
     num_activation_layers: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -168,12 +173,37 @@ class Network:
             )
         if not self.layers or self.layers[-1].kind is not LayerKind.SOFTMAX:
             raise ContractError("network must end in softmax")
-        self.num_activation_layers = len(self.activation_indices)
+        self.run_order = _run_order(self.layers)
+        self.num_activation_layers = sum(tap is not None for _, tap in self.run_order)
 
-    @property
-    def activation_indices(self) -> list[int]:
-        """Positions of the Relu layers, in forward order."""
-        return [i for i, l in enumerate(self.layers) if l.kind is LayerKind.RELU]
+
+def _run_order(layers: list[LayerSpec]) -> tuple[tuple[LayerSpec, int | None], ...]:
+    """The stack as (layer, tap) steps in the order both the forward pass
+    and training run them: each Relu behind the max-pools it feeds.
+
+    The j-th Relu's tap, its input in stack order, is the input of the
+    step that carries ``tap == j``: the Relu itself, or the first max-pool
+    it was moved behind. relu(maxpool(x)) is maxpool(relu(x)) bit for bit,
+    since a window holding NaN pools to its first NaN either way and the
+    Relu keeps its bits, and the Relu maps -0.0, +0.0 and every negative to
+    +0.0, so zero ties cannot pick different cells.
+    """
+    order: list[tuple[LayerSpec, int | None]] = []
+    relus = 0
+    for layer in layers:
+        if (
+            layer.kind is LayerKind.MAXPOOL2D
+            and order
+            and order[-1][0].kind is LayerKind.RELU
+        ):
+            relu, tap = order.pop()
+            order += [(layer, tap), (relu, None)]
+        elif layer.kind is LayerKind.RELU:
+            order.append((layer, relus))
+            relus += 1
+        else:
+            order.append((layer, None))
+    return tuple(order)
 
 
 # Each layer kind's forward kernel. Kernels are looked up in ``tensor_ops``
@@ -211,9 +241,10 @@ def forward_with_taps(
     """Run the network, recording the input of every Relu layer.
 
     The batch runs through the stack in blocks of ``DEFAULT_BATCH`` rows,
-    each Relu that feeds a max-pool after that pool, so every layer reads
-    its input from cache (see the module docstring for why 64). The
-    shape is checked once. A batch of at most 64 rows is one block, and
+    in ``net.run_order`` (each Relu that feeds a max-pool after that pool,
+    its tap taken on the pool's input), so every layer reads its input
+    from cache (see the module docstring for why 64). The shape is
+    checked once. A batch of at most 64 rows is one block, and
     that block's tensors are the outputs: its softmax output becomes the
     probabilities and its taps the raw taps, without a copy. A larger
     batch writes each block's probabilities and raw taps into arrays
@@ -243,31 +274,17 @@ def forward_with_taps(
     for start in range(0, max(n, 1), DEFAULT_BATCH):
         rows = slice(start, start + DEFAULT_BATCH)
         x = batch[rows]
-        index = 0
-        # A Relu that feeds max-pools runs after them, on a quarter of the
-        # values: relu(maxpool(x)) is maxpool(relu(x)) bit for bit, since a
-        # window holding NaN pools to its first NaN either way and the Relu
-        # keeps its bits, and the Relu maps -0.0, +0.0 and every negative
-        # to +0.0, so zero ties cannot pick different cells.
-        relu_due = False
-        for layer in net.layers:
-            kind = layer.kind
-            if relu_due and kind is not LayerKind.MAXPOOL2D:
-                x = ops.relu(x)
-                relu_due = False
-            if kind is LayerKind.RELU:
+        for layer, tap in net.run_order:
+            if tap is not None:
                 if tap_map is not None:
-                    tap_map(index, rows, x)
+                    tap_map(tap, rows, x)
                 elif one_block:
                     taps.append(x)
                 else:
                     if start == 0:
                         taps.append(np.empty((n, *x.shape[1:]), np.float32))
-                    taps[index][rows] = x
-                index += 1
-                relu_due = True
-            else:
-                x = _FORWARD[kind](layer, x)
+                    taps[tap][rows] = x
+            x = _FORWARD[layer.kind](layer, x)
         if one_block:
             probabilities = x
         else:
@@ -386,21 +403,29 @@ def _batch_loss_and_grad(
 ) -> tuple[float, list]:
     """Forward through the logits, cross-entropy, and per-layer gradients.
 
-    The backward pass reuses each conv layer's forward im2col buffer and
-    each pool layer's output, and computes no gradient for the images.
+    The layers run in ``net.run_order``, as in inference, and the backward
+    pass walks it in reverse: ``relu_backward`` masks by the pooled
+    pre-activation, a quarter of the values, and ``maxpool2d_backward``
+    routes from the conv output to the same first-maximum cell the pooled
+    Relu output would pick. Where a window's maximum is <= 0, NaN included,
+    both orders write +0.0, so the gradients are bit for bit those of the
+    stack's own order. The backward pass reuses each conv layer's forward
+    im2col buffer and each pool layer's output, and computes no gradient
+    for the images.
     """
-    acts = [xb]  # acts[i] is layer i's input, acts[i + 1] its output
+    steps = [layer for layer, _ in net.run_order[:-1]]  # stop before the softmax
+    acts = [xb]  # acts[s] is step s's input, acts[s + 1] its output
     columns = {}
-    for i, layer in enumerate(net.layers[:-1]):  # stop before the softmax
-        x = acts[i]
+    for s, layer in enumerate(steps):
+        x = acts[s]
         if layer.kind is LayerKind.CONV2D:
             kh, kw = layer.weight.shape[2:]
-            columns[i] = ops.conv2d_columns(
+            columns[s] = ops.conv2d_columns(
                 x, kh, kw, layer.stride, layer.padding
             )
             x = ops.conv2d(
                 x, layer.weight, layer.bias, layer.stride, layer.padding,
-                cols=columns[i],
+                cols=columns[s],
             )
         else:
             x = _apply_layer(layer, x)
@@ -417,8 +442,8 @@ def _batch_loss_and_grad(
     grad = (grad / n).astype(np.float32)
 
     updates = []
-    for i in reversed(range(len(acts))):
-        layer, x_in = net.layers[i], acts[i]
+    for s in reversed(range(len(steps))):
+        layer, x_in = steps[s], acts[s]
         kind = layer.kind
         if kind is LayerKind.DENSE:
             grad, gw, gb = ops.dense_backward(x_in, layer.weight, grad)
@@ -429,12 +454,12 @@ def _batch_loss_and_grad(
             grad = grad.reshape(x_in.shape)
         elif kind is LayerKind.MAXPOOL2D:
             grad = ops.maxpool2d_backward(
-                x_in, layer.window, grad, pooled=acts[i + 1]
+                x_in, layer.window, grad, pooled=acts[s + 1]
             )
         elif kind is LayerKind.CONV2D:
             grad, gw, gb = ops.conv2d_backward(
                 x_in, layer.weight, grad, layer.padding,
-                cols=columns[i], input_grad=i > 0,
+                cols=columns[s], input_grad=s > 0,
             )
             updates.append((layer, gw, gb))
         else:
@@ -598,8 +623,3 @@ def load_network(path: str | Path) -> Network:
         return Network(layers, input_shape, num_classes)
     except (DimensionError, ContractError) as exc:
         raise FormatError(f"inconsistent network file: {exc}", offset=9) from None
-
-
-def networks_equal(a: Network, b: Network) -> bool:
-    """Bit-exact structural and parameter equality: equal XNET encodings."""
-    return _encode_network(a) == _encode_network(b)

@@ -26,10 +26,13 @@ ufunc calls instead of window**2 - 1. The result is bit for bit the fold
 over the window's cells in row-major order: a NaN pools to the first NaN,
 and since ``np.maximum`` returns the second of two equal arguments, a tie
 between zeros of opposite sign goes to the last tied cell. The backward
-pass takes, per window offset (dy, dx), the view
-``x[:, :, dy::stride, dx::stride]`` cut to the output extent and routes
-each window's gradient to the first view, in row-major window order, that
-equals the pooled maximum. Both are exact (max, compare and copy only).
+pass works on x viewed as (N, C, Ho, window, W): one compare against the
+pooled maxima repeated along W marks every cell that equals its window's
+maximum (a NaN window marks its NaNs), and the gradient bits, repeated the
+same way, are copied through that mask with one multiply. Only when some
+window holds two or more marks does a pass per window offset (dy, dx) clear
+all but the first in row-major window order. Both are exact (max, compare
+and copy only).
 Convolution makes its (N, C*kh*kw, Ho*Wo) im2col buffer with one copy of a
 (N, C, kh, kw, Ho, Wo) window view of the padded input, then does one
 batched matmul per call, whose output is already NCHW; the kernel gradient
@@ -43,7 +46,6 @@ loop oracle in the tests bounds the error at rtol 1e-5.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -69,22 +71,6 @@ def _out_extent(extent: int, k: int, stride: int, padding: int, axis: str) -> in
             f"at stride {stride}"
         )
     return span // stride + 1
-
-
-def _window_offsets(
-    x: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int
-) -> Iterator[np.ndarray]:
-    """Yield, per window offset (dy, dx) in row-major order, the view of
-    ``x[:, :, dy::stride, dx::stride]`` cut to (ho, wo).
-
-    Element [i, j] of the view is the (dy, dx) cell of output (i, j)'s
-    window, so a window reduction becomes ``kh * kw`` whole-array ops.
-    """
-    for dy in range(kh):
-        for dx in range(kw):
-            rows = slice(dy, dy + stride * ho, stride)
-            cols = slice(dx, dx + stride * wo, stride)
-            yield x[:, :, rows, cols]
 
 
 def _im2col(
@@ -319,26 +305,54 @@ def maxpool2d_backward(
             raise DimensionError(
                 f"pooled has shape {pooled.shape}, expected {(n, c, ho, wo)}"
             )
-    grad_bits = np.asarray(grad_out, dtype=np.float32).view(np.uint32)
-    # the windows tile x, so every cell of grad_x is written exactly once
-    grad_x = np.empty_like(x)
-    routed = np.zeros(pooled.shape, bool)
-    # a window holding NaN pools to NaN and routes to its first NaN
-    has_nan = bool(np.isnan(pooled).any())
-    for view, grad_view in zip(
-        _window_offsets(x, window, window, window, ho, wo),
-        _window_offsets(grad_x, window, window, window, ho, wo),
-    ):
-        hit = view == pooled
-        if has_nan:
-            hit |= np.isnan(view)
-        hit &= ~routed
-        # multiplying the bit patterns by the 0/1 mask copies the gradient
-        # exactly where hit and writes +0.0 elsewhere, whatever its sign
-        # or finiteness; a float multiply would leave -0.0 or NaN there
-        np.multiply(grad_bits, hit, out=grad_view.view(np.uint32))
-        routed |= hit
+    grad_out = _as_f32("grad_out", grad_out, 4)
+    if grad_out.shape != (n, c, ho, wo):
+        raise DimensionError(
+            f"grad_out has shape {grad_out.shape}, expected {(n, c, ho, wo)}"
+        )
+    # axis 3 is a window's row offset dy; axis 4 runs over every window
+    # column of that row, each pooled value repeated across its window
+    rows = x.reshape(n, c, ho, window, w)
+    maxima = _repeat_columns(pooled.view(np.uint32), window).view(np.float32)
+    hit = rows == maxima[:, :, :, None, :]
+    # a window holding NaN pools to NaN, which equals nothing
+    if np.isnan(pooled).any():
+        hit |= np.isnan(rows)
+    # every window holds at least one hit; more than one is a tie
+    if np.count_nonzero(hit) != pooled.size:
+        _keep_first_hits(hit.reshape(n, c, ho, window, wo, window))
+    grad_x = np.empty((n, c, h, w), np.float32)
+    grad_bits = grad_out.view(np.uint32)
+    # multiplying the bit patterns by the 0/1 mask copies the gradient
+    # exactly where hit and writes +0.0 elsewhere, whatever its sign or
+    # finiteness; a float multiply would leave -0.0 or NaN there
+    np.multiply(
+        _repeat_columns(grad_bits, window)[:, :, :, None, :], hit,
+        out=grad_x.view(np.uint32).reshape(n, c, ho, window, w),
+    )
     return grad_x
+
+
+def _repeat_columns(bits: np.ndarray, window: int) -> np.ndarray:
+    """``bits`` (uint32) with each element repeated ``window`` times along
+    the last axis."""
+    if window == 2:
+        # a uint64 holding the same 32 bits twice is two equal uint32s in
+        # either byte order; one cast and one multiply beat np.repeat
+        wide = bits.astype(np.uint64, order="C")
+        return (wide * np.uint64(0x1_0000_0001)).view(np.uint32)
+    return np.repeat(bits, window, axis=-1)
+
+
+def _keep_first_hits(hit: np.ndarray) -> None:
+    """Clear, in place, every hit of an (N, C, Ho, dy, Wo, dx) window mask
+    but each window's first in row-major (dy, dx) order."""
+    seen = np.zeros(hit.shape[:3] + hit.shape[4:5], bool)
+    for dy in range(hit.shape[3]):
+        for dx in range(hit.shape[5]):
+            cell = hit[:, :, :, dy, :, dx]
+            cell &= ~seen
+            seen |= cell
 
 
 def flatten(x: np.ndarray) -> np.ndarray:

@@ -35,18 +35,12 @@ from xood.logistic import (
     split_features,
 )
 from xood.mahalanobis import fit_mahalanobis, mahalanobis_score
-from xood.metrics import (
-    auroc,
-    detection_accuracy,
-    format_overhead,
-    msp_baseline,
-    overhead,
-    time_call,
-    tnr_at_95tpr,
-)
+from xood.metrics import auroc, detection_accuracy, msp_baseline, tnr_at_95tpr
 from xood.network import TrainConfig, forward_with_taps, save_network, train_reference_cnn
 from xood.pipeline import fit_l_bundle, fit_m_bundle, run_network, score_images
 from xood.rng import Stream, derive_seed
+
+from helpers import format_overhead, overhead, time_call
 
 
 SEED = 7

@@ -5,14 +5,13 @@ from xood.errors import ContractError
 from xood.metrics import (
     auroc,
     detection_accuracy,
-    format_overhead,
     fpr_at_95tpr,
     msp_baseline,
-    overhead,
-    time_call,
     tnr_at_95tpr,
 )
 from xood.rng import Stream
+
+from helpers import format_overhead, overhead, time_call
 
 
 def auroc_pairwise(scores, is_id):

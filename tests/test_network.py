@@ -21,12 +21,13 @@ from xood.network import (
     evaluate_accuracy,
     forward_with_taps,
     load_network,
-    networks_equal,
     save_network,
     train_reference_cnn,
 )
-from xood.rng import Stream
+from xood.rng import Stream, derive_seed
 from xood.tensor_ops import conv2d, dense, flatten, maxpool2d, relu, softmax
+
+from helpers import networks_equal
 
 
 def assert_bitwise(got, want):
@@ -58,7 +59,12 @@ def test_reference_architecture(toy_net):
         LayerKind.DENSE, LayerKind.SOFTMAX,
     ]
     assert toy_net.num_activation_layers == 3
-    assert toy_net.activation_indices == [1, 4, 8]
+    # each Relu runs behind the pool it feeds, its tap on the pool's input
+    position = {id(layer): i for i, layer in enumerate(toy_net.layers)}
+    assert [(position[id(layer)], tap) for layer, tap in toy_net.run_order] == [
+        (0, None), (2, 0), (1, None), (3, None), (5, 1), (4, None),
+        (6, None), (7, None), (8, 2), (9, None), (10, None),
+    ]
     assert toy_net.layers[0].weight.shape == (8, 1, 3, 3)
     assert toy_net.layers[3].weight.shape == (16, 8, 3, 3)
     assert toy_net.layers[7].weight.shape == (16 * 2 * 2, 64)
@@ -312,15 +318,50 @@ def test_training_step_is_bitwise_the_default_kernels():
             )
 
 
+def test_training_is_bitwise_sgd_over_the_stack_order_step(monkeypatch):
+    """Two epochs of train_reference_cnn write the .xnet bytes of the same
+    SGD driven by batch_step_loop, which runs each Relu before its pool.
+    Blank image rows give conv outputs whose windows tie, some at or
+    below zero, so the pool backward's tie pass runs too."""
+    ds = make_blobs(60, 3, 8, seed=2)
+    ds.images[::3, :, :4] = 0.0
+    ds.images[1::3, :, :, 2:] = -0.0
+    cfg = TrainConfig(epochs=2, batch_size=16, seed=4)
+    ties = []
+    keep_first_hits = tensor_ops._keep_first_hits
+    monkeypatch.setattr(
+        tensor_ops, "_keep_first_hits",
+        lambda hit: ties.append(hit.shape) or keep_first_hits(hit),
+    )
+    net = train_reference_cnn(ds.images, ds.labels, cfg)
+    assert ties
+    want = build_reference_cnn((1, 8, 8), 3, cfg.seed)
+    shuffle = Stream(derive_seed(cfg.seed, "epoch-shuffle"))
+    lr = np.float32(cfg.learning_rate)
+    for _ in range(cfg.epochs):
+        order = shuffle.permutation(60)
+        for start in range(0, 60, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            _, updates = batch_step_loop(want, ds.images[idx], ds.labels[idx])
+            for layer, gw, gb in updates:
+                layer.weight -= lr * gw
+                layer.bias -= lr * gb
+    assert _encode_network(net) == _encode_network(want)
+
+
 def test_training_step_does_each_piece_of_work_once(monkeypatch):
     """The forward pass convolves and pools each layer once; backward
     re-pools nothing and computes no gradient for the images, so the only
-    conv2d inside conv2d_backward is the second conv's input gradient."""
+    conv2d inside conv2d_backward is the second conv's input gradient.
+    Each Relu that feeds a pool runs, and is differentiated, on the pooled
+    values."""
     calls = {"conv2d": 0, "conv2d in backward": 0, "maxpool2d": 0}
     in_backward = []
     conv, conv_backward, pool = (
         tensor_ops.conv2d, tensor_ops.conv2d_backward, tensor_ops.maxpool2d
     )
+    relu_backward = tensor_ops.relu_backward
+    relu_shapes, relu_backward_shapes = [], []
 
     def counted_conv(*args, **kwargs):
         calls["conv2d in backward" if in_backward else "conv2d"] += 1
@@ -343,8 +384,19 @@ def test_training_step_does_each_piece_of_work_once(monkeypatch):
     monkeypatch.setattr(tensor_ops, "conv2d", counted_conv)
     monkeypatch.setattr(tensor_ops, "conv2d_backward", counted_conv_backward)
     monkeypatch.setattr(tensor_ops, "maxpool2d", counted_pool)
+    monkeypatch.setattr(
+        tensor_ops, "relu", lambda x: relu_shapes.append(x.shape) or relu(x)
+    )
+    monkeypatch.setattr(
+        tensor_ops, "relu_backward",
+        lambda x, g: relu_backward_shapes.append((x.shape, g.shape))
+        or relu_backward(x, g),
+    )
     _batch_loss_and_grad(net, ds.images, ds.labels)
     assert calls == {"conv2d": 2, "conv2d in backward": 1, "maxpool2d": 2}
+    pooled = [(12, 8, 4, 4), (12, 16, 2, 2), (12, 64)]
+    assert relu_shapes == pooled
+    assert relu_backward_shapes == [(shape, shape) for shape in reversed(pooled)]
 
 
 def accuracy_loop(net, images, labels, batch_size):

@@ -336,6 +336,44 @@ def test_maxpool_is_bitwise_the_windowed_argmax_kernel():
     assert_bitwise(maxpool2d(odd, 3, 2), maxpool_windowed(odd, 3, 2))
 
 
+def test_maxpool_backward_is_the_argmax_routing_on_hard_windows():
+    s = Stream(415)
+    # window 3 on values from {0, 1, 2}: most windows tie
+    x3 = s.integers(2 * 3 * 9 * 9, 3).astype(np.float32).reshape(2, 3, 9, 9)
+    # a non-contiguous input: every other column
+    wide = s.integers(2 * 3 * 6 * 12, 3).astype(np.float32).reshape(2, 3, 6, 12)
+    strided = wide[:, :, :, ::2]
+    assert not strided.flags.c_contiguous
+    # every window's maximum tied between zeros of either sign
+    signs = s.integers(2 * 3 * 6 * 6, 2).astype(bool).reshape(2, 3, 6, 6)
+    zeros = np.where(signs, np.float32(-0.0), np.float32(0.0))
+    # a tie followed by a NaN routes to the NaN; two NaNs to the first
+    nans = rand(s, 2, 3, 6, 6)
+    nans[0, 0, :2, :2] = [[1.0, 1.0], [np.nan, 0.0]]
+    nans[1, 2, 2:4, 4:] = [[np.nan, 5.0], [np.nan, 5.0]]
+    for x, window in ((x3, 3), (strided, 2), (zeros, 2), (nans, 2)):
+        n, c, h, w = x.shape
+        grad = rand(s, n, c, h // window, w // window)
+        grad.flat[::4] = -0.0
+        grad.flat[1::7] = np.nan
+        want = maxpool_backward_argmax(x, window, grad)
+        assert_bitwise(maxpool2d_backward(x, window, grad), want)
+        pooled = maxpool2d(x, window, window)
+        assert_bitwise(maxpool2d_backward(x, window, grad, pooled=pooled), want)
+        # a column-major gradient and pooled maximum route the same way
+        assert_bitwise(
+            maxpool2d_backward(x, window, np.asfortranarray(grad),
+                               pooled=np.asfortranarray(pooled)),
+            want,
+        )
+    np.testing.assert_array_equal(
+        maxpool2d_backward(nans, 2, np.ones((2, 3, 3, 3), np.float32))[0, 0, :2, :2],
+        [[0.0, 0.0], [1.0, 0.0]],
+    )
+    with pytest.raises(DimensionError, match="grad_out"):
+        maxpool2d_backward(nans, 2, np.ones((2, 3, 3, 1), np.float32))
+
+
 POOL_GEOMETRIES = [(1, 1), (2, 2), (2, 1), (3, 1), (3, 2)]
 
 
