@@ -17,7 +17,7 @@ Conventions:
   fully resolved configuration plus run statistics
 * one ``--seed`` drives all randomness; independent streams are derived
   per purpose, so ``train`` and ``fit-m``/``fit-l`` recover the same
-  calibration split when given the same dataset and seed
+  calibration split when given the same dataset, seed and holdout fraction
 * exit codes: 0 success, 2 configuration error, 3 data or format error,
   4 numerical failure
 """
@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import metrics, pipeline
+from . import mahalanobis, metrics, pipeline
 from .datasets import (
     Dataset,
     NoiseKind,
@@ -114,6 +114,8 @@ _COMMON = {
 }
 _FORCE = {"force": dict(action="store_true", help="overwrite existing outputs")}
 _FEATURE_KIND = dict(type=FeatureKind, default=FeatureKind.MINMAX)
+_HOLDOUT = dict(type=_FRACTION, default=0.2,
+                help="fraction held out of training as the calibration split")
 _FORMAT = dict(default="xten", choices=("xten", "idx"))
 
 _SCHEMAS: dict[str, dict[str, dict]] = {
@@ -132,16 +134,14 @@ _SCHEMAS: dict[str, dict[str, dict]] = {
     "train": {**_COMMON,
         "images": dict(required=True),
         "labels": dict(required=True),
-        "epochs": dict(
-            type=_checked(int, "an integer >= 0", lambda v: v >= 0), default=5),
+        "epochs": dict(type=_checked(int, "an integer >= 0", lambda v: v >= 0),
+                       default=TrainConfig.epochs),
         "learning-rate": dict(
             type=_checked(float, "a finite number > 0",
                           lambda v: math.isfinite(v) and v > 0.0),
-            default=0.1),
-        "batch-size": dict(type=_COUNT, default=64),
-        "holdout-fraction": dict(
-            type=_FRACTION, default=0.2,
-            help="fraction held out of training as the calibration split"),
+            default=TrainConfig.learning_rate),
+        "batch-size": dict(type=_COUNT, default=TrainConfig.batch_size),
+        "holdout-fraction": _HOLDOUT,
         "min-accuracy": dict(
             type=_checked(float, "a finite number", math.isfinite), default=0.0,
             help="fail if training accuracy falls below this floor"),
@@ -159,8 +159,9 @@ _SCHEMAS: dict[str, dict[str, dict]] = {
         "model": dict(required=True),
         "images": dict(required=True),
         "labels": dict(required=True),
-        "holdout-fraction": dict(type=_FRACTION, default=0.2),
-        "reg-c": dict(type=_PENALTY, default=10.0, help="covariance regularizer C"),
+        "holdout-fraction": _HOLDOUT,
+        "reg-c": dict(type=_PENALTY, default=mahalanobis.DEFAULT_REG_C,
+                      help="covariance regularizer C"),
         "feature-kind": _FEATURE_KIND,
         "out": dict(required=True, help="detector bundle directory"),
         **_FORCE,
@@ -169,7 +170,7 @@ _SCHEMAS: dict[str, dict[str, dict]] = {
         "model": dict(required=True),
         "images": dict(required=True),
         "labels": dict(required=True),
-        "holdout-fraction": dict(type=_FRACTION, default=0.2),
+        "holdout-fraction": _HOLDOUT,
         "lambda-grid": dict(type=_lambda_grid, default=LAMBDA_GRID),
         "feature-kind": _FEATURE_KIND,
         "out": dict(required=True, help="detector bundle directory"),

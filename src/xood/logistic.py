@@ -6,18 +6,20 @@ classifier's own training data is copied through the four distortion
 families; each row is labeled 1 where the classifier still predicts the
 (possibly mixup-adjusted) label and 0 where it fails. Features are the
 power-transformed extreme values, reusing the transform fitted on the
-training data, then split around the in-distribution feature means:
+training data, then split around the in-distribution feature means. Those
+are 0, since the transform standardizes each column on the correctly
+classified training images:
 
-    m_plus  = relu(m - m_bar)
-    m_minus = relu(-m + m_bar)
+    m_plus  = relu(m)
+    m_minus = relu(-m)
 
 so a weight can respond differently to a feature sitting above or below
 its usual value. Split features are standardized with statistics computed
-on the full training matrix. The detector stores the split means and those
-statistics, and scoring applies the same standardization to new features.
-The ridge penalty is chosen by holding out one distortion family (plus the
-clean fold) at a time: k distortions give k+1 folds. Ties prefer the
-larger penalty.
+on the full training matrix. The detector stores those statistics, and
+scoring applies the same standardization to new features. The ridge
+penalty is chosen by holding out one distortion family (plus the clean
+fold) at a time: k distortions give k+1 folds. Ties prefer the larger
+penalty.
 
 The solver is full-batch Newton with step halving on the objective
 
@@ -25,7 +27,8 @@ The solver is full-batch Newton with step halving on the objective
 
 stopping when the gradient's infinity norm drops below 1e-8. A fit that
 takes 100 Newton steps without getting there, or whose step no halving
-makes lower the loss, stops too and logs a warning.
+makes lower the loss, raises ``NumericalError`` naming lambda and the
+gradient norm, in a cross-validation cell as in the final fit.
 """
 
 from __future__ import annotations
@@ -59,49 +62,39 @@ FOLD_NAMES = ("calibration",) + tuple(DISTORTION_FAMILIES)
 # split features and scaling
 
 
-def split_features(features: np.ndarray, raw_means: np.ndarray) -> np.ndarray:
-    """Map each feature m_i to the pair (relu(m_i - mean_i), relu(mean_i - m_i)).
-
-    Columns are interleaved: (f0+, f0-, f1+, f1-, ...). The two halves
-    reconstruct the deviation exactly (their difference) and never overlap
-    (their product is zero).
+def split_features(features: np.ndarray) -> np.ndarray:
+    """Map each feature m_i to the pair (relu(m_i), relu(-m_i)): a split at
+    its in-distribution mean, 0, since the power transform standardizes each
+    column on the correctly classified training images. Columns are
+    interleaved: (f0+, f0-, f1+, f1-, ...); the two halves reconstruct the
+    feature exactly (their difference) and never overlap (their product is
+    zero).
     """
     x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != raw_means.shape[0]:
-        raise ContractError(
-            f"features shape {x.shape} does not match {raw_means.shape[0]} means"
-        )
-    delta = x - raw_means
+    if x.ndim != 2:
+        raise ContractError(f"features must be 2-D, got {x.shape}")
     out = np.empty((x.shape[0], 2 * x.shape[1]))
-    out[:, 0::2] = np.maximum(delta, 0.0)
-    out[:, 1::2] = np.maximum(-delta, 0.0)
+    np.maximum(x, 0.0, out=out[:, 0::2])
+    np.maximum(-x, 0.0, out=out[:, 1::2])
     return out
 
 
 def fit_split_scaler(
-    fit_features: np.ndarray, means_source: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Fit the split point and the standardization of the split columns.
-
-    ``means_source`` is the matrix of transformed features of correctly
-    classified training images; its column means define the split point.
-    Standardization statistics come from ``fit_features`` (the full
-    detector training matrix), not from ``means_source``. Returns
-    ``(raw_means, scale_means, scale_stds, pinned, standardized)``: the
-    three tensors ``LDetector`` stores, the (2d,) flags of the split
-    columns whose std was pinned to 1, and the standardized split fit
-    matrix.
+    fit_features: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Fit the standardization of the columns ``split_features`` makes,
+    split at 0, on ``fit_features``, the full detector training matrix.
+    Returns ``(scale_means, scale_stds, pinned, standardized)``: the two
+    tensors ``LDetector`` stores besides its weights, the (2d,) flags of
+    the split columns whose std was pinned to 1, and the standardized
+    split fit matrix.
     """
-    means_source = np.asarray(means_source, dtype=np.float64)
-    if means_source.ndim != 2:
-        raise ContractError(f"means source must be 2-D, got {means_source.shape}")
-    raw_means = means_source.mean(axis=0)
-    splitted = split_features(fit_features, raw_means)
+    splitted = split_features(fit_features)
     scale_means = splitted.mean(axis=0)
     scale_stds = splitted.std(axis=0)
     pinned = pin_constant_stds(scale_stds, "split columns")
     standardized = (splitted - scale_means) / scale_stds
-    return raw_means, scale_means, scale_stds, pinned, standardized
+    return scale_means, scale_stds, pinned, standardized
 
 
 # ---------------------------------------------------------------------------
@@ -185,17 +178,15 @@ def fit_logreg(x: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
                 break
             scale *= 0.5
         else:
-            logger.warning(
-                "lambda %g: no step lowers the loss; stopping at gradient "
-                "norm %.3g", lam, float(np.max(np.abs(grad))),
+            raise NumericalError(
+                f"lambda {lam:g}: no step lowers the loss; gradient norm "
+                f"{float(np.max(np.abs(grad))):.3g}"
             )
-            return w
         w, loss = trial, trial_loss
-    logger.warning(
-        "lambda %g: %d Newton steps without convergence; gradient norm %.3g",
-        lam, MAX_NEWTON_ITER, float(np.max(np.abs(logreg_gradient(w, x, y, lam)))),
+    raise NumericalError(
+        f"lambda {lam:g}: {MAX_NEWTON_ITER} Newton steps without convergence; "
+        f"gradient norm {float(np.max(np.abs(logreg_gradient(w, x, y, lam)))):.3g}"
     )
-    return w
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +287,6 @@ class LDetector:
 
     method: ClassVar[str] = "l"
 
-    raw_means: np.ndarray  # (d,) split point: means of the in-distribution features
     scale_means: np.ndarray  # (2d,) split-column means on the training matrix
     scale_stds: np.ndarray  # (2d,) split-column stds, constant columns pinned to 1
     weights: np.ndarray  # (2d + 1,), intercept first
@@ -309,17 +299,14 @@ class LDetector:
 
 def fit_l_detector(
     training: LabeledFeatureSet,
-    means_source: np.ndarray,
     grid: tuple[float, ...] = LAMBDA_GRID,
 ) -> tuple[LDetector, CVResult]:
     """Scale, cross-validate the penalty, fit on everything, calibrate."""
-    raw_means, scale_means, scale_stds, pinned, x = fit_split_scaler(
-        training.features, means_source
-    )
+    scale_means, scale_stds, pinned, x = fit_split_scaler(training.features)
     cv = cross_validate(x, training.labels, training.fold_ids, grid)
     cv.pinned_split_columns = tuple(np.flatnonzero(pinned).tolist())
     weights = fit_logreg(x, training.labels, cv.best_lambda)
-    det = LDetector(raw_means, scale_means, scale_stds, weights, cv.best_lambda)
+    det = LDetector(scale_means, scale_stds, weights, cv.best_lambda)
     calibrate(det, score_l(det, training.features[training.fold_ids == 0]))
     logger.info(
         "selected lambda %g, threshold %.6f", cv.best_lambda, det.threshold
@@ -330,5 +317,11 @@ def fit_l_detector(
 def score_l(det: LDetector, features: np.ndarray) -> np.ndarray:
     """P(classifier is correct | features), in [0, 1]; higher means
     more in-distribution."""
-    x = (split_features(features, det.raw_means) - det.scale_means) / det.scale_stds
-    return _sigmoid(det.weights[0] + x @ det.weights[1:])
+    scores = np.empty(len(features))
+    # blocks of at most 2**16 split values (512 KiB) stay in a 2 MiB L2 cache
+    step = max(1, 2**16 // det.weights.shape[0])
+    for start in range(0, len(features), step):
+        rows = slice(start, start + step)
+        x = (split_features(features[rows]) - det.scale_means) / det.scale_stds
+        scores[rows] = _sigmoid(det.weights[0] + x @ det.weights[1:])
+    return scores

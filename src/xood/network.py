@@ -96,7 +96,6 @@ _HYPERPARAMETERS = {
 # checking a declared stack on an empty batch can fail only in the kernels'
 # own shape checks: values per image entering or leaving any layer, and each
 # hyperparameter (padding widens a layer's input before its output exists).
-_MAX_IMAGE_VALUES = 2**31
 _MAX_HYPERPARAMETER = 2**16
 
 
@@ -133,11 +132,11 @@ class Network:
         if (
             len(shape) != 3
             or min(shape) < 1
-            or math.prod(shape) > _MAX_IMAGE_VALUES
+            or math.prod(shape) > ops.MAX_IMAGE_VALUES
         ):
             raise DimensionError(
                 f"input shape must be (C,H,W) with extents >= 1 and at most "
-                f"{_MAX_IMAGE_VALUES} values, got {shape}"
+                f"{ops.MAX_IMAGE_VALUES} values, got {shape}"
             )
         # An empty batch runs each kernel's own shape checks and allocates
         # nothing, whatever extents the layers declare.
@@ -160,9 +159,9 @@ class Network:
                             f"{name} {value} exceeds {_MAX_HYPERPARAMETER}"
                         )
                 x = _apply_layer(layer, x)
-                if math.prod(x.shape[1:]) > _MAX_IMAGE_VALUES:
+                if math.prod(x.shape[1:]) > ops.MAX_IMAGE_VALUES:
                     raise DimensionError(
-                        f"output {x.shape[1:]} exceeds {_MAX_IMAGE_VALUES} "
+                        f"output {x.shape[1:]} exceeds {ops.MAX_IMAGE_VALUES} "
                         f"values per image"
                     )
         except DimensionError as exc:

@@ -91,9 +91,9 @@ def fit_l_bundle(
 ) -> tuple[DetectorBundle, logistic.CVResult]:
     """Fit the supervised detector from the calibration split and its
     distorted copies; the power transform comes from the training data."""
-    pt, means_source = _fit_transform(net, train, kind)
+    pt, _ = _fit_transform(net, train, kind)
     training_set = logistic.build_training_set(net, calibration, pt, seed, kind)
-    det, cv = logistic.fit_l_detector(training_set, means_source, grid)
+    det, cv = logistic.fit_l_detector(training_set, grid)
     return DetectorBundle(kind, pt, det), cv
 
 
@@ -142,8 +142,7 @@ _FORMATS = {
         tag="logistic",
         penalty="reg_lambda",
         shapes=lambda d: {
-            "raw_means": (d,), "scale_means": (2 * d,), "scale_stds": (2 * d,),
-            "weights": (2 * d + 1,),
+            "scale_means": (2 * d,), "scale_stds": (2 * d,), "weights": (2 * d + 1,),
         },
         positive=("scale_stds", np.ravel),
         lower=None,
@@ -179,9 +178,9 @@ def load_bundle(directory: str | Path) -> DetectorBundle:
     """Read a saved bundle, checking every value: ``dim`` is the power
     transform's width and the tensor shapes follow it, every number is
     finite, the penalty >= 0 and an xood-m factor is lower triangular with
-    a positive diagonal. A missing file is a ``FormatError``.
-    Other files, such as the ``cov.xten`` (xood-m) and ``scale_flags.xten``
-    (xood-l) of older versions, are ignored."""
+    a positive diagonal. A missing file is a ``FormatError``. Other files,
+    such as the ``cov.xten``, ``scale_flags.xten`` and ``raw_means.xten``
+    of older versions, are ignored."""
     directory = Path(directory)
     manifest = directory / "bundle.txt"
     if not manifest.is_file():

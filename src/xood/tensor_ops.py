@@ -51,6 +51,10 @@ import numpy as np
 
 from .errors import DimensionError
 
+# Largest buffer, in values per image, that a kernel builds or a layer passes
+# on; past it numpy may not even describe an im2col window view.
+MAX_IMAGE_VALUES = 2**31
+
 
 def _as_f32(name: str, x: np.ndarray, ndim: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float32)
@@ -111,6 +115,9 @@ def _conv_extents(
         raise DimensionError(f"bad stride {stride} or padding {padding}")
     ho = _out_extent(x.shape[2], kh, stride, padding, "height")
     wo = _out_extent(x.shape[3], kw, stride, padding, "width")
+    values = x.shape[1] * kh * kw * ho * wo
+    if values > MAX_IMAGE_VALUES:
+        raise DimensionError(f"im2col buffer of {values} values per image is too big")
     return ho, wo
 
 

@@ -342,7 +342,7 @@ def test_criterion_07_logistic_solver_optimality():
 def test_criterion_08_split_feature_identities():
     values = Stream(80).uniform(100_000, -50.0, 50.0).reshape(500, 200)
     means = Stream(81).uniform(200, -5.0, 5.0)
-    splitted = split_features(values, means)
+    splitted = split_features(values - means)
     plus, minus = splitted[:, 0::2], splitted[:, 1::2]
     assert np.array_equal(plus - minus, values - means)
     assert np.all(plus * minus == 0.0)
@@ -427,7 +427,7 @@ def test_criterion_10_overhead_and_scaling(depot):
         for i, d in enumerate(widths):
             x = rng.uniform(rows * d).reshape(rows, d)
             det = LDetector(
-                np.zeros(d), np.zeros(2 * d), np.ones(2 * d),
+                np.zeros(2 * d), np.ones(2 * d),
                 rng.uniform(2 * d + 1, -0.5, 0.5),
                 1.0,
             )

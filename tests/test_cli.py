@@ -142,10 +142,14 @@ def test_fit_l_manifest_lists_pinned_split_columns(ws, tmp_path, monkeypatch):
     root, run = ws
     fit = logistic.fit_l_detector
 
-    def split_below_every_row(training, means_source, grid):
-        # every value sits above the split point, so each "below" column
+    def split_below_every_row(training, grid):
+        # every value sits above the split point 0, so each "below" column
         # (odd index) is constant 0 and has its std pinned
-        return fit(training, training.features.min(axis=0, keepdims=True) - 1.0, grid)
+        shifted = training.features - training.features.min(axis=0) + 1.0
+        return fit(
+            logistic.LabeledFeatureSet(shifted, training.labels, training.fold_ids),
+            grid,
+        )
 
     monkeypatch.setattr(logistic, "fit_l_detector", split_below_every_row)
     assert run(
@@ -425,6 +429,21 @@ def test_accuracy_floor_is_numerical_error(ws, tmp_path):
         "train", "--images", root / "train.xten", "--labels", root / "labels.xten",
         "--epochs", 0, "--min-accuracy", 0.9, "--out", tmp_path / "bad.xnet",
     ) == 4
+
+
+def test_unconverged_fit_l_is_numerical_error(ws, tmp_path, monkeypatch, capsys):
+    root, run = ws
+    monkeypatch.setattr(logistic, "MAX_NEWTON_ITER", 1)
+    out = tmp_path / "ldet"
+    assert run(
+        "fit-l", "--model", root / "model.xnet", "--images", root / "train.xten",
+        "--labels", root / "labels.xten", "--seed", 7,
+        "--lambda-grid", "1.0", "--out", out,
+    ) == 4
+    err = capsys.readouterr().err
+    assert "Newton steps without convergence" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_unknown_flag_exits_2(ws, tmp_path):

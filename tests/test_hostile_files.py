@@ -47,9 +47,7 @@ def bundle_numbers(directory):
     if det.method == "m":
         penalty, tensors = det.reg_c, [det.mean, det.factor]
     else:
-        penalty, tensors = det.reg_lambda, [
-            det.raw_means, det.scale_means, det.scale_stds, det.weights
-        ]
+        penalty, tensors = det.reg_lambda, [det.scale_means, det.scale_stds, det.weights]
     return np.hstack([pt.lambdas, pt.means, pt.stds, penalty, det.threshold,
                       *(t.ravel() for t in tensors)])
 
@@ -94,7 +92,7 @@ def save_bundles(root):
     training = LabeledFeatureSet(
         x, (stream.uniform(100) < 0.7).astype(np.float64), np.arange(100) % 5
     )
-    l, _ = fit_l_detector(training, x[:50], grid=(1.0,))
+    l, _ = fit_l_detector(training, grid=(1.0,))
     for name, det in zip(BUNDLES, (m, l)):
         save_bundle(DetectorBundle(FeatureKind.MINMAX, pt, det), root / name)
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from xood.datasets import make_blobs
-from xood.errors import ContractError
+from xood import logistic
+from xood.errors import ContractError, NumericalError
 from xood.features import FeatureKind, extract_features, fit_power_transform
 from xood.logistic import (
     LAMBDA_GRID,
@@ -36,54 +37,58 @@ def fixture():
     correct = result.predictions == train.labels
     pt = fit_power_transform(feats[correct].astype(np.float64))
     calib = make_blobs(80, 3, 16, seed=22)
-    return net, pt, calib, feats[correct].astype(np.float64)
+    return net, pt, calib
 
 
 def test_split_features_identities():
-    means = np.array([1.0, -2.0])
-    x = np.array([[3.0, -2.0], [0.0, 1.0]])
-    out = split_features(x, means)
+    x = np.array([[2.0, 0.0], [-1.0, 3.0]])
+    out = split_features(x)
     np.testing.assert_array_equal(out, [[2.0, 0.0, 0.0, 0.0],
                                         [0.0, 1.0, 3.0, 0.0]])
-    # the halves reconstruct the deviation and never overlap
-    delta = out[:, 0::2] - out[:, 1::2]
-    np.testing.assert_array_equal(delta, x - means)
+    # the halves reconstruct the feature and never overlap
+    np.testing.assert_array_equal(out[:, 0::2] - out[:, 1::2], x)
     assert not (out[:, 0::2] * out[:, 1::2]).any()
     assert (out >= 0).all()
-    with pytest.raises(ContractError, match="does not match"):
-        split_features(x, np.zeros(3))
+    with pytest.raises(ContractError, match="2-D"):
+        split_features(x[0])
 
 
 def test_split_scaler_standardizes_fit_matrix():
     s = Stream(1)
     fit = s.normal(500 * 3).reshape(500, 3) * 2.0 + 1.0
-    source = s.normal(100 * 3).reshape(100, 3)
-    raw_means, scale_means, scale_stds, pinned, standardized = fit_split_scaler(
-        fit, source
-    )
-    np.testing.assert_allclose(raw_means, source.mean(axis=0), atol=1e-12)
+    scale_means, scale_stds, pinned, standardized = fit_split_scaler(fit)
     np.testing.assert_allclose(standardized.mean(axis=0), 0.0, atol=1e-12)
     np.testing.assert_allclose(standardized.std(axis=0), 1.0, atol=1e-12)
     assert not pinned.any()
     # scoring applies the stored standardization to the same rows
     weights = s.normal(2 * 3 + 1)
-    det = LDetector(raw_means, scale_means, scale_stds, weights, 1.0)
+    det = LDetector(scale_means, scale_stds, weights, 1.0)
     want = 1.0 / (1.0 + np.exp(-(weights[0] + standardized @ weights[1:])))
     np.testing.assert_allclose(score_l(det, fit), want, atol=1e-12)
 
 
+def test_score_l_in_row_blocks_matches_one_pass():
+    # at width 64, 1300 rows span three of score_l's 508-row blocks
+    s = Stream(3)
+    x = s.normal(1300 * 64).reshape(1300, 64)
+    det = LDetector(s.normal(128), 0.5 + s.uniform(128), s.normal(129), 1.0)
+    standardized = (split_features(x) - det.scale_means) / det.scale_stds
+    want = _sigmoid(det.weights[0] + standardized @ det.weights[1:])
+    np.testing.assert_allclose(score_l(det, x), want, rtol=1e-15, atol=0)
+    assert score_l(det, x[:0]).shape == (0,)
+
+
 def test_split_scaler_flags_constant_columns(caplog):
-    # every fit value sits above the mean: all "below" columns stay zero
+    # every fit value sits above 0: all "below" columns stay zero
     fit = np.abs(Stream(2).normal(100)).reshape(100, 1) + 10.0
-    source = np.zeros((20, 1))
-    _, _, scale_stds, pinned, standardized = fit_split_scaler(fit, source)
+    _, scale_stds, pinned, standardized = fit_split_scaler(fit)
     assert pinned[1] and not pinned[0]
     assert scale_stds[1] == 1.0
     assert np.isfinite(standardized).all()
     # the fitted detector reports the pinned column with its penalty table
     labels = (np.arange(100) % 3 != 0).astype(np.float64)
     training = LabeledFeatureSet(fit, labels, np.arange(100) % 5)
-    det, cv = fit_l_detector(training, source, grid=(1.0,))
+    det, cv = fit_l_detector(training, grid=(1.0,))
     assert cv.pinned_split_columns == (1,)
     assert det.scale_stds[1] == 1.0
 
@@ -191,6 +196,27 @@ def test_fit_logreg_contract_checks():
         fit_logreg(x, np.r_[np.ones(5), np.zeros(5)], -1.0)
 
 
+def test_fit_logreg_raises_after_max_newton_steps(monkeypatch):
+    x, y = make_problem(Stream(15))
+    monkeypatch.setattr(logistic, "MAX_NEWTON_ITER", 1)
+    with pytest.raises(
+        NumericalError, match=r"lambda 0\.5: 1 Newton steps .* gradient norm \d"
+    ):
+        fit_logreg(x, y, 0.5)
+
+
+def test_fit_logreg_raises_when_no_step_lowers_the_loss(monkeypatch):
+    # a loss that is lowest at the all-zero start rejects every trial step
+    x, y = make_problem(Stream(16))
+    monkeypatch.setattr(
+        logistic, "logreg_loss", lambda w, x, y, lam: float(np.abs(w).sum())
+    )
+    with pytest.raises(
+        NumericalError, match=r"lambda 2: no step lowers the loss; gradient norm \d"
+    ):
+        fit_logreg(x, y, 2.0)
+
+
 def test_cross_validate_table_and_determinism():
     s = Stream(14)
     x, y = make_problem(s, n=250, p=3)
@@ -224,7 +250,7 @@ def test_cross_validate_needs_two_folds():
 
 
 def test_build_training_set_layout(fixture):
-    net, pt, calib, _ = fixture
+    net, pt, calib = fixture
     ts = build_training_set(net, calib, pt, seed=123)
     m = len(calib)
     assert ts.features.shape == (5 * m, pt.dim)
@@ -248,9 +274,9 @@ def test_build_training_set_layout(fixture):
 
 
 def test_fit_l_detector_end_to_end(fixture):
-    net, pt, calib, means_source = fixture
+    net, pt, calib = fixture
     ts = build_training_set(net, calib, pt, seed=9)
-    det, cv = fit_l_detector(ts, means_source, grid=(1e-2, 1.0, 100.0))
+    det, cv = fit_l_detector(ts, grid=(1e-2, 1.0, 100.0))
     assert det.reg_lambda == cv.best_lambda
     assert det.threshold is not None
     scores = score_l(det, ts.features)
@@ -263,9 +289,9 @@ def test_fit_l_detector_end_to_end(fixture):
 
 
 def test_l_detector_round_trip(tmp_path, fixture):
-    net, pt, calib, means_source = fixture
+    net, pt, calib = fixture
     ts = build_training_set(net, calib, pt, seed=9)
-    det, _ = fit_l_detector(ts, means_source, grid=(1.0,))
+    det, _ = fit_l_detector(ts, grid=(1.0,))
     save_bundle(DetectorBundle(FeatureKind.MINMAX, pt, det), tmp_path)
     back = load_bundle(tmp_path).detector
     assert back.reg_lambda == det.reg_lambda

@@ -517,8 +517,9 @@ def test_load_rejects_inconsistent_manifest(tmp_path, toy_net):
         # a pool window of 4096 x 4096 cells on an empty batch
         [(b"input_shape=1,8,8", b"input_shape=1,4096,4096"),
          (b"layer2.window=2", b"layer2.window=4096")],
-        # a 16384 x 16384 window that tiles conv0's 2**31-value output and
-        # pools it to 1 x 1, so only a later layer refuses the stack
+        # a 16384 x 16384 window that would tile conv0's 2**31-value output
+        # and pool it to 1 x 1; conv0's 9 * 2**28-value im2col buffer is
+        # refused first
         [(b"input_shape=1,8,8", b"input_shape=1,16384,16384"),
          (b"layer2.window=2", b"layer2.window=16384"),
          (b"layer2.stride=2", b"layer2.stride=16384")],
@@ -542,6 +543,23 @@ def test_load_checks_declared_shapes_without_allocating(tmp_path, toy_net, patch
         tracemalloc.stop()
     assert peak < 50 * 2**20
     assert elapsed < 2.0
+
+
+def test_oversized_conv_kernel_is_dimension_error():
+    # a broadcast kernel allocates nothing; its im2col window view would
+    # need more bytes than numpy can address even for an empty batch
+    layers = [
+        LayerSpec(
+            LayerKind.CONV2D,
+            weight=np.broadcast_to(np.float32(0), (1, 1, 16384, 16384)),
+            bias=np.zeros(1, np.float32),
+            padding=65536,
+        ),
+        LayerSpec(LayerKind.FLATTEN),
+        LayerSpec(LayerKind.SOFTMAX),
+    ]
+    with pytest.raises(DimensionError, match="layer 0: im2col buffer of .* too big"):
+        Network(layers, (1, 16384, 16384), 2)
 
 
 def test_kernel_faults_other_than_shapes_are_not_wrapped(toy_net):

@@ -170,12 +170,14 @@ def test_bundle_round_trip_l(tmp_path, world, bundles):
 
 
 def test_load_bundle_ignores_stale_covariance_file(tmp_path, world, bundles):
-    # older versions also wrote cov.xten (xood-m) and scale_flags.xten
-    # (xood-l); the detector's own tensors alone define the scores
+    # older versions also wrote cov.xten (xood-m), and scale_flags.xten and
+    # raw_means.xten (xood-l); the detector's own tensors alone define the
+    # scores
     net, _, calib = world
     for method, stale, values in (
         ("m", "cov.xten", lambda d: np.eye(d)),
         ("l", "scale_flags.xten", lambda d: np.ones(2 * d)),
+        ("l", "raw_means.xten", lambda d: np.zeros(d)),
     ):
         target = tmp_path / method
         save_bundle(bundles[method], target)
