@@ -1,14 +1,13 @@
 """Self-supervised detector: logistic regression on split extreme-value
 features, trained to predict classifier correctness.
 
-No out-of-distribution data is needed. A held-out calibration split of the
-classifier's own training data is copied through the four distortion
-families; each row is labeled 1 where the classifier still predicts the
-(possibly mixup-adjusted) label and 0 where it fails. Features are the
-power-transformed extreme values, reusing the transform fitted on the
-training data, then split around the in-distribution feature means. Those
-are 0, since the transform standardizes each column on the correctly
-classified training images:
+No out-of-distribution data is needed. ``pipeline`` forwards the folds: a
+held-out calibration split of the classifier's own training data and one
+distorted copy of it per family, each row labeled 1 where the classifier
+still predicts the (possibly mixup-adjusted) label and 0 where it fails;
+``build_training_set`` stacks them. Each power-transformed feature is split
+around its in-distribution mean, 0, since the transform standardizes each
+column on the correctly classified training images:
 
     m_plus  = relu(m)
     m_minus = relu(-m)
@@ -17,9 +16,9 @@ so a weight can respond differently to a feature sitting above or below
 its usual value. Split features are standardized with statistics computed
 on the full training matrix. The detector stores those statistics, and
 scoring applies the same standardization to new features. The ridge
-penalty is chosen by holding out one distortion family (plus the clean
-fold) at a time: k distortions give k+1 folds. Ties prefer the larger
-penalty.
+penalty is chosen by holding out one fold at a time: k distortions give
+k+1 folds. Ties prefer the larger penalty. ``pipeline`` calibrates the
+fitted detector's threshold, as it does xood-m's.
 
 The solver is full-batch Newton with step halving on the objective
 
@@ -39,23 +38,14 @@ from typing import ClassVar
 
 import numpy as np
 
-from .datasets import Dataset
-from .distortions import DISTORTION_FAMILIES
 from .errors import ContractError, NumericalError
-from .features import (
-    FeatureKind, PowerTransform, apply_power_transform, pin_constant_stds,
-)
-from .mahalanobis import calibrate
-from .network import Network, run_network
-from .rng import derive_seed
+from .features import pin_constant_stds
 
 logger = logging.getLogger(__name__)
 
 GRAD_TOL = 1e-8
 MAX_NEWTON_ITER = 100
 LAMBDA_GRID = (1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1000.0)
-
-FOLD_NAMES = ("calibration",) + tuple(DISTORTION_FAMILIES)
 
 
 # ---------------------------------------------------------------------------
@@ -239,41 +229,21 @@ def cross_validate(
 class LabeledFeatureSet:
     """Transformed features, correctness labels, and fold ids for training."""
 
-    features: np.ndarray  # (5m, d) float64, power-transformed
-    labels: np.ndarray  # (5m,) 0/1
-    fold_ids: np.ndarray  # (5m,) 0 = calibration, then one id per family
-    fold_names: tuple[str, ...] = FOLD_NAMES
+    features: np.ndarray  # (n, d) float64, power-transformed
+    labels: np.ndarray  # (n,) 0/1
+    fold_ids: np.ndarray  # (n,) 0 = calibration, then one id per family
+    fold_names: tuple[str, ...] = ()
 
 
 def build_training_set(
-    net: Network,
-    calibration: Dataset,
-    pt: PowerTransform,
-    seed: int,
-    kind: FeatureKind = FeatureKind.MINMAX,
+    folds: dict[str, tuple[np.ndarray, np.ndarray]]
 ) -> LabeledFeatureSet:
-    """Calibration data plus one distorted copy per family.
-
-    Every row's label is 1 exactly when the classifier's prediction matches
-    the row's (possibly mixup-adjusted) label; the power transform is the
-    one fitted on the training data, never refit here.
-    """
-    if calibration.labels is None:
-        raise ContractError("calibration dataset must be labeled")
-    sources = [calibration]
-    for name, family in DISTORTION_FAMILIES.items():
-        sources.append(family(calibration, derive_seed(seed, f"distort-{name}")))
-    blocks = []
-    labels = []
-    fold_ids = []
-    for fold, source in enumerate(sources):
-        outputs = run_network(net, source.images, kind)
-        blocks.append(apply_power_transform(pt, outputs.features))
-        labels.append((outputs.predictions == source.labels).astype(np.float64))
-        fold_ids.append(np.full(len(source), fold, dtype=np.int64))
-    return LabeledFeatureSet(
-        np.vstack(blocks), np.concatenate(labels), np.concatenate(fold_ids)
-    )
+    """Stack folds, named (transformed rows, correct flags) pairs in order:
+    fold i's rows get fold id i, and label 1 where the classifier was right."""
+    rows, correct = zip(*folds.values())
+    ids = [np.full(len(flags), fold, np.int64) for fold, flags in enumerate(correct)]
+    labels = np.concatenate(correct).astype(np.float64)
+    return LabeledFeatureSet(np.vstack(rows), labels, np.concatenate(ids), tuple(folds))
 
 
 # ---------------------------------------------------------------------------
@@ -301,17 +271,13 @@ def fit_l_detector(
     training: LabeledFeatureSet,
     grid: tuple[float, ...] = LAMBDA_GRID,
 ) -> tuple[LDetector, CVResult]:
-    """Scale, cross-validate the penalty, fit on everything, calibrate."""
+    """Scale, cross-validate the penalty, fit on everything; uncalibrated."""
     scale_means, scale_stds, pinned, x = fit_split_scaler(training.features)
     cv = cross_validate(x, training.labels, training.fold_ids, grid)
     cv.pinned_split_columns = tuple(np.flatnonzero(pinned).tolist())
     weights = fit_logreg(x, training.labels, cv.best_lambda)
-    det = LDetector(scale_means, scale_stds, weights, cv.best_lambda)
-    calibrate(det, score_l(det, training.features[training.fold_ids == 0]))
-    logger.info(
-        "selected lambda %g, threshold %.6f", cv.best_lambda, det.threshold
-    )
-    return det, cv
+    logger.info("selected lambda %g", cv.best_lambda)
+    return LDetector(scale_means, scale_stds, weights, cv.best_lambda), cv
 
 
 def score_l(det: LDetector, features: np.ndarray) -> np.ndarray:

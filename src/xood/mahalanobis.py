@@ -131,8 +131,8 @@ def confidence(det: MDetector, features: np.ndarray) -> np.ndarray:
 def lower_quantile_threshold(confidences: np.ndarray) -> float:
     """The k-th smallest confidence with k = ceil(THRESHOLD_QUANTILE * n).
 
-    Accepting scores strictly above this keeps (n - k)/n of the
-    calibration set, i.e. 95%.
+    Accepting scores strictly above it keeps n - k of n distinct scores: 95%
+    when 20 divides n, else less (n = 30 gives k = 2 and keeps 28, 93.3%).
     """
     values = np.sort(np.asarray(confidences, dtype=np.float64))
     n = values.shape[0]

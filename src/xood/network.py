@@ -1,5 +1,4 @@
-"""Classifier container: layer stack, tapped forward pass, the batched
-forward-and-reduce loop every detector uses, trainer, file IO.
+"""Classifier container: layer stack, tapped forward pass, trainer, file IO.
 
 The tapped forward pass records the tensor fed *into* every Relu layer.
 Those pre-activation tensors are the signal the detectors reduce to
@@ -64,7 +63,6 @@ from .errors import (
     FormatError,
     TrainingDivergedError,
 )
-from .features import FeatureKind, feature_width, reduce_tap
 from .keyvalue import KeyValues, decode_utf8
 from .rng import Stream, derive_seed
 from .xten import decode_tensor, encode_tensor
@@ -289,42 +287,6 @@ def forward_with_taps(
         else:
             probabilities[rows] = x
     return ForwardResult(probabilities.argmax(axis=1), probabilities, taps)
-
-
-@dataclass
-class NetworkOutputs:
-    predictions: np.ndarray  # (N,) int64
-    probabilities: np.ndarray  # (N, K) float32
-    features: np.ndarray  # (N, width) float32, untransformed
-
-
-def run_network(
-    net: Network,
-    images: np.ndarray,
-    kind: FeatureKind = FeatureKind.MINMAX,
-) -> NetworkOutputs:
-    """Forward a whole image set, reducing taps as they appear.
-
-    One ``forward_with_taps`` call runs the set in blocks of
-    ``DEFAULT_BATCH`` = 64 images, each Relu that feeds a max-pool after
-    that pool; ``reduce_tap`` reduces each block's taps while they are
-    cache-resident, straight into that block's rows of a feature matrix
-    allocated once.
-    The columns match extract_features on retained taps bit for bit, an
-    empty image set gives empty outputs, and as in ``forward_with_taps``
-    only a trailing block of 16 or fewer images can move, by about 1e-6.
-    """
-    per_tap = feature_width(kind, 1)
-    features = np.empty(
-        (images.shape[0], feature_width(kind, net.num_activation_layers)),
-        np.float32,
-    )
-
-    def reduce(index: int, rows: slice, tap: np.ndarray) -> None:
-        reduce_tap(tap, kind, features[rows, index * per_tap : (index + 1) * per_tap])
-
-    result = forward_with_taps(net, images, tap_map=reduce)
-    return NetworkOutputs(result.predictions, result.probabilities, features)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,8 @@
-"""End-to-end composition: train-time fitting and inference-time scoring.
+"""End-to-end composition: images to detector rows, fitting, scoring.
+
+``run_network`` is the one batched forward-and-reduce loop; detector rows
+are its features, power-transformed. xood-l's folds are forwarded here, and
+both detectors are calibrated here on the calibration split's rows.
 
 A detector bundle is everything needed to score raw images: the feature
 kind, the fitted power transform, and one fitted detector. Bundles
@@ -19,6 +23,7 @@ import numpy as np
 
 from . import logistic, mahalanobis
 from .datasets import Dataset
+from .distortions import DISTORTION_FAMILIES
 from .errors import ContractError, FormatError
 from .features import (
     MIN_FIT_ROWS,
@@ -28,13 +33,18 @@ from .features import (
     feature_width,
     fit_power_transform,
     load_power_transform,
+    reduce_tap,
     save_power_transform,
 )
 from .keyvalue import finite_float, optional_float, read_key_values
-from .network import Network, run_network
+from .network import Network, forward_with_taps
+from .rng import derive_seed
 from .xten import read_tensor, write_tensor
 
 logger = logging.getLogger(__name__)
+
+# xood-l's folds: the calibration split, then one distorted copy per family
+FOLD_NAMES = ("calibration",) + tuple(DISTORTION_FAMILIES)
 
 
 @dataclass
@@ -42,6 +52,50 @@ class DetectorBundle:
     kind: FeatureKind
     transform: PowerTransform
     detector: mahalanobis.MDetector | logistic.LDetector
+
+
+@dataclass
+class NetworkOutputs:
+    predictions: np.ndarray  # (N,) int64
+    probabilities: np.ndarray  # (N, K) float32
+    features: np.ndarray  # (N, width) float32, untransformed
+
+
+def run_network(
+    net: Network,
+    images: np.ndarray,
+    kind: FeatureKind = FeatureKind.MINMAX,
+) -> NetworkOutputs:
+    """Forward a whole image set, reducing taps as they appear.
+
+    One ``forward_with_taps`` call runs the set in blocks of
+    ``DEFAULT_BATCH`` = 64 images, each Relu that feeds a max-pool after
+    that pool; ``reduce_tap`` reduces each block's taps while they are
+    cache-resident, straight into that block's rows of a feature matrix
+    allocated once.
+    The columns match extract_features on retained taps bit for bit, an
+    empty image set gives empty outputs, and as in ``forward_with_taps``
+    only a trailing block of 16 or fewer images can move, by about 1e-6.
+    """
+    per_tap = feature_width(kind, 1)
+    features = np.empty(
+        (images.shape[0], feature_width(kind, net.num_activation_layers)),
+        np.float32,
+    )
+
+    def reduce(index: int, rows: slice, tap: np.ndarray) -> None:
+        reduce_tap(tap, kind, features[rows, index * per_tap : (index + 1) * per_tap])
+
+    result = forward_with_taps(net, images, tap_map=reduce)
+    return NetworkOutputs(result.predictions, result.probabilities, features)
+
+
+def _forward_transform(
+    net: Network, images: np.ndarray, pt: PowerTransform, kind: FeatureKind
+) -> tuple[np.ndarray, np.ndarray]:
+    """The images' detector rows (transformed features) and predictions."""
+    outputs = run_network(net, images, kind)
+    return apply_power_transform(pt, outputs.features), outputs.predictions
 
 
 def _fit_transform(
@@ -75,10 +129,25 @@ def fit_m_bundle(
     images and calibrate its threshold on the held-out split."""
     pt, transformed = _fit_transform(net, train, kind)
     det = mahalanobis.fit_mahalanobis(transformed, reg_c)
-    calib_outputs = run_network(net, calibration.images, kind)
-    calib_transformed = apply_power_transform(pt, calib_outputs.features)
-    mahalanobis.calibrate(det, det.score(calib_transformed))
+    calib_rows, _ = _forward_transform(net, calibration.images, pt, kind)
+    mahalanobis.calibrate(det, det.score(calib_rows))
     return DetectorBundle(kind, pt, det)
+
+
+def _l_training_set(
+    net: Network, calibration: Dataset, pt: PowerTransform, seed: int, kind: FeatureKind
+) -> logistic.LabeledFeatureSet:
+    """xood-l's folds, each row labeled by whether the classifier still
+    predicts its (possibly mixup-adjusted) label; ``pt`` is never refit."""
+    sources = [calibration] + [
+        family(calibration, derive_seed(seed, f"distort-{name}"))
+        for name, family in DISTORTION_FAMILIES.items()
+    ]
+    folds = {}
+    for name, source in zip(FOLD_NAMES, sources):
+        rows, predictions = _forward_transform(net, source.images, pt, kind)
+        folds[name] = (rows, predictions == source.labels)
+    return logistic.build_training_set(folds)
 
 
 def fit_l_bundle(
@@ -90,10 +159,13 @@ def fit_l_bundle(
     kind: FeatureKind = FeatureKind.MINMAX,
 ) -> tuple[DetectorBundle, logistic.CVResult]:
     """Fit the supervised detector from the calibration split and its
-    distorted copies; the power transform comes from the training data."""
+    distorted copies, calibrated on fold 0; the transform is the training's."""
+    if calibration.labels is None:
+        raise ContractError("calibration dataset must be labeled")
     pt, _ = _fit_transform(net, train, kind)
-    training_set = logistic.build_training_set(net, calibration, pt, seed, kind)
-    det, cv = logistic.fit_l_detector(training_set, grid)
+    training = _l_training_set(net, calibration, pt, seed, kind)
+    det, cv = logistic.fit_l_detector(training, grid)
+    mahalanobis.calibrate(det, det.score(training.features[training.fold_ids == 0]))
     return DetectorBundle(kind, pt, det), cv
 
 
@@ -112,9 +184,8 @@ def score_images(
             f"network with {layers} activation layers, but the bundle's power "
             f"transform has {bundle.transform.dim}"
         )
-    outputs = run_network(net, images, bundle.kind)
-    transformed = apply_power_transform(bundle.transform, outputs.features)
-    return bundle.detector.score(transformed)
+    rows, _ = _forward_transform(net, images, bundle.transform, bundle.kind)
+    return bundle.detector.score(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from xood.features import (
 )
 from xood.logistic import (
     LDetector,
-    build_training_set,
     fit_logreg,
     logreg_gradient,
     logreg_loss,
@@ -37,7 +36,13 @@ from xood.logistic import (
 from xood.mahalanobis import fit_mahalanobis, mahalanobis_score
 from xood.metrics import auroc, detection_accuracy, msp_baseline, tnr_at_95tpr
 from xood.network import TrainConfig, forward_with_taps, save_network, train_reference_cnn
-from xood.pipeline import fit_l_bundle, fit_m_bundle, run_network, score_images
+from xood.pipeline import (
+    _l_training_set,
+    fit_l_bundle,
+    fit_m_bundle,
+    run_network,
+    score_images,
+)
 from xood.rng import Stream, derive_seed
 
 from helpers import format_overhead, overhead, time_call
@@ -354,8 +359,8 @@ def test_criterion_08_split_feature_identities():
 
 
 def test_criterion_09_distortion_holdout_cv_shape(depot):
-    training = build_training_set(
-        depot.net, depot.calib, depot.l_bundle.transform, SEED
+    training = _l_training_set(
+        depot.net, depot.calib, depot.l_bundle.transform, SEED, FeatureKind.MINMAX
     )
     assert tuple(training.fold_names) == (
         "calibration", "geometric", "mixup", "noise", "blur",

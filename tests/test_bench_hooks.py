@@ -76,7 +76,7 @@ def test_traced_scoring_spans_one_forward_call_per_request(bench_trace):
     three blocks: the benchmark counts images_forwarded from that call's
     argument and labels each block's conv and pool spans, so every kernel
     must still be looked up through its module at call time, and
-    reduce_tap through the network module, once per tap per block."""
+    reduce_tap through the pipeline module, once per tap per block."""
     before = [dict(vars(module)) for module in MODULES]
     ds = make_blobs(330, 3, 8, seed=2)
     train, rest = ds.images[:200], ds.images[200:]

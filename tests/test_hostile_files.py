@@ -93,6 +93,7 @@ def save_bundles(root):
         x, (stream.uniform(100) < 0.7).astype(np.float64), np.arange(100) % 5
     )
     l, _ = fit_l_detector(training, grid=(1.0,))
+    calibrate(l, l.score(x[training.fold_ids == 0]))
     for name, det in zip(BUNDLES, (m, l)):
         save_bundle(DetectorBundle(FeatureKind.MINMAX, pt, det), root / name)
 

@@ -1,0 +1,36 @@
+"""Import direction inside the package: the CNN (``network``) and the
+detector math (``logistic``, ``mahalanobis``) sit below ``pipeline``, the
+one module that turns images into detector rows."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "xood"
+
+
+def package_imports(module: str) -> set[str]:
+    """The package modules ``module`` imports relatively."""
+    names = set()
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                names.add(node.module.split(".")[0])
+            else:  # from . import a, b
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_reader_sees_imports():
+    assert package_imports("pipeline") >= {"logistic", "mahalanobis", "network"}
+
+
+@pytest.mark.parametrize("module", ["logistic", "mahalanobis"])
+def test_detector_math_imports_only_errors_and_features(module):
+    assert package_imports(module) <= {"errors", "features"}
+
+
+def test_network_imports_no_detector_module():
+    above = {"features", "pipeline", "logistic", "mahalanobis", "distortions"}
+    assert package_imports("network").isdisjoint(above)

@@ -5,12 +5,12 @@ from xood.datasets import make_blobs
 from xood import logistic
 from xood.errors import ContractError, NumericalError
 from xood.features import FeatureKind, extract_features, fit_power_transform
+from xood.mahalanobis import calibrate
 from xood.logistic import (
     LAMBDA_GRID,
     LabeledFeatureSet,
     LDetector,
     _sigmoid,
-    build_training_set,
     cross_validate,
     fit_l_detector,
     fit_logreg,
@@ -21,7 +21,7 @@ from xood.logistic import (
     split_features,
 )
 from xood.network import TrainConfig, forward_with_taps, train_reference_cnn
-from xood.pipeline import DetectorBundle, load_bundle, save_bundle
+from xood.pipeline import DetectorBundle, _l_training_set, load_bundle, save_bundle
 from xood.rng import Stream
 
 
@@ -251,7 +251,7 @@ def test_cross_validate_needs_two_folds():
 
 def test_build_training_set_layout(fixture):
     net, pt, calib = fixture
-    ts = build_training_set(net, calib, pt, seed=123)
+    ts = _l_training_set(net, calib, pt, 123, FeatureKind.MINMAX)
     m = len(calib)
     assert ts.features.shape == (5 * m, pt.dim)
     assert ts.labels.shape == (5 * m,)
@@ -265,7 +265,7 @@ def test_build_training_set_layout(fixture):
     want_labels = (result.predictions == calib.labels).astype(np.float64)
     np.testing.assert_array_equal(ts.labels[:m], want_labels)
     # repeatable
-    ts2 = build_training_set(net, calib, pt, seed=123)
+    ts2 = _l_training_set(net, calib, pt, 123, FeatureKind.MINMAX)
     np.testing.assert_array_equal(ts.features, ts2.features)
     np.testing.assert_array_equal(ts.labels, ts2.labels)
     # distorted folds contain mistakes; clean fold is mostly right
@@ -275,8 +275,11 @@ def test_build_training_set_layout(fixture):
 
 def test_fit_l_detector_end_to_end(fixture):
     net, pt, calib = fixture
-    ts = build_training_set(net, calib, pt, seed=9)
+    ts = _l_training_set(net, calib, pt, 9, FeatureKind.MINMAX)
     det, cv = fit_l_detector(ts, grid=(1e-2, 1.0, 100.0))
+    assert det.threshold is None
+    # calibrated as pipeline.fit_l_bundle does, on fold 0
+    calibrate(det, det.score(ts.features[ts.fold_ids == 0]))
     assert det.reg_lambda == cv.best_lambda
     assert det.threshold is not None
     scores = score_l(det, ts.features)
@@ -290,8 +293,9 @@ def test_fit_l_detector_end_to_end(fixture):
 
 def test_l_detector_round_trip(tmp_path, fixture):
     net, pt, calib = fixture
-    ts = build_training_set(net, calib, pt, seed=9)
+    ts = _l_training_set(net, calib, pt, 9, FeatureKind.MINMAX)
     det, _ = fit_l_detector(ts, grid=(1.0,))
+    calibrate(det, det.score(ts.features[ts.fold_ids == 0]))
     save_bundle(DetectorBundle(FeatureKind.MINMAX, pt, det), tmp_path)
     back = load_bundle(tmp_path).detector
     assert back.reg_lambda == det.reg_lambda

@@ -181,6 +181,8 @@ def test_threshold_is_kth_smallest():
     assert lower_quantile_threshold(shuffled) == 1.0
     # n = 20: ceil(0.05 * 20) = 1 despite float 0.95*20 = 19.000000000000004
     assert lower_quantile_threshold(np.arange(20.0)) == 0.0
+    # n = 30: k = ceil(1.5) = 2, threshold = second smallest; keeps 28 of 30
+    assert lower_quantile_threshold(np.arange(30.0)[::-1]) == 1.0
     with pytest.raises(ContractError, match="at least 20"):
         lower_quantile_threshold(np.arange(19.0))
 

@@ -4,6 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
+from xood import pipeline
 from xood.datasets import Dataset, gen_noise, make_blobs, split
 from xood.errors import ContractError, DimensionError, FormatError
 from xood.features import (
@@ -144,6 +145,19 @@ def test_fit_l_bundle_cv_structure(world):
     assert bundle.detector.threshold is not None
     scores = score_images(bundle, net, calib.images)
     assert scores.min() >= 0.0 and scores.max() <= 1.0
+
+
+def test_fit_l_bundle_refuses_unlabeled_calibration_before_any_work(
+    world, monkeypatch
+):
+    net, train, calib = world
+
+    def forward(*args, **kwargs):
+        raise AssertionError("ran the network before checking the labels")
+
+    monkeypatch.setattr(pipeline, "run_network", forward)
+    with pytest.raises(ContractError, match="calibration dataset must be labeled"):
+        fit_l_bundle(net, train, Dataset(calib.images), seed=77)
 
 
 def assert_round_trip_exact(bundle, back, net):
