@@ -5,8 +5,9 @@ int64 class ids. Supported on disk:
 
 * IDX image/label files (big-endian, magics 0x00000803 / 0x00000801);
   uint8 pixels are scaled by 1/255 and a singleton channel axis is added
-* XTEN image batches of shape (N, C, H, W) with float labels in a 1-D
-  XTEN tensor, or labels as one integer per line of a text file
+* XTEN image batches of shape (N, C, H, W) or (N, H, W), refused with a
+  FormatError naming the file unless every value lies in [0, 1]; labels
+  as floats in a 1-D XTEN tensor, or one integer per line of a text file
 
 The synthetic generators provide a desk-scale stand-in for real corpora:
 ``make_blobs`` (class = location of a Gaussian bump) trains cleanly in a
@@ -17,6 +18,7 @@ produces the uniform/Gaussian pixel-noise sets.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -27,7 +29,7 @@ import numpy as np
 from .errors import ContractError, FormatError
 from .keyvalue import read_utf8
 from .rng import Stream
-from .xten import read_tensor, write_tensor
+from .xten import ByteReader, read_tensor, write_tensor
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -39,15 +41,13 @@ class Dataset:
     labels: np.ndarray | None = None  # (N,) int64, or None for unlabeled sets
 
     def __post_init__(self):
-        self.images = np.asarray(self.images, dtype=np.float32)
-        if self.images.ndim != 4:
-            raise ContractError(
-                f"images must be (N,C,H,W), got shape {self.images.shape}"
-            )
-        if self.images.size and (
-            float(self.images.min()) < 0.0 or float(self.images.max()) > 1.0
-        ):
+        images = np.asarray(self.images)
+        if images.ndim != 4:
+            raise ContractError(f"images must be (N,C,H,W), got shape {images.shape}")
+        # checked before the float32 cast can overflow; NaN fails both tests
+        if images.size and not (images.min() >= 0.0 and images.max() <= 1.0):
             raise ContractError("pixel values must lie in [0, 1]")
+        self.images = images.astype(np.float32, copy=False)
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)
             if self.labels.shape != (self.images.shape[0],):
@@ -73,43 +73,33 @@ class Dataset:
 def load_idx(
     images_path: str | Path, labels_path: str | Path | None = None
 ) -> Dataset:
-    buf = Path(images_path).read_bytes()
-    if len(buf) < 16:
-        raise FormatError("truncated IDX image header", offset=len(buf))
-    magic, n, h, w = struct.unpack_from(">IIII", buf, 0)
+    reader = ByteReader(Path(images_path).read_bytes(), "IDX")
+    magic, *dims = reader.unpack(">IIII", "image header")
     if magic != IDX_IMAGES_MAGIC:
         raise FormatError(f"bad IDX image magic 0x{magic:08x}", offset=0)
-    for i, d in enumerate((n, h, w)):
+    for i, d in enumerate(dims):
         if d < 1:
             raise FormatError(f"IDX dim {i} must be >= 1, got {d}", offset=4 + 4 * i)
-    if len(buf) != 16 + n * h * w:
-        raise FormatError(
-            f"IDX payload is {len(buf) - 16} bytes, expected {n * h * w}",
-            offset=min(len(buf), 16 + n * h * w),
-        )
-    raw = np.frombuffer(buf, dtype=np.uint8, offset=16).reshape(n, h, w)
+    payload = reader.take(math.prod(dims), "payload")
+    reader.finish()
+    raw = np.frombuffer(payload, dtype=np.uint8).reshape(dims)
     images = (raw.astype(np.float32) / 255.0)[:, None, :, :]
     labels = None
     if labels_path is not None:
-        labels = _load_idx_labels(labels_path, n)
+        labels = _load_idx_labels(labels_path, dims[0])
     return Dataset(images, labels)
 
 
 def _load_idx_labels(path: str | Path, expected: int) -> np.ndarray:
-    buf = Path(path).read_bytes()
-    if len(buf) < 8:
-        raise FormatError("truncated IDX label header", offset=len(buf))
-    magic, n = struct.unpack_from(">II", buf, 0)
+    reader = ByteReader(Path(path).read_bytes(), "IDX")
+    magic, n = reader.unpack(">II", "label header")
     if magic != IDX_LABELS_MAGIC:
         raise FormatError(f"bad IDX label magic 0x{magic:08x}", offset=0)
     if n != expected:
         raise FormatError(f"label count {n} does not match {expected} images", offset=4)
-    if len(buf) != 8 + n:
-        raise FormatError(
-            f"IDX label payload is {len(buf) - 8} bytes, expected {n}",
-            offset=min(len(buf), 8 + n),
-        )
-    return np.frombuffer(buf, dtype=np.uint8, offset=8).astype(np.int64)
+    payload = reader.take(n, "label payload")
+    reader.finish()
+    return np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
 
 
 def write_idx_images(path: str | Path, images_u8: np.ndarray) -> None:
@@ -167,7 +157,10 @@ def load_images_any(path: str | Path) -> Dataset:
         images = read_tensor(path)
         if images.ndim == 3:
             images = images[:, None, :, :]
-        return Dataset(images)
+        try:
+            return Dataset(images)
+        except ContractError as exc:
+            raise FormatError(f"image tensor in {path}: {exc}") from None
     if head == struct.pack(">I", IDX_IMAGES_MAGIC):
         return load_idx(path)
     raise FormatError(f"unrecognized image file magic {head!r}", offset=0)

@@ -54,12 +54,12 @@ class KeyValues:
             ) from None
 
 
-def decode_utf8(raw: bytes, source: str, offset: int = 0) -> str:
+def decode_utf8(raw: bytes | memoryview, source: str, offset: int = 0) -> str:
     """``raw`` decoded as UTF-8. Other bytes raise FormatError naming
     ``source`` and the offset of the first bad byte, for ``raw`` read from
     position ``offset`` of its file."""
     try:
-        return raw.decode("utf-8")
+        return str(raw, "utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(
             f"{source} is not UTF-8 text: {exc}", offset=offset + exc.start

@@ -40,7 +40,8 @@ Network file format (magic "XNET", version 1):
     per blob    uint32 LE name length, UTF-8 name ("layer3.weight"),
                 then the XTEN encoding of the tensor
 
-Save/load round trips are bit-exact for the float32 parameters.
+Blob names are unique, and each is the weight or bias of a conv or dense
+layer. Save/load round trips are bit-exact for the float32 parameters.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from .errors import (
 )
 from .keyvalue import KeyValues, decode_utf8
 from .rng import Stream, derive_seed
-from .xten import decode_tensor, encode_tensor
+from .xten import ByteReader, decode_tensor, encode_tensor
 
 logger = logging.getLogger(__name__)
 
@@ -533,39 +534,28 @@ def load_network(path: str | Path) -> Network:
     """Read an XNET container. Truncated or inconsistent files raise
     FormatError; no partially constructed network is ever returned."""
     buf = Path(path).read_bytes()
-    if len(buf) < 9:
-        raise FormatError("truncated XNET header", offset=len(buf))
-    if buf[:4] != NETWORK_MAGIC:
+    reader = ByteReader(buf, "XNET")
+    magic, version, manifest_len = reader.unpack("<4sBI", "header")
+    if magic != NETWORK_MAGIC:
         raise FormatError("bad XNET magic", offset=0)
-    if buf[4] != NETWORK_VERSION:
-        raise FormatError(f"unsupported XNET version {buf[4]}", offset=4)
-    (manifest_len,) = struct.unpack_from("<I", buf, 5)
-    pos = 9
-    if len(buf) < pos + manifest_len:
-        raise FormatError("truncated XNET manifest", offset=len(buf))
+    if version != NETWORK_VERSION:
+        raise FormatError(f"unsupported XNET version {version}", offset=4)
     source = f"XNET manifest of {path}"
-    manifest = decode_utf8(buf[pos : pos + manifest_len], source, pos)
-    entries = KeyValues(manifest, source)
-    pos += manifest_len
-    if len(buf) < pos + 4:
-        raise FormatError("truncated XNET blob count", offset=len(buf))
-    (blob_count,) = struct.unpack_from("<I", buf, pos)
-    pos += 4
+    entries = KeyValues(
+        decode_utf8(reader.take(manifest_len, "manifest"), source, 9), source
+    )
+    (blob_count,) = reader.unpack("<I", "blob count")
     tensors: dict[str, np.ndarray] = {}
     for _ in range(blob_count):
-        if len(buf) < pos + 4:
-            raise FormatError("truncated XNET blob name length", offset=len(buf))
-        (name_len,) = struct.unpack_from("<I", buf, pos)
-        pos += 4
-        if len(buf) < pos + name_len:
-            raise FormatError("truncated XNET blob name", offset=len(buf))
+        (name_len,) = reader.unpack("<I", "blob name length")
+        start = reader.pos
         name = decode_utf8(
-            buf[pos : pos + name_len], f"XNET blob name in {path}", pos
+            reader.take(name_len, "blob name"), f"XNET blob name in {path}", start
         )
-        pos += name_len
-        tensors[name], pos = decode_tensor(buf, pos)
-    if pos != len(buf):
-        raise FormatError("trailing bytes after XNET blobs", offset=pos)
+        if name in tensors:
+            raise FormatError(f"XNET repeats blob {name!r}", offset=start)
+        tensors[name], reader.pos = decode_tensor(buf, reader.pos)
+    reader.finish()
 
     input_shape = entries.get(
         "input_shape", lambda text: tuple(int(v) for v in text.split(","))
@@ -577,9 +567,11 @@ def load_network(path: str | Path) -> Network:
         for name in _HYPERPARAMETERS.get(spec.kind, ()):
             setattr(spec, name, entries.get(f"layer{i}.{name}", int))
         if spec.kind in _WEIGHTED:
-            spec.weight = tensors.get(f"layer{i}.weight")
-            spec.bias = tensors.get(f"layer{i}.bias")
+            spec.weight = tensors.pop(f"layer{i}.weight", None)
+            spec.bias = tensors.pop(f"layer{i}.bias", None)
         layers.append(spec)
+    if tensors:
+        raise FormatError(f"XNET blob {next(iter(tensors))!r} belongs to no layer")
     try:
         return Network(layers, input_shape, num_classes)
     except (DimensionError, ContractError) as exc:

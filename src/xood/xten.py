@@ -12,11 +12,13 @@ Layout, all multi-byte integers little-endian:
 float64 arrays are written with code 1; every other array is cast to
 float32 and written with code 0. Write-then-read round trips are bit-exact.
 Malformed input raises FormatError carrying the byte offset of the first
-inconsistency.
+inconsistency. ``ByteReader`` checks the bounds of every binary format:
+XTEN, XNET (``network``) and IDX (``datasets``).
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -47,48 +49,63 @@ def encode_tensor(array: np.ndarray) -> bytes:
     return header + dims + arr.tobytes()
 
 
+class ByteReader:
+    """A bounds-checked cursor over a binary file's bytes; ``name`` names the
+    format in errors. A part that runs past the end raises FormatError at
+    the offset where the part starts."""
+
+    def __init__(self, buf: bytes, name: str, pos: int = 0):
+        self.view = memoryview(buf)
+        self.name = name
+        self.pos = pos
+
+    def take(self, n: int, part: str) -> memoryview:
+        """The next ``n`` bytes, as a view into the buffer."""
+        start, have = self.pos, max(len(self.view) - self.pos, 0)
+        if have < n:
+            raise FormatError(
+                f"truncated {self.name} {part}: {part} is {have} bytes, expected {n}",
+                offset=start,
+            )
+        self.pos += n
+        return self.view[start : self.pos]
+
+    def unpack(self, layout: str, part: str) -> tuple:
+        """The next ``struct`` ``layout`` worth of bytes, unpacked."""
+        return struct.unpack(layout, self.take(struct.calcsize(layout), part))
+
+    def finish(self) -> None:
+        """Refuse bytes left after the last part."""
+        if self.pos != len(self.view):
+            raise FormatError(f"trailing bytes after {self.name} payload", offset=self.pos)
+
+
 def decode_tensor(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     """Parse one XTEN blob starting at ``offset``.
 
     Returns the array and the offset one past the blob. Offsets in error
     messages are absolute positions in ``buf``.
     """
-    if len(buf) - offset < _HEADER_FIXED:
-        raise FormatError("truncated XTEN header", offset=offset)
-    if buf[offset : offset + 4] != MAGIC:
+    reader = ByteReader(buf, "XTEN", offset)
+    magic, version, code, ndim = reader.unpack("<4sBBB", "header")
+    if magic != MAGIC:
         raise FormatError("bad XTEN magic", offset=offset)
-    if buf[offset + 4] != VERSION:
-        raise FormatError(
-            f"unsupported XTEN version {buf[offset + 4]}", offset=offset + 4
-        )
-    code = buf[offset + 5]
+    if version != VERSION:
+        raise FormatError(f"unsupported XTEN version {version}", offset=offset + 4)
     if code >= len(DTYPES):
         raise FormatError(f"unsupported XTEN dtype code {code}", offset=offset + 5)
-    dtype = DTYPES[code]
-    ndim = buf[offset + 6]
     if ndim < 1:
         raise FormatError("XTEN ndim must be >= 1", offset=offset + 6)
-    dims_end = offset + _HEADER_FIXED + 4 * ndim
-    if len(buf) < dims_end:
-        raise FormatError("truncated XTEN dims", offset=len(buf))
-    dims = struct.unpack_from(f"<{ndim}I", buf, offset + _HEADER_FIXED)
+    dims = reader.unpack(f"<{ndim}I", "dims")
     for i, d in enumerate(dims):
         if d < 1:
             raise FormatError(
                 f"XTEN dim {i} must be >= 1, got {d}",
                 offset=offset + _HEADER_FIXED + 4 * i,
             )
-    count = 1
-    for d in dims:
-        count *= d
-    payload_end = dims_end + dtype.itemsize * count
-    if len(buf) < payload_end:
-        raise FormatError(
-            f"truncated XTEN payload, need {payload_end - dims_end} bytes",
-            offset=len(buf),
-        )
-    flat = np.frombuffer(buf, dtype=dtype, count=count, offset=dims_end)
-    return flat.reshape(dims).copy(), payload_end
+    dtype = DTYPES[code]
+    payload = reader.take(dtype.itemsize * math.prod(dims), "payload")
+    return np.frombuffer(payload, dtype=dtype).reshape(dims).copy(), reader.pos
 
 
 def write_tensor(path: str | Path, array: np.ndarray) -> None:
@@ -97,13 +114,8 @@ def write_tensor(path: str | Path, array: np.ndarray) -> None:
 
 
 def read_tensor(path: str | Path) -> np.ndarray:
-    """Read one tensor from an XTEN file.
-
-    Trailing bytes after the payload are rejected so silently corrupted
-    files cannot pass.
-    """
+    """Read one tensor from an XTEN file; bytes after its payload are refused."""
     buf = Path(path).read_bytes()
     arr, end = decode_tensor(buf)
-    if end != len(buf):
-        raise FormatError("trailing bytes after XTEN payload", offset=end)
+    ByteReader(buf, "XTEN", end).finish()
     return arr

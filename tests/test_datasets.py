@@ -19,6 +19,7 @@ from xood.datasets import (
 )
 from xood.errors import ContractError, FormatError
 from xood.rng import Stream
+from xood.xten import write_tensor
 
 
 def test_dataset_contract_checks():
@@ -114,11 +115,27 @@ def test_text_labels(tmp_path):
 def test_label_tensor_must_hold_integers(tmp_path):
     ds = Dataset(np.zeros((2, 1, 2, 2), np.float32), labels=[0, 1])
     save_dataset(ds, tmp_path / "im.xten", tmp_path / "lb.xten")
-    from xood.xten import write_tensor
-
     write_tensor(tmp_path / "lb.xten", np.array([0.5, 1.0], np.float32))
     with pytest.raises(FormatError, match="non-integer"):
         load_labels_any(tmp_path / "lb.xten", 2)
+
+
+def test_image_tensor_must_hold_pixels(tmp_path):
+    """NaN fails both halves of a min/max range test; a float64 value beyond
+    float32's range is refused before the cast could overflow."""
+    images = np.full((2, 1, 2, 2), 0.5)
+    images[1, 0, 1, 0] = np.nan
+    with pytest.raises(ContractError, match=r"\[0, 1\]"):
+        Dataset(images)
+    path = tmp_path / "im.xten"
+    for bad in (np.nan, 1e300, -0.25):
+        images[1, 0, 1, 0] = bad
+        write_tensor(path, images)
+        with pytest.raises(FormatError, match=r"im\.xten: pixel values"):
+            load_images_any(path)
+    write_tensor(path, np.zeros((2, 3)))
+    with pytest.raises(FormatError, match=r"im\.xten: images must be"):
+        load_images_any(path)
 
 
 def test_gen_noise_uniform_stats():

@@ -1,11 +1,14 @@
 """Mutated files either load or raise FormatError, never anything else;
-a table or bundle that loads holds only finite numbers.
+a table, image file or bundle that loads holds only finite numbers.
 
 Every format, and every file of a saved xood-m and xood-l bundle, draws its
 own truncations, single-byte overwrites and swaps of two equal-length,
 non-overlapping byte spans. Faults that only one byte value at one position
-reaches are pinned in ``PINNED``.
+reaches are pinned in ``PINNED``. Every binary file is also cut at every
+length, and grown by one byte.
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -59,6 +62,7 @@ FINITE = {
     "power_transform.txt": lambda path: np.hstack(
         [(pt := load_power_transform(path)).lambdas, pt.means, pt.stds]
     ),
+    "images.xten": lambda path: load_images_any(path).images,
 }
 LOADERS = {
     "model.xnet": load_network,
@@ -106,6 +110,7 @@ def originals(tmp_path_factory):
     save_network(build_reference_cnn((1, 8, 8), 3, seed=5), root / "model.xnet")
     write_tensor(root / "tensor.xten", Stream(3).normal(24).reshape(2, 3, 4))
     write_idx_images(root / "images.idx", np.arange(48, dtype=np.uint8).reshape(3, 4, 4))
+    write_tensor(root / "images.xten", Stream(7).uniform(48).reshape(3, 1, 4, 4))
     write_idx_labels(root / "labels.idx", LABELS)
     write_tensor(root / "labels.xten", LABELS)
     (root / "scores.csv").write_text("index,score\n0,0.25\n1,-1.5e-3\n2,7\n")
@@ -188,3 +193,26 @@ def test_factor_with_entries_above_its_diagonal_is_refused(originals):
     finally:
         path.write_bytes(files["mdet/factor.xten"])
     load_bundle(root / "mdet")
+
+
+BINARY = ("model.xnet", "tensor.xten", "images.xten", "labels.xten",
+          "images.idx", "labels.idx")
+
+
+@pytest.mark.parametrize("case", BINARY)
+def test_every_prefix_and_one_extra_byte_is_refused(originals, tmp_path, case):
+    """A cut file is refused at an offset inside what is left (a label file
+    cut below its 4-byte magic is read as text, without one); one byte past
+    the end is trailing."""
+    files, _ = originals
+    raw = files[case]
+    path = tmp_path / case
+    path.write_bytes(raw + b"\x00")
+    with pytest.raises(FormatError, match="trailing"):
+        LOADERS[case](path)
+    for end in reversed(range(len(raw))):
+        os.truncate(path, end)
+        with pytest.raises(FormatError) as err:
+            LOADERS[case](path)
+        offset = err.value.offset
+        assert offset is None or 0 <= offset <= end, (end, str(err.value))

@@ -26,6 +26,7 @@ from xood.network import (
 )
 from xood.rng import Stream, derive_seed
 from xood.tensor_ops import conv2d, dense, flatten, maxpool2d, relu, softmax
+from xood.xten import encode_tensor
 
 from helpers import networks_equal
 
@@ -504,6 +505,32 @@ def test_load_rejects_inconsistent_manifest(tmp_path, toy_net):
         bad.write_bytes(patched)
         with pytest.raises(FormatError, match=match):
             load_network(bad)
+
+
+def with_blob(raw: bytes, name: bytes, tensor: np.ndarray) -> bytes:
+    """An XNET file with one more blob after its last, and its count raised."""
+    (length,) = struct.unpack_from("<I", raw, 5)
+    at = 9 + length
+    (count,) = struct.unpack_from("<I", raw, at)
+    blob = struct.pack("<I", len(name)) + name + encode_tensor(tensor)
+    return raw[:at] + struct.pack("<I", count + 1) + raw[at + 4 :] + blob
+
+
+def test_load_refuses_repeated_and_unread_blobs(tmp_path, toy_net):
+    """A second ``layer0.bias`` would overwrite the first, and neither a
+    stray name nor a weight for layer 1, a Relu, is read by any layer."""
+    assert toy_net.layers[1].kind is LayerKind.RELU
+    raw = _encode_network(toy_net)
+    path = tmp_path / "bad.xnet"
+    for name, tensor, match in (
+        (b"layer0.bias", np.full(8, 7.0, np.float32), "repeats blob 'layer0.bias'"),
+        (b"junk", np.zeros(1, np.float32), "blob 'junk' belongs to no layer"),
+        (b"layer1.weight", np.ones((8, 1, 3, 3), np.float32),
+         "blob 'layer1.weight' belongs to no layer"),
+    ):
+        path.write_bytes(with_blob(raw, name, tensor))
+        with pytest.raises(FormatError, match=match):
+            load_network(path)
 
 
 @pytest.mark.parametrize(
