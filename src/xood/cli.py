@@ -52,8 +52,10 @@ from .errors import (
     NumericalError,
     XoodError,
 )
-from .features import FeatureKind, feature_names, write_feature_csv
-from .keyvalue import read_key_values, read_table, read_utf8
+from .features import FeatureKind, feature_names
+from .keyvalue import (
+    read_key_values, read_table, read_utf8, refuse_non_finite, write_table,
+)
 from .logistic import LAMBDA_GRID
 from .network import (
     Network,
@@ -393,7 +395,8 @@ def cmd_extract(cfg: dict) -> dict:
     ds = _load_dataset(cfg["images"])
     outputs = pipeline.run_network(net, ds.images, cfg["feature-kind"])
     names = feature_names(cfg["feature-kind"], net.num_activation_layers)
-    write_feature_csv(cfg["out"], outputs.features, names)
+    write_table(cfg["out"], "image_id",
+                dict(zip(names, outputs.features.T, strict=True)))
     return {
         "rows": outputs.features.shape[0],
         "width": outputs.features.shape[1],
@@ -430,13 +433,25 @@ def cmd_score(cfg: dict) -> dict:
     bundle = pipeline.load_bundle(cfg["detector"])
     ds = _load_dataset(cfg["images"])
     scores = pipeline.score_images(bundle, net, ds.images)
-    lines = ["index,score"] + [f"{i},{s:.12g}" for i, s in enumerate(scores)]
-    Path(cfg["out"]).write_text("\n".join(lines) + "\n")
+    write_table(cfg["out"], "index", {"score": scores})
     return {"scored": scores.shape[0], "mean_score": float(scores.mean())}
 
 
 def read_scores_csv(path: str | Path) -> np.ndarray:
     return read_table(path, "index", ("score",))[1][:, 0]
+
+
+def read_feature_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
+    """Returns (column names, float32 matrix); see ``read_table``."""
+    names, values = read_table(path, "image_id")
+    with np.errstate(over="ignore"):
+        narrowed = values.astype(np.float32)
+    overflow = np.isinf(narrowed).any(axis=1)
+    if overflow.any():
+        raise FormatError(
+            f"{path} row {int(overflow.argmax())} exceeds the float32 range"
+        )
+    return names, narrowed
 
 
 _EVAL_HEADER = "in_dist,out_dist,method,auroc,tnr95,det_acc,fpr95"
@@ -500,10 +515,13 @@ def cmd_hist(cfg: dict) -> dict:
     ood_ds = _load_dataset(cfg["ood-images"])
     id_feats = pipeline.run_network(net, id_ds.images).features
     ood_feats = pipeline.run_network(net, ood_ds.images).features
+    num_layers = net.num_activation_layers
+    names = feature_names(FeatureKind.MINMAX, num_layers)
+    for population, feats in (("ID", id_feats), ("OOD", ood_feats)):
+        refuse_non_finite(feats, names, f"{population} features")
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = ["layer,stat,id_p01,id_p99,ood_outside_fraction"]
-    num_layers = net.num_activation_layers
     for layer in range(1, num_layers + 1):
         lines = ["stat,population,bin_left,bin_right,count"]
         for si, stat in enumerate(("min", "max")):

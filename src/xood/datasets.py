@@ -150,10 +150,11 @@ def save_dataset(
 
 
 def load_images_any(path: str | Path) -> Dataset:
-    """Load an image file, sniffing XTEN vs IDX by magic."""
+    """Load an image file, sniffing XTEN vs IDX by magic; a file cut inside
+    a magic goes to that format's reader, which names the cut."""
     with open(path, "rb") as f:
         head = f.read(4)
-    if head == b"XTEN":
+    if head and b"XTEN".startswith(head):
         images = read_tensor(path)
         if images.ndim == 3:
             images = images[:, None, :, :]
@@ -161,7 +162,7 @@ def load_images_any(path: str | Path) -> Dataset:
             return Dataset(images)
         except ContractError as exc:
             raise FormatError(f"image tensor in {path}: {exc}") from None
-    if head == struct.pack(">I", IDX_IMAGES_MAGIC):
+    if head and struct.pack(">I", IDX_IMAGES_MAGIC).startswith(head):
         return load_idx(path)
     raise FormatError(f"unrecognized image file magic {head!r}", offset=0)
 
@@ -170,7 +171,7 @@ def load_labels_any(path: str | Path, expected: int) -> np.ndarray:
     """Load labels from XTEN, IDX, or one-integer-per-line text."""
     with open(path, "rb") as f:
         head = f.read(4)
-    if head == b"XTEN":
+    if head and b"XTEN".startswith(head):
         values = read_tensor(path)
         if values.ndim != 1:
             raise FormatError(f"label tensor must be 1-D, got {values.shape}")
@@ -178,7 +179,7 @@ def load_labels_any(path: str | Path, expected: int) -> np.ndarray:
         if not ((np.abs(values) < 2.0**62) & (np.trunc(values) == values)).all():
             raise FormatError("label tensor holds non-integer values")
         labels = values.astype(np.int64)
-    elif head == struct.pack(">I", IDX_LABELS_MAGIC):
+    elif head and struct.pack(">I", IDX_LABELS_MAGIC).startswith(head):
         labels = _load_idx_labels(path, expected)
     else:
         try:

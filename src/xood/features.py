@@ -20,7 +20,8 @@ log-likelihood
 
 by golden-section search on [-5, 5] to a 1e-4 interval. The transform
 runs its log1p-limit passes only when some element's power lies at the
-limit, and applying a fitted transform standardizes in place.
+limit, and applying a fitted transform standardizes in place. This module
+holds only the math: ``pipeline`` saves and loads fitted transforms.
 """
 
 from __future__ import annotations
@@ -30,13 +31,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from operator import methodcaller
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .errors import ContractError, FormatError
-from .keyvalue import read_table
+from .errors import ContractError
 
 logger = logging.getLogger(__name__)
 
@@ -294,56 +293,3 @@ def apply_power_transform(pt: PowerTransform, features: np.ndarray) -> np.ndarra
     y -= pt.means
     y /= pt.stds
     return y
-
-
-# ---------------------------------------------------------------------------
-# persistence
-
-
-def save_power_transform(pt: PowerTransform, path: str | Path) -> None:
-    """Text manifest, one line per dimension: dim,lambda,mean,std,flagged."""
-    lines = ["dim,lambda,mean,std,flagged"]
-    for j in range(pt.dim):
-        lines.append(
-            f"{j},{float(pt.lambdas[j])!r},{float(pt.means[j])!r},"
-            f"{float(pt.stds[j])!r},{int(pt.flags[j])}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_power_transform(path: str | Path) -> PowerTransform:
-    _, table = read_table(path, "dim", ("lambda", "mean", "std", "flagged"))
-    lambdas, means, stds, flags = table.T.copy()
-    for bad, rule in ((stds <= 0, "std must be > 0"),
-                      ((flags != 0) & (flags != 1), "flagged must be 0 or 1")):
-        if bad.any():
-            raise FormatError(f"{path} row {int(bad.argmax())}: {rule}")
-    return PowerTransform(lambdas, means, stds, flags == 1)
-
-
-def write_feature_csv(
-    path: str | Path, features: np.ndarray, names: list[str]
-) -> None:
-    """Feature table with an image_id column; floats use 9 significant
-    digits, enough to round-trip float32 exactly."""
-    if features.ndim != 2 or features.shape[1] != len(names):
-        raise ContractError(
-            f"features shape {features.shape} vs {len(names)} column names"
-        )
-    lines = ["image_id," + ",".join(names)]
-    for i, row in enumerate(features):
-        lines.append(f"{i}," + ",".join(f"{v:.9g}" for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_feature_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
-    """Returns (column names, float32 matrix); see ``read_table``."""
-    names, values = read_table(path, "image_id")
-    with np.errstate(over="ignore"):
-        narrowed = values.astype(np.float32)
-    overflow = np.isinf(narrowed).any(axis=1)
-    if overflow.any():
-        raise FormatError(
-            f"{path} row {int(overflow.argmax())} exceeds the float32 range"
-        )
-    return names, narrowed

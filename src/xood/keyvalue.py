@@ -1,24 +1,25 @@
 """Strict readers for the package's two text formats, ``key=value`` text
-and numeric tables, and the UTF-8 decoding every text loader shares.
+and numeric tables, the one table writer, and the UTF-8 decoding every
+text loader shares.
 
 ``key=value`` text holds network manifests, detector bundles and CLI config
 files. Blank lines and ``#`` lines are skipped. A line without ``=``, a
 repeated key, a missing key and a value that does not convert raise
 FormatError naming the file and the key. Numeric tables are the score and
-feature CSVs and the power transform; ``read_table`` states their rules.
-Bytes that are not UTF-8 raise FormatError naming the source and the
-offset of the first bad byte.
+feature CSVs and the power transform; ``read_table`` states their rules,
+which ``write_table`` keeps. Bytes that are not UTF-8 raise FormatError
+naming the source and the offset of the first bad byte.
 """
 
 from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import ContractError, FormatError
 
 T = TypeVar("T")
 
@@ -118,3 +119,31 @@ def read_table(
             )
         rows.append(row)
     return names, np.array(rows, dtype=np.float64).reshape(len(rows), len(names))
+
+
+def refuse_non_finite(table: np.ndarray, names: Sequence[str], source: str) -> None:
+    """Raise ContractError naming ``source`` and the first non-finite cell of
+    the 2-D ``table``, by row and column name, if it has one."""
+    bad = np.argwhere(~np.isfinite(table))
+    if bad.size:
+        row, col = bad[0]
+        raise ContractError(f"{source}: row {row}, column {names[col]!r} is not finite")
+
+
+def write_table(
+    path: str | Path, index: str, columns: Mapping[str, np.ndarray]
+) -> None:
+    """Write the table ``read_table`` reads back: the header ``index`` and the
+    column names, then row i as i and each column's i-th value, written as
+    ``str()`` of its numpy scalar, the shortest text that reads back to the
+    same value in the column's dtype. Columns of unequal length and
+    non-finite values raise ContractError, and nothing is written."""
+    names, values = list(columns), list(columns.values())
+    for name, column in zip(names, values):
+        if column.shape != values[0].shape[:1]:
+            raise ContractError(f"{path}: column {name!r} has {len(column)} rows, "
+                                f"column {names[0]!r} {len(values[0])}")
+    refuse_non_finite(np.stack(values, axis=1), names, str(path))
+    lines = [",".join([index, *names])]
+    lines += [",".join([str(i), *map(str, row)]) for i, row in enumerate(zip(*values))]
+    Path(path).write_text("\n".join(lines) + "\n")

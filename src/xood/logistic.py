@@ -17,8 +17,8 @@ its usual value. Split features are standardized with statistics computed
 on the full training matrix. The detector stores those statistics, and
 scoring applies the same standardization to new features. The ridge
 penalty is chosen by holding out one fold at a time: k distortions give
-k+1 folds. Ties prefer the larger penalty. ``pipeline`` calibrates the
-fitted detector's threshold, as it does xood-m's.
+k+1 folds. Ties prefer the larger penalty, whatever the grid's order.
+``pipeline`` calibrates the fitted detector's threshold, as it does xood-m's.
 
 The solver is full-batch Newton with step halving on the objective
 
@@ -185,12 +185,21 @@ def fit_logreg(x: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
 
 @dataclass
 class CVResult:
-    best_lambda: float
     lambdas: tuple[float, ...]
     fold_losses: np.ndarray  # (len(lambdas), n_folds) held-out mean losses
-    mean_losses: np.ndarray  # (len(lambdas),)
     # split columns whose std was pinned to 1; set by fit_l_detector
     pinned_split_columns: tuple[int, ...] = ()
+
+    @property
+    def mean_losses(self) -> np.ndarray:
+        """(len(lambdas),) mean held-out loss per lambda."""
+        return self.fold_losses.mean(axis=1)
+
+    @property
+    def best_lambda(self) -> float:
+        """The largest lambda of lowest mean loss, whatever the grid's order."""
+        means = self.mean_losses
+        return float(max(np.asarray(self.lambdas)[means == means.min()]))
 
 
 def cross_validate(
@@ -213,12 +222,7 @@ def cross_validate(
             held = fold_ids == fold
             w = fit_logreg(x[~held], y[~held], lam)
             table[gi, fi] = logreg_loss(w, x[held], y[held], 0.0)
-    means = table.mean(axis=1)
-    best = 0
-    for gi in range(1, len(grid)):
-        if means[gi] <= means[best]:  # ties resolved toward the larger lambda
-            best = gi
-    return CVResult(float(grid[best]), tuple(grid), table, means)
+    return CVResult(tuple(grid), table)
 
 
 # ---------------------------------------------------------------------------

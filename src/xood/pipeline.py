@@ -32,11 +32,11 @@ from .features import (
     apply_power_transform,
     feature_width,
     fit_power_transform,
-    load_power_transform,
     reduce_tap,
-    save_power_transform,
 )
-from .keyvalue import finite_float, optional_float, read_key_values
+from .keyvalue import (
+    finite_float, optional_float, read_key_values, read_table, write_table,
+)
 from .network import Network, forward_with_taps
 from .rng import derive_seed
 from .xten import read_tensor, write_tensor
@@ -219,6 +219,22 @@ _FORMATS = {
         lower=None,
     ),
 }
+
+
+def save_power_transform(pt: PowerTransform, path: str | Path) -> None:
+    """One row per dimension: dim,lambda,mean,std,flagged (0 or 1)."""
+    write_table(path, "dim", {"lambda": pt.lambdas, "mean": pt.means, "std": pt.stds,
+                              "flagged": pt.flags.astype(np.int64)})
+
+
+def load_power_transform(path: str | Path) -> PowerTransform:
+    _, table = read_table(path, "dim", ("lambda", "mean", "std", "flagged"))
+    lambdas, means, stds, flags = table.T.copy()
+    for bad, rule in ((stds <= 0, "std must be > 0"),
+                      ((flags != 0) & (flags != 1), "flagged must be 0 or 1")):
+        if bad.any():
+            raise FormatError(f"{path} row {int(bad.argmax())}: {rule}")
+    return PowerTransform(lambdas, means, stds, flags == 1)
 
 
 def _required(path: Path) -> Path:

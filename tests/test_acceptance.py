@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from xood.cli import main
+from xood.cli import main, read_feature_csv
 from xood.datasets import gen_noise, make_blobs, make_gratings, save_dataset, split
 from xood.features import (
     ALL_FEATURE_KINDS,
@@ -22,7 +22,6 @@ from xood.features import (
     apply_power_transform,
     feature_width,
     fit_power_transform,
-    read_feature_csv,
     yeo_johnson,
 )
 from xood.logistic import (

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from xood import cli, logistic, pipeline
-from xood.cli import main, read_scores_csv
-from xood.features import read_feature_csv
+from xood.cli import main, read_feature_csv, read_scores_csv
 from xood.network import load_network, save_network
 from xood.xten import read_tensor, write_tensor
 
@@ -123,6 +122,9 @@ def test_extract_writes_feature_table(ws, tmp_path):
         "layer3_min", "layer3_max",
     ]
     assert values.shape == (60, 6)
+    net = load_network(root / "model.xnet")
+    want = pipeline.run_network(net, read_tensor(root / "noise.xten")).features
+    assert np.array_equal(values.view(np.uint32), want.view(np.uint32))
     m = manifest(str(out) + ".manifest")
     assert m["rows"] == "60" and m["width"] == "6"
 
@@ -166,6 +168,11 @@ def test_scores_file_shape(ws):
     scores = read_scores_csv(root / "id_scores.csv")
     assert scores.shape == (240,)
     assert np.isfinite(scores).all()
+    want = pipeline.score_images(
+        pipeline.load_bundle(root / "mdet"), load_network(root / "model.xnet"),
+        read_tensor(root / "train.xten"),
+    )
+    assert np.array_equal(scores.view(np.uint64), want.view(np.uint64))
 
 
 def test_eval_table_and_append(ws, tmp_path):
@@ -420,6 +427,30 @@ def test_empty_idx_image_file_is_data_error(ws, tmp_path, command):
     out = tmp_path / "out"
     assert run(command, "--model", root / "model.xnet", *args, "--out", out) == 3
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["extract", "hist"])
+def test_non_finite_features_are_data_errors(ws, tmp_path, capsys, command):
+    """A network whose weights are all 1e20 overflows its later taps to inf:
+    extract and hist exit 3 naming the cell, and write nothing."""
+    root, run = ws
+    net = load_network(root / "model.xnet")
+    for layer in net.layers:
+        if layer.weight is not None:
+            layer.weight[...] = 1e20
+    save_network(net, tmp_path / "big.xnet")
+    images = ("--images", root / "noise.xten")
+    if command == "hist":
+        images = ("--id-images", root / "train.xten",
+                  "--ood-images", root / "noise.xten")
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run(command, "--model", tmp_path / "big.xnet", *images, "--out", out)
+    assert code == 3
+    where = {"extract": out, "hist": "ID features"}[command]
+    err = capsys.readouterr().err
+    assert f"{where}: row 0, column 'layer2_min' is not finite" in err
+    assert list(tmp_path.iterdir()) == [tmp_path / "big.xnet"]
 
 
 def test_accuracy_floor_is_numerical_error(ws, tmp_path):

@@ -1,7 +1,8 @@
 """Import direction inside the package: the CNN (``network``) and the
 detector math (``logistic``, ``mahalanobis``) sit below ``pipeline``, the
-one module that turns images into detector rows. Only ``xten``, home of
-the bounds-checked ``ByteReader``, unpacks bytes."""
+one module that turns images into detector rows and the only one that
+knows a bundle's files. ``features`` holds only math. Only ``xten``, home
+of the bounds-checked ``ByteReader``, unpacks bytes."""
 
 import ast
 from pathlib import Path
@@ -34,6 +35,17 @@ def test_reader_sees_imports():
 @pytest.mark.parametrize("module", ["logistic", "mahalanobis"])
 def test_detector_math_imports_only_errors_and_features(module):
     assert package_imports(module) <= {"errors", "features"}
+
+
+def test_features_imports_only_errors():
+    """``features`` holds only math; its tables are read and written above."""
+    assert package_imports("features") == {"errors"}
+
+
+def test_only_pipeline_names_the_power_transform_file():
+    naming = sorted(p.stem for p in PACKAGE.glob("*.py")
+                    if "power_transform.txt" in p.read_text())
+    assert naming == ["pipeline"]
 
 
 def test_network_imports_no_detector_module():

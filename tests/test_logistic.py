@@ -238,9 +238,10 @@ def test_cross_validate_ties_prefer_larger_lambda():
     y = np.r_[np.ones(60), np.zeros(40)]
     x = np.zeros((100, 2))
     fold_ids = np.arange(100) % 4
-    cv = cross_validate(x, y, fold_ids, (1e-3, 1.0, 100.0))
-    assert np.ptp(cv.mean_losses) < 1e-12
-    assert cv.best_lambda == 100.0
+    for grid in ((1e-3, 1.0, 100.0), (100.0, 1.0, 1e-3)):
+        cv = cross_validate(x, y, fold_ids, grid)
+        assert np.ptp(cv.mean_losses) == 0.0
+        assert cv.best_lambda == 100.0
 
 
 def test_cross_validate_needs_two_folds():

@@ -7,12 +7,7 @@ import pytest
 from xood import pipeline
 from xood.datasets import Dataset, gen_noise, make_blobs, split
 from xood.errors import ContractError, DimensionError, FormatError
-from xood.features import (
-    FeatureKind,
-    apply_power_transform,
-    extract_features,
-    save_power_transform,
-)
+from xood.features import FeatureKind, apply_power_transform, extract_features
 from xood.logistic import LDetector
 from xood.mahalanobis import MDetector, confidence
 from xood.network import TrainConfig, forward_with_taps, train_reference_cnn
@@ -22,6 +17,7 @@ from xood.pipeline import (
     load_bundle,
     run_network,
     save_bundle,
+    save_power_transform,
     score_images,
 )
 from xood.rng import derive_seed
