@@ -425,6 +425,7 @@ def cmd_fit_l(cfg: dict) -> dict:
         "cv_mean_losses": cv.mean_losses.tolist(),
         "folds": cv.fold_losses.shape[1],
         "pinned_split_columns": cv.pinned_split_columns,
+        "fold_positive_rates": cv.fold_positive_rates,
     }
 
 
@@ -439,19 +440,6 @@ def cmd_score(cfg: dict) -> dict:
 
 def read_scores_csv(path: str | Path) -> np.ndarray:
     return read_table(path, "index", ("score",))[1][:, 0]
-
-
-def read_feature_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
-    """Returns (column names, float32 matrix); see ``read_table``."""
-    names, values = read_table(path, "image_id")
-    with np.errstate(over="ignore"):
-        narrowed = values.astype(np.float32)
-    overflow = np.isinf(narrowed).any(axis=1)
-    if overflow.any():
-        raise FormatError(
-            f"{path} row {int(overflow.argmax())} exceeds the float32 range"
-        )
-    return names, narrowed
 
 
 _EVAL_HEADER = "in_dist,out_dist,method,auroc,tnr95,det_acc,fpr95"

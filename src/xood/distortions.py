@@ -1,5 +1,5 @@
-"""Label-preserving-ish image distortions used to manufacture "hard"
-training rows for the supervised detector.
+"""Image distortions used to manufacture "hard" training rows for the
+supervised detector.
 
 Four families, all deterministic per seed and all clipping pixels back to
 [0, 1]. Geometric, noise, and blur transform ``CHUNK`` images at a time;
@@ -8,10 +8,9 @@ chunk's streams drawing in lockstep, so results do not depend on chunk or
 batch boundaries. Mixup is inherently batch-level (it samples one
 permutation) and uses the seed directly.
 
-* geometric: horizontal flip (p 0.5), rotation U(-90, 90) degrees, zoom
-  U(0.9, 1.1), width/height shifts U(-0.2, 0.2) of the extent, applied in
-  the order flip, rotate, zoom, shift with bilinear resampling and zero
-  fill, then a brightness multiplier U(0.2, 2). Labels unchanged.
+* geometric: zoom U(0.9, 1.1) about the image center with bilinear
+  resampling and zero fill, then a brightness multiplier U(0.2, 2). Neither
+  moves a blob around the center, so labels are unchanged.
 * mixup: convex combination with a permuted partner, weight w ~ U(0, 1);
   the label follows the dominant image (ties at w = 0.5 go to the first).
 * noise + pixel affine: additive Gaussian noise with variance U(0, 2),
@@ -32,8 +31,6 @@ from .datasets import Dataset
 from .errors import ContractError
 from .rng import Stream
 
-GEOMETRIC_ROTATION_DEG = 90.0
-GEOMETRIC_SHIFT_FRAC = 0.2
 GEOMETRIC_ZOOM = (0.9, 1.1)
 GEOMETRIC_BRIGHTNESS = (0.2, 2.0)
 NOISE_VARIANCE_MAX = 2.0
@@ -41,11 +38,9 @@ BLUR_VARIANCE = (0.2, 5.0)
 AFFINE_SCALE_RANGE = (1.0 / 8.0, 8.0)
 CHUNK = 256  # images per lockstep pass; bounds the float64 temporaries
 
-# Per-image parameters go through libm, as a scalar draw's do: numpy's SIMD
-# exp, cos and sin may differ from it in the last bit for some arguments.
-_exp, _cos, _sin = (
-    np.vectorize(f, otypes=[np.float64]) for f in (math.exp, math.cos, math.sin)
-)
+# Per-image scales go through libm, as a scalar draw's do: numpy's SIMD exp
+# may differ from it in the last bit for some arguments.
+_exp = np.vectorize(math.exp, otypes=[np.float64])
 
 
 def _per_image(ds: Dataset, seed: int, family) -> Dataset:
@@ -66,49 +61,31 @@ def _per_image(ds: Dataset, seed: int, family) -> Dataset:
 # geometric
 
 
-def warp_images(images: np.ndarray, angle_deg, zoom, shift_x, shift_y, flip):
-    """Flip, rotate, zoom, then shift (N, C, H, W) images about their centers,
-    sampling bilinearly with zero fill outside the source. Each parameter is
-    a scalar or an (N, 1, 1, 1) array of per-image values."""
-    n, c, h, w = images.shape
-    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
-    # invert the forward chain: shift, then zoom, then rotation, then flip
-    px = (xx - cx - shift_x) / zoom
-    py = (yy - cy - shift_y) / zoom
-    rad = np.radians(angle_deg)
-    cos_t, sin_t = _cos(rad), _sin(rad)
-    xs = cos_t * px + sin_t * py
-    ys = -sin_t * px + cos_t * py + cy
-    xs = np.where(flip, -xs, xs) + cx
-    # bilinear: each corner's weight times its pixel, zero off the image
-    y0 = np.floor(ys).astype(np.int64)
-    x0 = np.floor(xs).astype(np.int64)
-    dy = ys - y0
-    dx = xs - x0
-    src = images.reshape(n, c, h * w)
-    out = np.zeros((n, c, h * w), dtype=np.float64)
-    for yi, xi, weight in (
-        (y0, x0, (1.0 - dy) * (1.0 - dx)), (y0, x0 + 1, (1.0 - dy) * dx),
-        (y0 + 1, x0, dy * (1.0 - dx)), (y0 + 1, x0 + 1, dy * dx),
-    ):
-        valid = (yi >= 0) & (yi < h) & (xi >= 0) & (xi < w)
-        flat = np.clip(yi, 0, h - 1) * w + np.clip(xi, 0, w - 1)
-        picked = np.take_along_axis(src, flat.reshape(-1, 1, h * w), axis=2)
-        out += (weight * valid).reshape(-1, 1, h * w) * picked
-    return out.reshape(n, c, h, w).astype(np.float32)
+def _zoom_taps(size: int, zoom) -> np.ndarray:
+    """(K, size, size) bilinear weights along one axis: output p samples the
+    source at c + (p - c) / zoom[k] about the center c, each source pixel q
+    weighted by the hat max(0, 1 - |position - q|). Positions off the image
+    find no pixel, which is zero fill."""
+    center = (size - 1) / 2.0
+    at = (np.arange(size) - center)[:, None] / np.reshape(zoom, (-1, 1, 1)) + center
+    return np.maximum(0.0, 1.0 - np.abs(at - np.arange(size)))
+
+
+def warp_images(images: np.ndarray, zoom):
+    """Zoom (N, C, H, W) images about their centers, sampling bilinearly
+    with zero fill outside the source. ``zoom`` is a scalar or an
+    (N, 1, 1, 1) array of per-image values. A zoom moves rows and columns
+    apart, so each image is its row weights @ image @ column weights.T."""
+    h, w = images.shape[2:]
+    rows = _zoom_taps(h, zoom)[:, None]
+    cols = _zoom_taps(w, zoom)[:, None].swapaxes(2, 3)
+    return (rows @ images.astype(np.float64) @ cols).astype(np.float32)
 
 
 def _geometric(images: np.ndarray, streams: Stream, draw) -> np.ndarray:
-    h, w = images.shape[2:]
-    flip = draw() < 0.5
-    angle = draw(-GEOMETRIC_ROTATION_DEG, GEOMETRIC_ROTATION_DEG)
     zoom = draw(*GEOMETRIC_ZOOM)
-    shift_x = draw(-GEOMETRIC_SHIFT_FRAC, GEOMETRIC_SHIFT_FRAC) * w
-    shift_y = draw(-GEOMETRIC_SHIFT_FRAC, GEOMETRIC_SHIFT_FRAC) * h
     brightness = draw(*GEOMETRIC_BRIGHTNESS)
-    warped = warp_images(images, angle, zoom, shift_x, shift_y, flip)
-    return np.clip(warped * brightness, 0.0, 1.0)
+    return np.clip(warp_images(images, zoom) * brightness, 0.0, 1.0)
 
 
 def distort_geometric(ds: Dataset, seed: int) -> Dataset:

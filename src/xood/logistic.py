@@ -187,8 +187,10 @@ def fit_logreg(x: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
 class CVResult:
     lambdas: tuple[float, ...]
     fold_losses: np.ndarray  # (len(lambdas), n_folds) held-out mean losses
-    # split columns whose std was pinned to 1; set by fit_l_detector
+    # set by fit_l_detector: split columns whose std was pinned to 1, and
+    # each fold's share of label-1 rows
     pinned_split_columns: tuple[int, ...] = ()
+    fold_positive_rates: tuple[float, ...] = ()
 
     @property
     def mean_losses(self) -> np.ndarray:
@@ -279,6 +281,9 @@ def fit_l_detector(
     scale_means, scale_stds, pinned, x = fit_split_scaler(training.features)
     cv = cross_validate(x, training.labels, training.fold_ids, grid)
     cv.pinned_split_columns = tuple(np.flatnonzero(pinned).tolist())
+    ids = training.fold_ids
+    cv.fold_positive_rates = tuple(
+        float(training.labels[ids == fold].mean()) for fold in np.unique(ids))
     weights = fit_logreg(x, training.labels, cv.best_lambda)
     logger.info("selected lambda %g", cv.best_lambda)
     return LDetector(scale_means, scale_stds, weights, cv.best_lambda), cv

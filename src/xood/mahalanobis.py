@@ -77,7 +77,13 @@ class MDetector:
     inverse_factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.inverse_factor = np.linalg.inv(self.factor)
+        try:  # a positive diagonal does not make L invertible in floating point
+            self.inverse_factor = np.linalg.inv(self.factor)
+            singular = not np.isfinite(self.inverse_factor).all()
+        except np.linalg.LinAlgError:
+            singular = True
+        if singular:
+            raise SingularityError("the Cholesky factor has no finite inverse")
 
     @property
     def dim(self) -> int:

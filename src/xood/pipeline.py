@@ -24,7 +24,7 @@ import numpy as np
 from . import logistic, mahalanobis
 from .datasets import Dataset
 from .distortions import DISTORTION_FAMILIES
-from .errors import ContractError, FormatError
+from .errors import ContractError, FormatError, SingularityError
 from .features import (
     MIN_FIT_ROWS,
     FeatureKind,
@@ -205,7 +205,6 @@ _FORMATS = {
         penalty="reg_c",
         shapes=lambda d: {"mean": (d,), "factor": (d, d)},
         positive=("factor", np.diag),
-        # a Cholesky factor, so invertible once its diagonal is positive
         lower="factor",
     ),
     "l": _Format(
@@ -265,9 +264,9 @@ def load_bundle(directory: str | Path) -> DetectorBundle:
     """Read a saved bundle, checking every value: ``dim`` is the power
     transform's width and the tensor shapes follow it, every number is
     finite, the penalty >= 0 and an xood-m factor is lower triangular with
-    a positive diagonal. A missing file is a ``FormatError``. Other files,
-    such as the ``cov.xten``, ``scale_flags.xten`` and ``raw_means.xten``
-    of older versions, are ignored."""
+    a positive diagonal and a finite inverse. A missing file is a
+    ``FormatError``. Other files, such as the ``cov.xten``,
+    ``scale_flags.xten`` and ``raw_means.xten`` of older versions, are ignored."""
     directory = Path(directory)
     manifest = directory / "bundle.txt"
     if not manifest.is_file():
@@ -305,5 +304,8 @@ def load_bundle(directory: str | Path) -> DetectorBundle:
             f"{directory / fmt.lower}.xten has a non-zero entry above its diagonal"
         )
     threshold = entries.get("threshold", optional_float)
-    detector = fmt.detector(**tensors, threshold=threshold, **{fmt.penalty: penalty})
+    try:
+        detector = fmt.detector(**tensors, threshold=threshold, **{fmt.penalty: penalty})
+    except SingularityError as exc:  # only an xood-m factor is inverted
+        raise FormatError(f"{directory / fmt.lower}.xten: {exc}") from None
     return DetectorBundle(kind, pt, detector)

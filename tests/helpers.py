@@ -1,13 +1,18 @@
 """Test-only helpers: a wall-clock timing harness, the overhead arithmetic
-criterion 10 reports, and bit-exact network equality."""
+criterion 10 reports, bit-exact network equality, and the feature CSV
+reader."""
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
 
-from xood.errors import ContractError
+import numpy as np
+
+from xood.errors import ContractError, FormatError
+from xood.keyvalue import read_table
 from xood.network import Network, _encode_network
 
 
@@ -48,3 +53,16 @@ def time_call(
 def networks_equal(a: Network, b: Network) -> bool:
     """Bit-exact structural and parameter equality: equal XNET encodings."""
     return _encode_network(a) == _encode_network(b)
+
+
+def read_feature_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
+    """Returns (column names, float32 matrix); see ``read_table``."""
+    names, values = read_table(path, "image_id")
+    with np.errstate(over="ignore"):
+        narrowed = values.astype(np.float32)
+    overflow = np.isinf(narrowed).any(axis=1)
+    if overflow.any():
+        raise FormatError(
+            f"{path} row {int(overflow.argmax())} exceeds the float32 range"
+        )
+    return names, narrowed

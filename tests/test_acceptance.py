@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from xood.cli import main, read_feature_csv
+from xood.cli import main
 from xood.datasets import gen_noise, make_blobs, make_gratings, save_dataset, split
 from xood.features import (
     ALL_FEATURE_KINDS,
@@ -44,7 +44,7 @@ from xood.pipeline import (
 )
 from xood.rng import Stream, derive_seed
 
-from helpers import format_overhead, overhead, time_call
+from helpers import format_overhead, overhead, read_feature_csv, time_call
 
 
 SEED = 7

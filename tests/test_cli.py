@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from xood import cli, logistic, pipeline
-from xood.cli import main, read_feature_csv, read_scores_csv
+from xood.cli import main, read_scores_csv
 from xood.network import load_network, save_network
 from xood.xten import read_tensor, write_tensor
+
+from helpers import read_feature_csv
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +163,27 @@ def test_fit_l_manifest_lists_pinned_split_columns(ws, tmp_path, monkeypatch):
     ) == 0
     m = manifest(tmp_path / "ldet" / "run.manifest")
     assert m["pinned_split_columns"] == "1,3,5,7,9,11"
+
+
+def test_fit_l_manifest_lists_fold_positive_rates(ws, tmp_path, monkeypatch):
+    root, run = ws
+    fit = logistic.fit_l_detector
+    seen = []
+
+    def recording(training, grid):
+        seen.append(training)
+        return fit(training, grid)
+
+    monkeypatch.setattr(logistic, "fit_l_detector", recording)
+    assert run(
+        "fit-l", "--model", root / "model.xnet", "--images", root / "train.xten",
+        "--labels", root / "labels.xten", "--seed", 7,
+        "--lambda-grid", "1.0", "--out", tmp_path / "ldet",
+    ) == 0
+    (training,) = seen
+    want = [training.labels[training.fold_ids == fold].mean() for fold in range(5)]
+    m = manifest(tmp_path / "ldet" / "run.manifest")
+    assert [float(r) for r in m["fold_positive_rates"].split(",")] == want
 
 
 def test_scores_file_shape(ws):
@@ -597,8 +620,12 @@ def _with(values, index, value):
         ("ldet", "scale_stds", lambda v: v[:-1]),
         ("mdet", "factor", lambda v: _with(v, (0, 0), 0.0)),
         ("mdet", "mean", lambda v: _with(v, 0, np.nan)),
+        # passes every entry check, but has no finite inverse
+        ("mdet", "factor",
+         lambda v: _with(_with(v, (0, 0), 5.7e-216), (1, 0), -5.9e266)),
     ],
-    ids=["l-long-scale_means", "l-short-scale_stds", "m-zero-diagonal", "m-nan-mean"],
+    ids=["l-long-scale_means", "l-short-scale_stds", "m-zero-diagonal", "m-nan-mean",
+         "m-singular-factor"],
 )
 def test_mutated_detector_tensor_is_data_error(ws, tmp_path, bundle, name, edit):
     import shutil

@@ -10,14 +10,10 @@ from xood.distortions import (
     CHUNK,
     DISTORTION_FAMILIES,
     GEOMETRIC_BRIGHTNESS,
-    GEOMETRIC_ROTATION_DEG,
-    GEOMETRIC_SHIFT_FRAC,
     GEOMETRIC_ZOOM,
     NOISE_VARIANCE_MAX,
-    _cos,
     _exp,
     _noise_affine,
-    _sin,
     blur_images,
     distort_blur_affine,
     distort_geometric,
@@ -69,54 +65,67 @@ def test_all_families_deterministic_and_in_range(blobs):
 
 def test_geometric_identity_parameters():
     img = make_blobs(2, 2, 12, seed=3).images[0]
-    out = warp_images(img[None], angle_deg=0.0, zoom=1.0, shift_x=0.0, shift_y=0.0,
-                      flip=False)[0]
+    out = warp_images(img[None], zoom=1.0)[0]
     np.testing.assert_allclose(out, img, atol=1e-6)
-
-
-def test_geometric_flip_is_horizontal_mirror():
-    img = np.zeros((1, 4, 4), np.float32)
-    img[0, 1, 0] = 1.0
-    out = warp_images(img[None], 0.0, 1.0, 0.0, 0.0, flip=True)[0]
-    want = img[:, :, ::-1]
-    np.testing.assert_allclose(out, want, atol=1e-6)
-
-
-def test_geometric_integer_shift_translates():
-    img = np.zeros((1, 6, 6), np.float32)
-    img[0, 2, 2] = 1.0
-    out = warp_images(img[None], 0.0, 1.0, shift_x=2.0, shift_y=1.0, flip=False)[0]
-    want = np.zeros_like(img)
-    want[0, 3, 4] = 1.0
-    np.testing.assert_allclose(out, want, atol=1e-6)
-
-
-def test_geometric_rotation_quarter_turn():
-    img = np.zeros((1, 5, 5), np.float32)
-    img[0, 2, 4] = 1.0  # point east of center
-    out = warp_images(img[None], angle_deg=90.0, zoom=1.0, shift_x=0.0, shift_y=0.0,
-                      flip=False)[0]
-    # rotating the image by +90 deg carries east to one of the vertical
-    # neighbors; accept either sign convention but demand an exact pixel
-    hits = np.argwhere(out[0] > 0.9)
-    assert hits.shape == (1, 2)
-    assert tuple(hits[0]) in ((0, 2), (4, 2))
 
 
 def test_geometric_zoom_spreads_mass():
     img = np.zeros((1, 9, 9), np.float32)
     img[0, 4, 4] = 1.0
-    grown = warp_images(img[None], 0.0, 1.1, 0.0, 0.0, False)[0]
+    grown = warp_images(img[None], 1.1)[0]
     assert grown[0, 4, 4] == pytest.approx(1.0, abs=1e-6)  # center fixed
-    shrunk = warp_images(img[None], 0.0, 0.9, 0.0, 0.0, False)[0]
+    shrunk = warp_images(img[None], 0.9)[0]
     assert shrunk[0, 4, 4] == pytest.approx(1.0, abs=1e-6)
 
 
-def test_geometric_fill_is_zero(blobs):
+def test_geometric_zoom_is_pointwise_bilinear():
+    # each output pixel samples the source at c + (p - c) / zoom, reading
+    # its four neighbors with bilinear weights and zero off the image
+    images = Stream(21).uniform(2 * 2 * 7 * 9).reshape(2, 2, 7, 9).astype(np.float32)
+    zooms = np.array([0.9, 1.07]).reshape(2, 1, 1, 1)
+    out = warp_images(images, zooms)
+    for k, zoom in enumerate(zooms.ravel()):
+        for y in range(7):
+            for x in range(9):
+                sy, sx = 3.0 + (y - 3.0) / zoom, 4.0 + (x - 4.0) / zoom
+                y0, x0 = math.floor(sy), math.floor(sx)
+                want = np.zeros(2)
+                for yi, xi in ((y0, x0), (y0, x0 + 1), (y0 + 1, x0), (y0 + 1, x0 + 1)):
+                    if 0 <= yi < 7 and 0 <= xi < 9:
+                        weight = (1 - abs(sy - yi)) * (1 - abs(sx - xi))
+                        want += weight * images[k, :, yi, xi]
+                np.testing.assert_allclose(out[k, :, y, x], want, atol=1e-6)
+
+
+def test_geometric_fill_is_zero():
+    # zoom 0.5 about (3.5, 3.5): outputs 2..5 sample source 0.5..6.5, and
+    # outputs 0, 1, 6 and 7 sample outside the image
     img = np.ones((1, 8, 8), np.float32)
-    out = warp_images(img[None], 0.0, 1.0, shift_x=4.0, shift_y=0.0, flip=False)[0]
-    assert float(out[0, :, :4].max()) == 0.0  # vacated half is zero-filled
-    assert float(out[0, :, 4:].min()) == pytest.approx(1.0, abs=1e-6)
+    out = warp_images(img[None], 0.5)[0, 0]
+    border = np.ones((8, 8), bool)
+    border[2:6, 2:6] = False
+    assert float(out[border].max()) == 0.0
+    assert float(out[~border].min()) == pytest.approx(1.0, abs=1e-6)
+
+
+def centroid_angles(images):
+    """Each image's intensity-weighted centroid, in degrees around the center."""
+    h, w = images.shape[2:]
+    yy, xx = np.mgrid[0:h, 0:w] - np.array([(h - 1) / 2.0, (w - 1) / 2.0])[:, None, None]
+    mass = images[:, 0].astype(np.float64)
+    total = mass.sum(axis=(1, 2))
+    cy = (mass * yy).sum(axis=(1, 2)) / total
+    cx = (mass * xx).sum(axis=(1, 2)) / total
+    return np.degrees(np.arctan2(cy, cx))
+
+
+def test_geometric_keeps_each_blob_at_its_class_angle():
+    # a blob's class is its angle around the center, 30 degrees apart for 12
+    # classes; a distortion that keeps labels must not carry it halfway there
+    blobs = make_blobs(240, 12, 28, seed=3)
+    moved = centroid_angles(distort_geometric(blobs, seed=5).images)
+    turn = (moved - centroid_angles(blobs.images) + 180.0) % 360.0 - 180.0
+    assert float(np.abs(turn).max()) < 15.0
 
 
 def test_geometric_keeps_labels(blobs):
@@ -253,15 +262,9 @@ def one_image(family, img, stream):
     """``family`` applied to one (C, H, W) image with scalar draws from
     ``stream``, in the order the family draws them."""
     if family is distort_geometric:
-        h, w = img.shape[1:]
-        turn, frac = GEOMETRIC_ROTATION_DEG, GEOMETRIC_SHIFT_FRAC
-        flip = bool(stream.bernoulli(1, 0.5)[0])
-        angle = stream.uniform(1, -turn, turn)[0]
         zoom = stream.uniform(1, *GEOMETRIC_ZOOM)[0]
-        shift_x = stream.uniform(1, -frac, frac)[0] * w
-        shift_y = stream.uniform(1, -frac, frac)[0] * h
         brightness = stream.uniform(1, *GEOMETRIC_BRIGHTNESS)[0]
-        warped = warp_images(img[None], angle, zoom, shift_x, shift_y, flip)[0]
+        warped = warp_images(img[None], zoom)[0]
         return np.clip(warped.astype(np.float64) * brightness, 0.0, 1.0)
     if family is distort_noise_affine:
         variance = stream.uniform(1, 0.0, NOISE_VARIANCE_MAX)[0]
@@ -282,11 +285,10 @@ def test_pixel_affine_in_lockstep_equals_scalar_draws():
         assert (a[i, 0], b[i, 0]) == scalar_pixel_affine(Stream(9).fork(i)), i
 
 
-def test_lockstep_cos_sin_exp_are_libm_bit_for_bit():
-    # rotation terms and pixel scales equal math's, as scalar draws gave them
-    x = Stream(4).uniform(20000, -math.pi, math.pi)
-    for lockstep, scalar in ((_cos, math.cos), (_sin, math.sin), (_exp, math.exp)):
-        assert lockstep(x).tolist() == [scalar(v) for v in x.tolist()], scalar
+def test_lockstep_exp_is_libm_bit_for_bit():
+    # pixel scales equal math's, as scalar draws gave them
+    x = Stream(4).uniform(20000, *map(math.log, AFFINE_SCALE_RANGE))
+    assert _exp(x).tolist() == [math.exp(v) for v in x.tolist()]
 
 
 @pytest.mark.parametrize("family", PER_IMAGE, ids=lambda f: f.__name__)

@@ -3,7 +3,6 @@ import logging
 import numpy as np
 import pytest
 
-from xood.cli import read_feature_csv
 from xood.errors import ContractError, FormatError
 from xood.features import (
     ALL_FEATURE_KINDS,
@@ -21,6 +20,8 @@ from xood.features import (
 from xood.keyvalue import write_table
 from xood.pipeline import load_power_transform, save_power_transform
 from xood.rng import Stream
+
+from helpers import read_feature_csv
 
 
 def reduce_one(values, kind):

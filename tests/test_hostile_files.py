@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xood.cli import read_feature_csv, read_scores_csv
+from xood.cli import read_scores_csv
 from xood.datasets import (
     load_images_any,
     load_labels_any,
@@ -38,6 +38,8 @@ from xood.pipeline import (
 )
 from xood.rng import Stream
 from xood.xten import read_tensor, write_tensor
+
+from helpers import read_feature_csv
 
 LABELS = np.array([0, 3, 1, 2, 255, 7])
 
@@ -212,6 +214,20 @@ def test_factor_with_entries_above_its_diagonal_is_refused(originals):
     write_tensor(path, factor)
     try:
         with pytest.raises(FormatError, match="factor.xten has a non-zero entry"):
+            load_bundle(root / "mdet")
+    finally:
+        path.write_bytes(files["mdet/factor.xten"])
+    load_bundle(root / "mdet")
+
+
+def test_factor_without_a_finite_inverse_is_refused(originals):
+    """A lower-triangular, finite factor with a positive diagonal can still
+    be singular in floating point; loading refuses it, naming the file."""
+    files, root = originals
+    path = root / "mdet" / "factor.xten"
+    write_tensor(path, np.array([[5.7e-216, 0.0], [-5.9e266, 1.38]]))
+    try:
+        with pytest.raises(FormatError, match="factor.xten: .* no finite inverse"):
             load_bundle(root / "mdet")
     finally:
         path.write_bytes(files["mdet/factor.xten"])

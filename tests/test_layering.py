@@ -2,14 +2,18 @@
 detector math (``logistic``, ``mahalanobis``) sit below ``pipeline``, the
 one module that turns images into detector rows and the only one that
 knows a bundle's files. ``features`` holds only math. Only ``xten``, home
-of the bounds-checked ``ByteReader``, unpacks bytes."""
+of the bounds-checked ``ByteReader``, unpacks bytes. The README's Layout
+table names only what each module defines."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "xood"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "xood"
 
 
 def parse(module: str) -> ast.Module:
@@ -74,3 +78,26 @@ def test_only_xten_unpacks_bytes():
     modules = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "xten")
     assert len(modules) > 10
     assert {m: lines for m in modules if (lines := struct_unpacks(m))} == {}
+
+
+def readme_layout_names() -> dict[str, list[str]]:
+    """Per module of the README's Layout table, the backticked Python
+    identifiers in its row, except ``xood``, the command's name."""
+    layout = (ROOT / "README.md").read_text().split("\n## Layout\n")[1]
+    rows = re.findall(r"^\| `src/xood/(\w+)\.py` \|(.*)\|$", layout, re.MULTILINE)
+    return {module: [name for name in re.findall(r"`([^`]*)`", text)
+                     if name.isidentifier() and name != "xood"]
+            for module, text in rows}
+
+
+def test_reader_sees_readme_layout():
+    names = readme_layout_names()
+    assert len(names) > 10
+    assert "run_network" in names["pipeline"] and "ByteReader" in names["xten"]
+
+
+def test_readme_layout_names_only_what_its_module_defines():
+    missing = {module: [n for n in names
+                        if not hasattr(importlib.import_module(f"xood.{module}"), n)]
+               for module, names in readme_layout_names().items()}
+    assert {module: names for module, names in missing.items() if names} == {}

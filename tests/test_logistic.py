@@ -91,6 +91,8 @@ def test_split_scaler_flags_constant_columns(caplog):
     det, cv = fit_l_detector(training, grid=(1.0,))
     assert cv.pinned_split_columns == (1,)
     assert det.scale_stds[1] == 1.0
+    # fold f holds rows f, f + 5, ...: 7, 7, 6, 7 and 7 of its 20 are label 0
+    assert cv.fold_positive_rates == (0.65, 0.65, 0.7, 0.65, 0.65)
 
 
 def numeric_gradient(w, x, y, lam, eps=1e-6):
