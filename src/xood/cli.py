@@ -66,6 +66,7 @@ from .network import (
     train_reference_cnn,
 )
 from .rng import derive_seed
+from .tensor_ops import MAX_IMAGE_VALUES
 
 logger = logging.getLogger(__name__)
 
@@ -353,6 +354,9 @@ def _fit_inputs(cfg: dict) -> tuple[Network, Dataset, Dataset]:
 
 def cmd_gen(cfg: dict) -> dict:
     kind, n, side = cfg["kind"], cfg["count"], cfg["side"]
+    if n * side * side > MAX_IMAGE_VALUES:
+        raise ConfigError(f"--count {n} images of --side {side} exceed "
+                          f"{MAX_IMAGE_VALUES} pixel values")
     if kind == "blobs":
         if n < cfg["classes"]:
             raise ConfigError(f"--count {n} is below --classes {cfg['classes']}")
@@ -439,7 +443,7 @@ def cmd_score(cfg: dict) -> dict:
 
 
 def read_scores_csv(path: str | Path) -> np.ndarray:
-    return read_table(path, "index", ("score",))[1][:, 0]
+    return read_table(path, "index", ("score",))[:, 0]
 
 
 _EVAL_HEADER = "in_dist,out_dist,method,auroc,tnr95,det_acc,fpr95"
@@ -567,11 +571,11 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except SystemExit as exc:  # argparse has printed the usage error
         return int(exc.code or 0)
-    except (XoodError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (XoodError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         if isinstance(exc, ConfigError):
             return 2
-        # any other package error is a data problem
+        # any other package error is a data problem, as is input too big to hold
         return 4 if isinstance(exc, NumericalError) else 3
 
 

@@ -225,6 +225,19 @@ class PowerTransform:
         return self.lambdas.shape[0]
 
 
+def check_fields(owner: object, shapes: dict[str, tuple[int, ...]]) -> None:
+    """Make each field of ``owner`` that ``shapes`` names a float64 array,
+    refusing one of another shape or with a non-finite entry with a
+    ContractError whose message starts with the field's name."""
+    for name, shape in shapes.items():
+        values = np.asarray(getattr(owner, name), dtype=np.float64)
+        if values.shape != shape:
+            raise ContractError(f"{name} has shape {values.shape}, expected {shape}")
+        if not np.isfinite(values).all():
+            raise ContractError(f"{name} holds non-finite values")
+        setattr(owner, name, values)
+
+
 def pin_constant_stds(stds: np.ndarray, what: str) -> np.ndarray:
     """Pin the entries of ``stds`` below STD_FLOOR to 1, in place, and
     return the flags of the pinned ones.

@@ -89,36 +89,32 @@ def optional_float(text: str) -> float | None:
     return None if text == "none" else finite_float(text)
 
 
-def read_table(
-    path: str | Path, index: str, columns: Sequence[str] | None = None
-) -> tuple[list[str], np.ndarray]:
-    """The column names after ``index`` and the float64 cells of a table.
+def read_table(path: str | Path, index: str, columns: Sequence[str]) -> np.ndarray:
+    """The float64 cells of a table, one column per name of ``columns``.
 
-    Blank lines are skipped. The header is ``index`` and then ``columns``,
-    or any names when ``columns`` is None. Row i is the number i and one
-    finite float per name. Anything else raises FormatError naming the file
-    and the row.
+    Blank lines are skipped. The header is ``index`` and then ``columns``.
+    Row i is the number i and one finite float per column. Anything else
+    raises FormatError naming the file and the row.
     """
     lines = [line for line in read_utf8(path).splitlines() if line.strip()]
-    head, *names = lines[0].split(",") if lines else [None]
-    if head != index or not names or names != list(columns or names):
-        want = ",".join([index, *(columns or ["..."])])
-        raise FormatError(f"{path}: bad header {lines[:1]}, expected {want!r}")
+    header = ",".join([index, *columns])
+    if lines[:1] != [header]:
+        raise FormatError(f"{path}: bad header {lines[:1]}, expected {header!r}")
     rows = []
     for i, line in enumerate(lines[1:]):
         parts = line.split(",")
         try:
             row = [float(cell) for cell in parts[1:]]
-            good = int(parts[0]) == i and len(row) == len(names)
+            good = int(parts[0]) == i and len(row) == len(columns)
         except ValueError:
             good = False
         if not good or not np.isfinite(row).all():
             raise FormatError(
                 f"{path} row {i}: {line!r} is not the index {i} followed by "
-                f"{len(names)} finite numbers"
+                f"{len(columns)} finite numbers"
             )
         rows.append(row)
-    return names, np.array(rows, dtype=np.float64).reshape(len(rows), len(names))
+    return np.array(rows, dtype=np.float64).reshape(len(rows), len(columns))
 
 
 def refuse_non_finite(table: np.ndarray, names: Sequence[str], source: str) -> None:

@@ -39,7 +39,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import ContractError, NumericalError
-from .features import pin_constant_stds
+from .features import check_fields, pin_constant_stds
 
 logger = logging.getLogger(__name__)
 
@@ -259,7 +259,11 @@ def build_training_set(
 @dataclass
 class LDetector:
     """Fitted logistic detector; immutable after calibration. Its arrays
-    are the bundle's tensors, named after their files."""
+    are the bundle's tensors, named after their files.
+
+    Built by a fit, a load or a caller, it refuses, with a ContractError
+    whose message starts with the field's name, tensors that are not finite
+    float64 of shapes (2d,), (2d,) and (2d + 1,), or a std <= 0."""
 
     method: ClassVar[str] = "l"
 
@@ -268,6 +272,17 @@ class LDetector:
     weights: np.ndarray  # (2d + 1,), intercept first
     reg_lambda: float
     threshold: float | None = None
+
+    def __post_init__(self):
+        d = np.size(self.scale_means) // 2
+        check_fields(self, {"scale_means": (2 * d,), "scale_stds": (2 * d,),
+                            "weights": (2 * d + 1,)})
+        if not (self.scale_stds > 0).all():
+            raise ContractError("scale_stds has an entry <= 0")
+
+    @property
+    def dim(self) -> int:
+        return self.scale_means.shape[0] // 2
 
     def score(self, transformed: np.ndarray) -> np.ndarray:
         return score_l(self, transformed)

@@ -29,6 +29,7 @@ from typing import ClassVar, TypeVar
 import numpy as np
 
 from .errors import ContractError, SingularityError
+from .features import check_fields
 
 DEFAULT_REG_C = 10.0
 THRESHOLD_QUANTILE = 0.05
@@ -65,7 +66,12 @@ def cholesky_lower(matrix: np.ndarray) -> np.ndarray:
 @dataclass
 class MDetector:
     """Fitted Mahalanobis detector; immutable after calibration. The
-    covariance is not kept: it is ``factor @ factor.T - reg_c * I``."""
+    covariance is not kept: it is ``factor @ factor.T - reg_c * I``.
+
+    Built by a fit, a load or a caller, it refuses tensors that are not
+    finite float64 of shapes (d,) and (d, d), or a factor that is not lower
+    triangular with a positive diagonal (ContractError) or has no finite
+    inverse (SingularityError). Each message starts with the field's name."""
 
     method: ClassVar[str] = "m"
 
@@ -77,13 +83,19 @@ class MDetector:
     inverse_factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        d = np.size(self.mean)
+        check_fields(self, {"mean": (d,), "factor": (d, d)})
+        if np.triu(self.factor, 1).any():
+            raise ContractError("factor has a non-zero entry above its diagonal")
+        if not (np.diag(self.factor) > 0).all():
+            raise ContractError("factor has a diagonal entry <= 0")
         try:  # a positive diagonal does not make L invertible in floating point
             self.inverse_factor = np.linalg.inv(self.factor)
             singular = not np.isfinite(self.inverse_factor).all()
         except np.linalg.LinAlgError:
             singular = True
         if singular:
-            raise SingularityError("the Cholesky factor has no finite inverse")
+            raise SingularityError("factor has no finite inverse")
 
     @property
     def dim(self) -> int:

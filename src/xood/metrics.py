@@ -38,20 +38,8 @@ def _check_scores(scores: np.ndarray, is_id: np.ndarray) -> tuple[np.ndarray, np
 
 def _midranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties sharing the mean rank of their block."""
-    order = np.argsort(values, kind="mergesort")
-    sorted_vals = values[order]
-    n = values.shape[0]
-    new_group = np.empty(n, dtype=bool)
-    new_group[0] = True
-    new_group[1:] = sorted_vals[1:] != sorted_vals[:-1]
-    group = np.cumsum(new_group) - 1
-    positions = np.arange(1, n + 1, dtype=np.float64)
-    group_sum = np.bincount(group, weights=positions)
-    group_count = np.bincount(group)
-    mid = group_sum / group_count
-    ranks = np.empty(n, dtype=np.float64)
-    ranks[order] = mid[group]
-    return ranks
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
 
 def auroc(scores: np.ndarray, is_id: np.ndarray) -> float:
@@ -96,14 +84,11 @@ def detection_accuracy(scores: np.ndarray, is_id: np.ndarray) -> float:
     scores, is_id = _check_scores(scores, is_id)
     n_id = int(is_id.sum())
     n_ood = scores.shape[0] - n_id
-    order = np.argsort(scores, kind="mergesort")
-    sorted_scores = scores[order]
-    sorted_id = is_id[order].astype(np.float64)
-    cum_id = np.cumsum(sorted_id)
-    cum_ood = np.cumsum(1.0 - sorted_id)
-    last_of_value = np.r_[sorted_scores[1:] != sorted_scores[:-1], True]
-    acc = 0.5 * ((n_id - cum_id[last_of_value]) / n_id
-                 + cum_ood[last_of_value] / n_ood)
+    # ID and OOD scores at or below each distinct score, ascending
+    _, inverse = np.unique(scores, return_inverse=True)
+    cum_id = np.cumsum(np.bincount(inverse, weights=is_id))
+    cum_ood = np.cumsum(np.bincount(inverse, weights=~is_id))
+    acc = 0.5 * ((n_id - cum_id) / n_id + cum_ood / n_ood)
     # 0.5 is the threshold below the minimum: all accepted
     return float(max(0.5, acc.max()))
 

@@ -191,32 +191,16 @@ def score_images(
 # ---------------------------------------------------------------------------
 # bundle persistence: the only reader and writer of a bundle directory
 
-_Format = namedtuple("_Format", "detector tag penalty shapes positive lower")
+_Format = namedtuple("_Format", "detector tag penalty tensors")
 
 # Per method, as bundle.txt names it: the detector class; the detector.txt
-# tag; the penalty's key there; each tensor file's shape for feature width d;
-# the tensor (and the view of it) whose entries must be > 0; and the tensor
-# that must be lower triangular, if any. Tensor files and the penalty key are
-# named after the detector's fields.
+# tag; the penalty's key there; and the tensor files. The penalty key and
+# each tensor file are named after the detector's fields, and the detector
+# checks its own tensors.
 _FORMATS = {
-    "m": _Format(
-        detector=mahalanobis.MDetector,
-        tag="mahalanobis",
-        penalty="reg_c",
-        shapes=lambda d: {"mean": (d,), "factor": (d, d)},
-        positive=("factor", np.diag),
-        lower="factor",
-    ),
-    "l": _Format(
-        detector=logistic.LDetector,
-        tag="logistic",
-        penalty="reg_lambda",
-        shapes=lambda d: {
-            "scale_means": (2 * d,), "scale_stds": (2 * d,), "weights": (2 * d + 1,),
-        },
-        positive=("scale_stds", np.ravel),
-        lower=None,
-    ),
+    "m": _Format(mahalanobis.MDetector, "mahalanobis", "reg_c", ("mean", "factor")),
+    "l": _Format(logistic.LDetector, "logistic", "reg_lambda",
+                 ("scale_means", "scale_stds", "weights")),
 }
 
 
@@ -227,7 +211,7 @@ def save_power_transform(pt: PowerTransform, path: str | Path) -> None:
 
 
 def load_power_transform(path: str | Path) -> PowerTransform:
-    _, table = read_table(path, "dim", ("lambda", "mean", "std", "flagged"))
+    table = read_table(path, "dim", ("lambda", "mean", "std", "flagged"))
     lambdas, means, stds, flags = table.T.copy()
     for bad, rule in ((stds <= 0, "std must be > 0"),
                       ((flags != 0) & (flags != 1), "flagged must be 0 or 1")):
@@ -256,17 +240,17 @@ def save_bundle(bundle: DetectorBundle, directory: str | Path) -> None:
         f"detector={fmt.tag}\ndim={bundle.transform.dim}\n"
         f"{fmt.penalty}={float(getattr(det, fmt.penalty))!r}\nthreshold={threshold}\n"
     )
-    for name in fmt.shapes(bundle.transform.dim):
-        write_tensor(directory / f"{name}.xten", getattr(det, name).astype(np.float64))
+    for name in fmt.tensors:
+        write_tensor(directory / f"{name}.xten", getattr(det, name))
 
 
 def load_bundle(directory: str | Path) -> DetectorBundle:
     """Read a saved bundle, checking every value: ``dim`` is the power
-    transform's width and the tensor shapes follow it, every number is
-    finite, the penalty >= 0 and an xood-m factor is lower triangular with
-    a positive diagonal and a finite inverse. A missing file is a
-    ``FormatError``. Other files, such as the ``cov.xten``,
-    ``scale_flags.xten`` and ``raw_means.xten`` of older versions, are ignored."""
+    transform's width and the detector's, every number is finite and the
+    penalty >= 0. The detector checks its tensors, and a refusal becomes a
+    ``FormatError`` naming the tensor's file, as does a missing file. Other
+    files, such as the ``cov.xten``, ``scale_flags.xten`` and
+    ``raw_means.xten`` of older versions, are ignored."""
     directory = Path(directory)
     manifest = directory / "bundle.txt"
     if not manifest.is_file():
@@ -288,24 +272,14 @@ def load_bundle(directory: str | Path) -> DetectorBundle:
     penalty = entries.get(fmt.penalty, finite_float)
     if penalty < 0:
         raise FormatError(f"{manifest}: {fmt.penalty}={penalty!r} is below 0")
-    tensors = {}
-    for name, shape in fmt.shapes(dim).items():
-        path = directory / f"{name}.xten"
-        tensors[name] = values = read_tensor(_required(path)).astype(np.float64)
-        if values.shape != shape:
-            raise FormatError(f"{path} has shape {values.shape}, expected {shape}")
-        if not np.isfinite(values).all():
-            raise FormatError(f"{path} holds non-finite values")
-    name, view = fmt.positive
-    if not (view(tensors[name]) > 0).all():
-        raise FormatError(f"{directory / name}.xten has an entry <= 0")
-    if fmt.lower is not None and np.triu(tensors[fmt.lower], 1).any():
-        raise FormatError(
-            f"{directory / fmt.lower}.xten has a non-zero entry above its diagonal"
-        )
+    tensors = {name: read_tensor(_required(directory / f"{name}.xten"))
+               for name in fmt.tensors}
     threshold = entries.get("threshold", optional_float)
     try:
         detector = fmt.detector(**tensors, threshold=threshold, **{fmt.penalty: penalty})
-    except SingularityError as exc:  # only an xood-m factor is inverted
-        raise FormatError(f"{directory / fmt.lower}.xten: {exc}") from None
+    except (ContractError, SingularityError) as exc:  # the field comes first
+        name, _, rule = str(exc).partition(" ")
+        raise FormatError(f"{directory / name}.xten {rule}") from None
+    if detector.dim != dim:
+        raise FormatError(f"{manifest} has dim={dim}, its tensors {detector.dim}")
     return DetectorBundle(kind, pt, detector)

@@ -12,7 +12,7 @@ from typing import Callable
 import numpy as np
 
 from xood.errors import ContractError, FormatError
-from xood.keyvalue import read_table
+from xood.keyvalue import read_table, read_utf8
 from xood.network import Network, _encode_network
 
 
@@ -56,8 +56,11 @@ def networks_equal(a: Network, b: Network) -> bool:
 
 
 def read_feature_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
-    """Returns (column names, float32 matrix); see ``read_table``."""
-    names, values = read_table(path, "image_id")
+    """Returns (column names, float32 matrix); see ``read_table``. The
+    names are the header's after ``image_id``."""
+    lines = [line for line in read_utf8(path).splitlines() if line.strip()]
+    names = lines[0].split(",")[1:] if lines else []
+    values = read_table(path, "image_id", names)
     with np.errstate(over="ignore"):
         narrowed = values.astype(np.float32)
     overflow = np.isinf(narrowed).any(axis=1)

@@ -98,6 +98,38 @@ def test_overwrite_needs_force(ws, tmp_path):
     assert run(*args, "--force") == 0
 
 
+@pytest.mark.parametrize("kind, count, side", [
+    ("uniform", 10**12, 28),
+    ("uniform", 10**20, 28),
+    ("blobs", 10, 3 * 10**9),
+])
+def test_oversized_gen_is_config_error(tmp_path, monkeypatch, capsys, kind, count, side):
+    def generate(*args, **kwargs):
+        raise AssertionError("generated before checking the size")
+
+    for name in ("gen_noise", "make_blobs", "make_gratings"):
+        monkeypatch.setattr(cli, name, generate)
+    out = tmp_path / "x.xten"
+    assert main(["gen", "--kind", kind, "--count", str(count), "--classes", "2",
+                 "--side", str(side), "--images-out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "pixel values" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_memory_error_exits_3(tmp_path, monkeypatch, capsys):
+    def gen(cfg):
+        raise MemoryError()
+
+    monkeypatch.setitem(cli._HANDLERS, "gen", gen)
+    out = tmp_path / "x.xten"
+    assert main(["gen", "--kind", "uniform", "--count", "5",
+                 "--images-out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: out of memory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_existing_output_is_refused_before_any_work(ws, monkeypatch):
     root, run = ws
 

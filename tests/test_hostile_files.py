@@ -227,7 +227,7 @@ def test_factor_without_a_finite_inverse_is_refused(originals):
     path = root / "mdet" / "factor.xten"
     write_tensor(path, np.array([[5.7e-216, 0.0], [-5.9e266, 1.38]]))
     try:
-        with pytest.raises(FormatError, match="factor.xten: .* no finite inverse"):
+        with pytest.raises(FormatError, match="factor.xten has no finite inverse"):
             load_bundle(root / "mdet")
     finally:
         path.write_bytes(files["mdet/factor.xten"])

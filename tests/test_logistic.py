@@ -67,6 +67,35 @@ def test_split_scaler_standardizes_fit_matrix():
     np.testing.assert_allclose(score_l(det, fit), want, atol=1e-12)
 
 
+def _l_with(name, value):
+    good = {"scale_means": np.zeros(4), "scale_stds": np.ones(4), "weights": np.ones(5)}
+    return {**good, name: value}
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("scale_means", np.zeros(5), "scale_means has shape"),
+    ("scale_means", np.zeros((2, 2)), "scale_means has shape"),
+    ("scale_stds", np.ones(6), "scale_stds has shape"),
+    ("weights", np.ones(4), "weights has shape"),
+    ("scale_means", np.array([0.0, np.nan, 0.0, 0.0]), "scale_means holds non-finite"),
+    ("scale_stds", np.array([1.0, 1.0, np.inf, 1.0]), "scale_stds holds non-finite"),
+    ("weights", np.array([1.0, 1.0, 1.0, 1.0, -np.inf]), "weights holds non-finite"),
+    ("scale_stds", np.zeros(4), "scale_stds has an entry <= 0"),
+    ("scale_stds", np.array([1.0, -1.0, 1.0, 1.0]), "scale_stds has an entry <= 0"),
+], ids=["odd-means", "2-d-means", "long-stds", "short-weights", "nan-means",
+        "inf-stds", "inf-weights", "zero-stds", "negative-std"])
+def test_detector_refuses_invalid_tensors(name, value, message):
+    """The rules hold for a detector built in memory, not only for a load."""
+    with pytest.raises(ContractError, match=message):
+        LDetector(reg_lambda=1.0, **_l_with(name, value))
+
+
+def test_detector_dim_is_the_feature_width():
+    det = LDetector([0, 0, 0, 0], np.ones(4, np.float32), np.ones(5), 1.0)
+    assert det.dim == 2
+    assert det.scale_means.dtype == det.scale_stds.dtype == np.float64
+
+
 def test_score_l_in_row_blocks_matches_one_pass():
     # at width 64, 1300 rows span three of score_l's 508-row blocks
     s = Stream(3)

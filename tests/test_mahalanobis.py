@@ -141,6 +141,41 @@ def test_factor_scale_homogeneity():
     )
 
 
+def _m_with(name, value):
+    good = {"mean": np.zeros(2), "factor": np.array([[2.0, 0.0], [1.0, 3.0]])}
+    return {**good, name: value}
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("mean", np.zeros((1, 2)), "mean has shape"),
+    ("mean", np.zeros(3), "factor has shape"),
+    ("factor", np.eye(3), "factor has shape"),
+    ("factor", np.ones(4), "factor has shape"),
+    ("mean", np.array([0.0, np.nan]), "mean holds non-finite"),
+    ("factor", np.array([[1.0, 0.0], [np.inf, 1.0]]), "factor holds non-finite"),
+    ("factor", np.array([[1.0, 5.0], [0.0, 1.0]]), "factor has a non-zero entry above"),
+    ("factor", np.array([[1.0, 0.0], [0.5, 0.0]]), "factor has a diagonal entry <= 0"),
+    ("factor", np.array([[-1.0, 0.0], [0.5, 1.0]]), "factor has a diagonal entry <= 0"),
+], ids=["2-d-mean", "long-mean", "big-factor", "flat-factor", "nan-mean",
+        "inf-factor", "above-diagonal", "zero-diagonal", "negative-diagonal"])
+def test_detector_refuses_invalid_tensors(name, value, message):
+    """The rules hold for a detector built in memory, not only for a load."""
+    with pytest.raises(ContractError, match=message):
+        MDetector(reg_c=1.0, **_m_with(name, value))
+
+
+def test_detector_refuses_factor_without_finite_inverse():
+    factor = np.array([[5.7e-216, 0.0], [-5.9e266, 1.38]])
+    with pytest.raises(SingularityError, match="factor has no finite inverse"):
+        MDetector(np.zeros(2), 1.0, factor)
+
+
+def test_detector_takes_any_float_array_as_float64():
+    det = MDetector([0, 1], 1.0, np.array([[2, 0], [1, 3]], np.float32))
+    assert det.mean.dtype == det.factor.dtype == np.float64
+    assert det.dim == 2
+
+
 def test_huge_regularizer_ranks_like_euclidean():
     s = Stream(5)
     x = s.normal(100 * 4).reshape(100, 4) @ spd_matrix(s, 4)

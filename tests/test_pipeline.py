@@ -240,6 +240,17 @@ def test_load_bundle_rejects_dim_other_than_power_transform(tmp_path, world, bun
         load_bundle(target)
 
 
+def test_load_bundle_rejects_tensors_of_another_width(tmp_path, bundles):
+    """Tensors that agree with each other but not with ``dim``: the detector
+    accepts them, the loader does not."""
+    target = tmp_path / "det"
+    save_bundle(bundles["m"], target)
+    write_tensor(target / "mean.xten", np.zeros(2))
+    write_tensor(target / "factor.xten", np.eye(2))
+    with pytest.raises(FormatError, match="detector.txt has dim=6, its tensors 2"):
+        load_bundle(target)
+
+
 def test_load_bundle_error_paths(tmp_path, world):
     net, train, calib = world
     with pytest.raises(FormatError, match="not a detector bundle"):
