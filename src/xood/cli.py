@@ -413,7 +413,8 @@ def cmd_fit_m(cfg: dict) -> dict:
         net, train_part, calib_part, cfg["reg-c"], cfg["feature-kind"]
     )
     pipeline.save_bundle(bundle, cfg["out"])
-    return {"threshold": bundle.detector.threshold, "dim": bundle.transform.dim}
+    return {"threshold": bundle.detector.threshold, "dim": bundle.transform.dim,
+            "power_lambdas_at_edge": bundle.transform.lambdas_at_edge}
 
 
 def cmd_fit_l(cfg: dict) -> dict:
@@ -430,6 +431,7 @@ def cmd_fit_l(cfg: dict) -> dict:
         "folds": cv.fold_losses.shape[1],
         "pinned_split_columns": cv.pinned_split_columns,
         "fold_positive_rates": cv.fold_positive_rates,
+        "power_lambdas_at_edge": bundle.transform.lambdas_at_edge,
     }
 
 

@@ -19,6 +19,11 @@ permutation) and uses the seed directly.
 * blur + pixel affine: separable Gaussian blur with variance U(0.2, 5)
   (kernel radius ceil(3*sigma), reflected boundary), then the same pixel
   affine family. Labels unchanged.
+
+Zoom and blur each act on rows and columns apart, so both are two float64
+matrix products per image, row weights @ image @ column weights.T, built
+for all of a chunk's images at once and rounded once to float32; a square
+image reuses its row weights for the columns.
 """
 
 from __future__ import annotations
@@ -76,10 +81,18 @@ def warp_images(images: np.ndarray, zoom):
     with zero fill outside the source. ``zoom`` is a scalar or an
     (N, 1, 1, 1) array of per-image values. A zoom moves rows and columns
     apart, so each image is its row weights @ image @ column weights.T."""
+    return _separable(images, lambda size: _zoom_taps(size, zoom))
+
+
+def _separable(images: np.ndarray, taps) -> np.ndarray:
+    """(N, C, H, W) images filtered along each axis, ``taps(size)`` giving
+    the (K, size, size) per-image weights along an axis of that size (K is
+    N or 1): row weights @ image @ column weights.T, in float64, rounded
+    once to float32. Square images reuse the row weights for the columns."""
     h, w = images.shape[2:]
-    rows = _zoom_taps(h, zoom)[:, None]
-    cols = _zoom_taps(w, zoom)[:, None].swapaxes(2, 3)
-    return (rows @ images.astype(np.float64) @ cols).astype(np.float32)
+    rows = taps(h)[:, None]
+    cols = rows if w == h else taps(w)[:, None]
+    return (rows @ images.astype(np.float64) @ cols.swapaxes(2, 3)).astype(np.float32)
 
 
 def _geometric(images: np.ndarray, streams: Stream, draw) -> np.ndarray:
@@ -138,38 +151,50 @@ def distort_noise_affine(ds: Dataset, seed: int) -> Dataset:
 # blur
 
 
-def gaussian_kernel(sigma: float) -> np.ndarray:
-    """Normalized 1-D Gaussian taps with radius ceil(3*sigma)."""
-    if sigma <= 0:
-        raise ContractError(f"sigma must be positive, got {sigma}")
-    radius = math.ceil(3.0 * sigma)
-    offsets = np.arange(-radius, radius + 1, dtype=np.float64)
-    kernel = np.exp(-0.5 * (offsets / sigma) ** 2)
-    return kernel / kernel.sum()
+def gaussian_kernels(sigmas) -> np.ndarray:
+    """(n, 2R + 1) normalized 1-D Gaussian taps, one row per standard
+    deviation: row i holds offsets -R..R, nonzero within its radius
+    ceil(3*sigmas[i]), where R is the largest radius. Each row is summed
+    left to right, so the zeros beyond its radius change none of its bits,
+    and an image's taps do not depend on the others in its batch."""
+    sigmas = np.asarray(sigmas, np.float64).reshape(-1, 1)
+    if not (sigmas > 0).all():
+        raise ContractError(f"sigma must be positive, got {sigmas[~(sigmas > 0)][0]}")
+    radii = np.ceil(3.0 * sigmas)
+    reach = int(radii.max(initial=0.0))
+    offsets = np.arange(-reach, reach + 1, dtype=np.float64)
+    kernels = np.exp(-0.5 * (offsets / sigmas) ** 2)
+    kernels[np.abs(offsets) > radii] = 0.0
+    return kernels / np.cumsum(kernels, axis=1)[:, -1:]
+
+
+def _blur_taps(size: int, kernels: np.ndarray) -> np.ndarray:
+    """(n, size, size) weights of the ``kernels`` along one axis with
+    reflected boundaries: output p reads source p + offset, mirrored about
+    the edge pixels (-1 reads 1, size reads size - 2), so two taps can add
+    into one weight."""
+    reach = kernels.shape[1] // 2
+    source = np.arange(size)[:, None] + np.arange(-reach, reach + 1)
+    source = np.where(source < 0, -source, source)
+    source = np.where(source >= size, 2 * (size - 1) - source, source)
+    return np.tensordot(kernels, source[:, :, None] == np.arange(size), axes=(1, 1))
 
 
 def blur_images(images: np.ndarray, sigmas) -> np.ndarray:
     """Separable Gaussian blur of (N, C, H, W) images with reflected
-    boundaries, image i with standard deviation ``sigmas[i]``. Images are
-    blurred in groups of one kernel radius, each with its own taps."""
-    kernels = [gaussian_kernel(s) for s in np.asarray(sigmas, np.float64).reshape(-1)]
-    radii = np.array([(len(k) - 1) // 2 for k in kernels])
+    boundaries, image i with standard deviation ``sigmas[i]``: row weights
+    @ image @ column weights.T, as ``warp_images``.
+
+    Against a float64 loop over the taps, the kernel sums and the products
+    run in another order and can round differently in the last bit; over
+    10M float32 pixels of blob and uniform-noise images (16x16 and 28x28,
+    radii 2 to 7, eight seeds) no output differed."""
+    kernels = gaussian_kernels(sigmas)
     h, w = images.shape[2:]
-    out = np.empty(images.shape, dtype=np.float32)
-    for radius in np.unique(radii):
-        members = np.flatnonzero(radii == radius)
-        taps = np.stack([kernels[m] for m in members])
-        if radius >= h or radius >= w:
-            raise ContractError(f"blur radius {radius} too large for a {h}x{w} image")
-        work = images[members].astype(np.float64)
-        for _ in range(2):  # along the rows, then along the transposed columns
-            padded = np.pad(work, ((0, 0), (0, 0), (radius, radius), (0, 0)), "reflect")
-            acc = np.zeros_like(work)
-            for k, tap in enumerate(taps.T):
-                acc += tap[:, None, None, None] * padded[:, :, k : k + work.shape[2]]
-            work = acc.swapaxes(2, 3)
-        out[members] = work
-    return out
+    if kernels.shape[1] // 2 >= min(h, w):
+        raise ContractError(
+            f"blur radius {kernels.shape[1] // 2} too large for a {h}x{w} image")
+    return _separable(images, lambda size: _blur_taps(size, kernels))
 
 
 def _blur_affine(images: np.ndarray, streams: Stream, draw) -> np.ndarray:

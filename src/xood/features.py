@@ -18,7 +18,11 @@ log-likelihood
     l(lambda) = -(n/2) * log(sigma_hat^2(lambda))
                 + (lambda - 1) * sum(sign(x) * log(|x| + 1))
 
-by golden-section search on [-5, 5] to a 1e-4 interval. The transform
+by golden-section search on [-5, 5] to a 1e-4 interval. The fit searches
+all non-constant columns in lockstep, one transform of the transposed
+matrix per step, each column computing its log1p base and skew term once,
+keeping its own bracket and stopping on its own: its lambda, mean and std
+are bit for bit those of a search on that column alone. The transform
 runs its log1p-limit passes only when some element's power lies at the
 limit, and applying a fitted transform standardizes in place. This module
 holds only the math: ``pipeline`` saves and loads fitted transforms.
@@ -169,12 +173,23 @@ def yeo_johnson(x: np.ndarray, lam: float | np.ndarray) -> np.ndarray:
     ``spacing(1)`` of 0 take the log1p limit; when there are none, the
     limit passes are skipped, which changes no bit of the result.
     """
+    return _yeo_johnson_parts(*_yeo_johnson_base(x), lam)
+
+
+def _yeo_johnson_base(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What the transform of ``x`` needs whatever lambda: the x >= 0 mask,
+    the sign (+1 for x >= 0, else -1) and log1p(|x|)."""
     x = np.asarray(x, dtype=np.float64)
     pos = x >= 0
     # x < 0 maps through the x >= 0 form of -x at power 2 - lambda, negated
     sign = np.where(pos, 1.0, -1.0)
+    return pos, sign, np.log1p(sign * x)
+
+
+def _yeo_johnson_parts(
+    pos: np.ndarray, sign: np.ndarray, base: np.ndarray, lam: float | np.ndarray
+) -> np.ndarray:
     power = np.where(pos, lam, 2.0 - lam)
-    base = np.log1p(sign * x)
     limit = np.abs(power) < _LIMIT
     if limit.any():
         safe = np.where(limit, 1.0, power)
@@ -182,32 +197,45 @@ def yeo_johnson(x: np.ndarray, lam: float | np.ndarray) -> np.ndarray:
     return sign * (np.expm1(power * base) / power)
 
 
-def yeo_johnson_loglik(x: np.ndarray, lam: float) -> float:
-    """Profile log-likelihood of lambda for one feature column."""
-    x = np.asarray(x, dtype=np.float64)
-    y = yeo_johnson(x, lam)
-    var = float(y.var())
-    if not np.isfinite(var) or var <= 0.0:
-        return -math.inf
-    skew_term = float(np.sum(np.sign(x) * np.log1p(np.abs(x))))
-    return -0.5 * x.size * math.log(var) + (lam - 1.0) * skew_term
+def _lockstep_loglik(parts, skew: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """The profile log-likelihood l(lambda) of each row of a transposed
+    (k, n) matrix, whose ``_yeo_johnson_base`` is ``parts`` and skew terms
+    ``skew``, at that row's lambda; -inf where the variance is not finite
+    and positive. Each reduction runs over one contiguous row, so a row's
+    value is bit for bit the one its column alone would give."""
+    var = _yeo_johnson_parts(*parts, lam[:, None]).var(axis=1)
+    n = parts[2].shape[1]
+    return np.array([
+        -0.5 * n * math.log(v) + (lm - 1.0) * s
+        if math.isfinite(v) and v > 0.0 else -math.inf
+        for v, lm, s in zip(var.tolist(), lam.tolist(), skew.tolist())
+    ])
 
 
-def _golden_max(f, lo: float, hi: float, tol: float) -> float:
-    """Golden-section maximization of a unimodal f on [lo, hi]."""
-    a, b = lo, hi
+def _golden_max_lockstep(f, k: int, lo: float, hi: float, tol: float) -> np.ndarray:
+    """Golden-section maximization of k unimodal functions on [lo, hi] at
+    once: ``f(lam)`` evaluates the k functions at the (k,) points ``lam``.
+    Each keeps its own bracket and stops on its own, after the steps a
+    search of it alone takes."""
+    a, b = np.full(k, lo), np.full(k, hi)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
+    while ((b - a) > tol).any():
+        active = (b - a) > tol
+        left = active & (fc >= fd)
+        right = active & ~left
+        # left: b, d, fd = d, c, fc; c = b - INVPHI (b - a)
+        b = np.where(left, d, b)
+        d, fd = np.where(left, c, d), np.where(left, fc, fd)
+        # right: a, c, fc = c, d, fd; d = a + INVPHI (b - a)
+        a = np.where(right, c, a)
+        c, fc = np.where(right, d, c), np.where(right, fd, fc)
+        c = np.where(left, b - _INVPHI * (b - a), c)
+        d = np.where(right, a + _INVPHI * (b - a), d)
+        values = f(np.where(left, c, d))
+        fc = np.where(left, values, fc)
+        fd = np.where(right, values, fd)
     return 0.5 * (a + b)
 
 
@@ -224,11 +252,24 @@ class PowerTransform:
     def dim(self) -> int:
         return self.lambdas.shape[0]
 
+    @property
+    def lambdas_at_edge(self) -> tuple[int, ...]:
+        """The columns whose lambda lies within LAMBDA_TOL of the search
+        bracket's edge, -5 or 5: their likelihood still rose there."""
+        edge = ((self.lambdas <= LAMBDA_LO + LAMBDA_TOL)
+                | (self.lambdas >= LAMBDA_HI - LAMBDA_TOL))
+        return tuple(np.flatnonzero(edge).tolist())
 
-def check_fields(owner: object, shapes: dict[str, tuple[int, ...]]) -> None:
-    """Make each field of ``owner`` that ``shapes`` names a float64 array,
-    refusing one of another shape or with a non-finite entry with a
-    ContractError whose message starts with the field's name."""
+
+def check_fields(
+    owner: object, shapes: dict[str, tuple[int, ...]], penalty: str
+) -> None:
+    """Check a detector's fields, refusing each bad one with a ContractError
+    whose message starts with the field's name: make each field that
+    ``shapes`` names a float64 array, refusing one of another shape or with
+    a non-finite entry; refuse a ``penalty`` that is negative or not finite,
+    and a ``threshold`` that is not finite (None, not yet calibrated, is
+    allowed)."""
     for name, shape in shapes.items():
         values = np.asarray(getattr(owner, name), dtype=np.float64)
         if values.shape != shape:
@@ -236,6 +277,11 @@ def check_fields(owner: object, shapes: dict[str, tuple[int, ...]]) -> None:
         if not np.isfinite(values).all():
             raise ContractError(f"{name} holds non-finite values")
         setattr(owner, name, values)
+    value = getattr(owner, penalty)
+    if not (math.isfinite(value) and value >= 0):
+        raise ContractError(f"{penalty} must be finite and >= 0, got {value!r}")
+    if owner.threshold is not None and not math.isfinite(owner.threshold):
+        raise ContractError(f"threshold must be finite, got {owner.threshold!r}")
 
 
 def pin_constant_stds(stds: np.ndarray, what: str) -> np.ndarray:
@@ -266,24 +312,21 @@ def fit_power_transform(features: np.ndarray) -> PowerTransform:
         raise ContractError(f"need at least {MIN_FIT_ROWS} rows to fit, got {n}")
     if not np.all(np.isfinite(x)):
         raise ContractError("features contain non-finite values")
-    lambdas = np.empty(d)
-    means = np.empty(d)
-    stds = np.empty(d)
-    for j in range(d):
-        col = x[:, j]
-        if float(col.max()) - float(col.min()) == 0.0:
-            # constant column: any lambda is as good as any other
-            lambdas[j] = 1.0
-        else:
-            lambdas[j] = _golden_max(
-                lambda lam: yeo_johnson_loglik(col, lam),
-                LAMBDA_LO,
-                LAMBDA_HI,
-                LAMBDA_TOL,
-            )
-        y = yeo_johnson(col, lambdas[j])
-        means[j] = y.mean()
-        stds[j] = y.std()
+    # one contiguous row per column: each reduction runs as the column's own
+    columns = np.ascontiguousarray(x.T)
+    lambdas = np.ones(d)  # a constant column keeps 1: any lambda fits it as well
+    varying = np.flatnonzero(columns.max(axis=1) - columns.min(axis=1) != 0.0)
+    if varying.size:
+        rows = columns[varying]
+        skew = np.sum(np.sign(rows) * np.log1p(np.abs(rows)), axis=1)
+        parts = _yeo_johnson_base(rows)
+        lambdas[varying] = _golden_max_lockstep(
+            lambda lam: _lockstep_loglik(parts, skew, lam),
+            varying.size, LAMBDA_LO, LAMBDA_HI, LAMBDA_TOL,
+        )
+    transformed = yeo_johnson(columns, lambdas[:, None])
+    means = transformed.mean(axis=1)
+    stds = transformed.std(axis=1)
     flags = pin_constant_stds(stds, "feature dimensions")
     return PowerTransform(lambdas, means, stds, flags)
 

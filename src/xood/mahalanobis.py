@@ -69,9 +69,11 @@ class MDetector:
     covariance is not kept: it is ``factor @ factor.T - reg_c * I``.
 
     Built by a fit, a load or a caller, it refuses tensors that are not
-    finite float64 of shapes (d,) and (d, d), or a factor that is not lower
-    triangular with a positive diagonal (ContractError) or has no finite
-    inverse (SingularityError). Each message starts with the field's name."""
+    finite float64 of shapes (d,) and (d, d), a factor that is not lower
+    triangular with a positive diagonal, a negative or non-finite penalty,
+    or a non-finite threshold (ContractError), and a factor that has no
+    finite inverse (SingularityError). Each message starts with the
+    field's name."""
 
     method: ClassVar[str] = "m"
 
@@ -84,7 +86,7 @@ class MDetector:
 
     def __post_init__(self):
         d = np.size(self.mean)
-        check_fields(self, {"mean": (d,), "factor": (d, d)})
+        check_fields(self, {"mean": (d,), "factor": (d, d)}, "reg_c")
         if np.triu(self.factor, 1).any():
             raise ContractError("factor has a non-zero entry above its diagonal")
         if not (np.diag(self.factor) > 0).all():

@@ -138,7 +138,12 @@ def _l_training_set(
     net: Network, calibration: Dataset, pt: PowerTransform, seed: int, kind: FeatureKind
 ) -> logistic.LabeledFeatureSet:
     """xood-l's folds, each row labeled by whether the classifier still
-    predicts its (possibly mixup-adjusted) label; ``pt`` is never refit."""
+    predicts its (possibly mixup-adjusted) label; ``pt`` is never refit.
+
+    Each fold is forwarded in its own ``run_network`` call. One call for all
+    five measured no faster, and it would move a fold's last rows wherever
+    that fold ends in a block of 16 or fewer images (see ``run_network``),
+    as a 400-image calibration split does."""
     sources = [calibration] + [
         family(calibration, derive_seed(seed, f"distort-{name}"))
         for name, family in DISTORTION_FAMILIES.items()
@@ -246,9 +251,9 @@ def save_bundle(bundle: DetectorBundle, directory: str | Path) -> None:
 
 def load_bundle(directory: str | Path) -> DetectorBundle:
     """Read a saved bundle, checking every value: ``dim`` is the power
-    transform's width and the detector's, every number is finite and the
-    penalty >= 0. The detector checks its tensors, and a refusal becomes a
-    ``FormatError`` naming the tensor's file, as does a missing file. Other
+    transform's width and the detector's, and every number is finite. The
+    detector checks its fields, and a refusal becomes a ``FormatError``
+    naming the tensor's file or ``detector.txt``, as does a missing file. Other
     files, such as the ``cov.xten``, ``scale_flags.xten`` and
     ``raw_means.xten`` of older versions, are ignored."""
     directory = Path(directory)
@@ -270,8 +275,6 @@ def load_bundle(directory: str | Path) -> DetectorBundle:
     if dim != pt.dim:
         raise FormatError(f"{manifest} has dim={dim}, the power transform {pt.dim}")
     penalty = entries.get(fmt.penalty, finite_float)
-    if penalty < 0:
-        raise FormatError(f"{manifest}: {fmt.penalty}={penalty!r} is below 0")
     tensors = {name: read_tensor(_required(directory / f"{name}.xten"))
                for name in fmt.tensors}
     threshold = entries.get("threshold", optional_float)
@@ -279,6 +282,8 @@ def load_bundle(directory: str | Path) -> DetectorBundle:
         detector = fmt.detector(**tensors, threshold=threshold, **{fmt.penalty: penalty})
     except (ContractError, SingularityError) as exc:  # the field comes first
         name, _, rule = str(exc).partition(" ")
+        if name not in fmt.tensors:  # the penalty or the threshold
+            raise FormatError(f"{manifest}: {exc}") from None
         raise FormatError(f"{directory / name}.xten {rule}") from None
     if detector.dim != dim:
         raise FormatError(f"{manifest} has dim={dim}, its tensors {detector.dim}")

@@ -247,8 +247,16 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """Gradient of relu at the recorded input (zero where x <= 0)."""
-    return np.where(x > 0, grad_out, np.float32(0))
+    """Gradient of relu at the recorded input: ``grad_out`` where x > 0 and
+    +0.0 elsewhere, a NaN input included, bit for bit
+    ``np.where(x > 0, grad_out, 0)``. As in ``maxpool2d_backward``, the
+    gradient's bits are multiplied by the 0/1 mask, which copies them
+    exactly without a branch per element."""
+    grad_out = np.asarray(grad_out, dtype=np.float32)
+    grad_x = np.empty(np.broadcast_shapes(np.shape(x), grad_out.shape), np.float32)
+    np.multiply(grad_out.view(np.uint32), np.asarray(x) > 0,
+                out=grad_x.view(np.uint32))
+    return grad_x
 
 
 def maxpool2d(x: np.ndarray, window: int = 2, stride: int = 2) -> np.ndarray:

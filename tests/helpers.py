@@ -1,9 +1,12 @@
 """Test-only helpers: a wall-clock timing harness, the overhead arithmetic
-criterion 10 reports, bit-exact network equality, and the feature CSV
-reader."""
+criterion 10 reports, bit-exact network equality, the feature CSV reader,
+and reference forms of code the library now does in matrix or lockstep
+form: the tap-loop Gaussian blur, the one-column Yeo-Johnson likelihood
+and golden-section search, and cold-started cross-validation."""
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -12,7 +15,9 @@ from typing import Callable
 import numpy as np
 
 from xood.errors import ContractError, FormatError
+from xood.features import yeo_johnson
 from xood.keyvalue import read_table, read_utf8
+from xood.logistic import fit_logreg, logreg_loss
 from xood.network import Network, _encode_network
 
 
@@ -69,3 +74,72 @@ def read_feature_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
             f"{path} row {int(overflow.argmax())} exceeds the float32 range"
         )
     return names, narrowed
+
+
+def reference_blur_images(images: np.ndarray, sigmas) -> np.ndarray:
+    """Separable Gaussian blur as a loop over the taps, with reflected
+    boundaries: images grouped by kernel radius, each group's reflect-padded
+    rows summed tap by tap in float64, then the same along the transposed
+    columns."""
+    kernels = []
+    for sigma in np.asarray(sigmas, np.float64).reshape(-1):
+        radius = math.ceil(3.0 * sigma)
+        offsets = np.arange(-radius, radius + 1, dtype=np.float64)
+        kernel = np.exp(-0.5 * (offsets / sigma) ** 2)
+        kernels.append(kernel / kernel.sum())
+    radii = np.array([(len(k) - 1) // 2 for k in kernels])
+    out = np.empty(images.shape, dtype=np.float32)
+    for radius in np.unique(radii):
+        members = np.flatnonzero(radii == radius)
+        taps = np.stack([kernels[m] for m in members])
+        work = images[members].astype(np.float64)
+        for _ in range(2):  # along the rows, then along the transposed columns
+            padded = np.pad(work, ((0, 0), (0, 0), (radius, radius), (0, 0)), "reflect")
+            acc = np.zeros_like(work)
+            for k, tap in enumerate(taps.T):
+                acc += tap[:, None, None, None] * padded[:, :, k : k + work.shape[2]]
+            work = acc.swapaxes(2, 3)
+        out[members] = work
+    return out
+
+
+def yeo_johnson_loglik(x: np.ndarray, lam: float) -> float:
+    """Profile log-likelihood of lambda for one feature column."""
+    x = np.asarray(x, dtype=np.float64)
+    y = yeo_johnson(x, lam)
+    var = float(y.var())
+    if not np.isfinite(var) or var <= 0.0:
+        return -math.inf
+    skew_term = float(np.sum(np.sign(x) * np.log1p(np.abs(x))))
+    return -0.5 * x.size * math.log(var) + (lam - 1.0) * skew_term
+
+
+def golden_max(f, lo: float, hi: float, tol: float) -> float:
+    """Golden-section maximization of a unimodal f on [lo, hi]."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
+def cold_cv_losses(x, y, fold_ids, grid) -> np.ndarray:
+    """(len(grid), folds) held-out losses, each cell fitted from zeros."""
+    folds = np.unique(fold_ids)
+    table = np.empty((len(grid), len(folds)))
+    for gi, lam in enumerate(grid):
+        for fi, fold in enumerate(folds):
+            held = fold_ids == fold
+            w = fit_logreg(x[~held], y[~held], lam)
+            table[gi, fi] = logreg_loss(w, x[held], y[held], 0.0)
+    return table

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from xood import cli, logistic, pipeline
+from xood.features import LAMBDA_LO, LAMBDA_TOL
 from xood.cli import main, read_scores_csv
 from xood.network import load_network, save_network
 from xood.xten import read_tensor, write_tensor
@@ -172,6 +173,33 @@ def test_fit_manifests_record_derived_stats(ws):
     assert float(l["selected_lambda"]) in (0.01, 1.0)
     assert l["folds"] == "5"
     assert l["pinned_split_columns"] == ""
+    for m, bundle in ((m, "mdet"), (l, "ldet")):
+        pt = pipeline.load_bundle(root / bundle).transform
+        assert m["power_lambdas_at_edge"] == ",".join(map(str, pt.lambdas_at_edge))
+
+
+@pytest.mark.parametrize("command", ["fit-m", "fit-l"])
+def test_fit_manifests_list_power_lambdas_at_edge(ws, tmp_path, monkeypatch, command):
+    root, run = ws
+    fit = pipeline.fit_power_transform
+    edges = []
+
+    def edge_at_columns_2_and_4(features):
+        pt = fit(features)
+        pt.lambdas[[2, 4]] = LAMBDA_LO + 0.5 * LAMBDA_TOL, 4.99995
+        edges.append(pt.lambdas_at_edge)
+        return pt
+
+    monkeypatch.setattr(pipeline, "fit_power_transform", edge_at_columns_2_and_4)
+    assert run(
+        command, "--model", root / "model.xnet", "--images", root / "train.xten",
+        "--labels", root / "labels.xten", "--seed", 7, "--out", tmp_path / "det",
+        *(["--lambda-grid", "1.0"] if command == "fit-l" else []),
+    ) == 0
+    (listed,) = edges
+    assert {2, 4} <= set(listed)
+    m = manifest(tmp_path / "det" / "run.manifest")
+    assert m["power_lambdas_at_edge"] == ",".join(map(str, listed))
 
 
 def test_fit_l_manifest_lists_pinned_split_columns(ws, tmp_path, monkeypatch):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from xood.datasets import Dataset, make_blobs
+from xood.datasets import Dataset, gen_noise, make_blobs
 from xood.distortions import (
     AFFINE_SCALE_RANGE,
     BLUR_VARIANCE,
@@ -19,12 +19,14 @@ from xood.distortions import (
     distort_geometric,
     distort_mixup,
     distort_noise_affine,
-    gaussian_kernel,
+    gaussian_kernels,
     pixel_affine,
     warp_images,
 )
 from xood.errors import ContractError
 from xood.rng import Stream
+
+from helpers import reference_blur_images
 
 PER_IMAGE = (distort_geometric, distort_noise_affine, distort_blur_affine)
 
@@ -202,12 +204,42 @@ def test_noise_variance_scales_spread(blobs):
 
 def test_gaussian_kernel_properties():
     for sigma in (0.5, 1.0, 2.2):
-        k = gaussian_kernel(sigma)
+        (k,) = gaussian_kernels([sigma])
         assert k.shape[0] == 2 * int(np.ceil(3 * sigma)) + 1
         assert k.sum() == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(k, k[::-1], atol=0)  # symmetric
-    with pytest.raises(ContractError):
-        gaussian_kernel(0.0)
+    for bad in (0.0, -1.0, np.nan):
+        with pytest.raises(ContractError, match="sigma must be positive"):
+            gaussian_kernels([1.0, bad])
+
+
+def test_gaussian_kernels_do_not_depend_on_the_batch():
+    # a row is zero beyond its own radius and bit-equal to its kernel alone
+    sigmas = np.sqrt(Stream(21).uniform(400, *BLUR_VARIANCE))
+    kernels = gaussian_kernels(sigmas)
+    reach = kernels.shape[1] // 2
+    assert reach == 7
+    for sigma, row in zip(sigmas, kernels):
+        (alone,) = gaussian_kernels([sigma])
+        radius = alone.shape[0] // 2
+        assert row[reach - radius : reach + radius + 1].tobytes() == alone.tobytes()
+        assert not row[: reach - radius].any() and not row[reach + radius + 1 :].any()
+
+
+@pytest.mark.parametrize("side", [16, 28])
+def test_blur_matches_the_tap_loop_bit_for_bit(side):
+    # the matrix form sums in another order than a float64 loop over the
+    # taps; rounded to float32, no pixel of blob or noise images differs
+    for seed in (1, 4242):
+        blobs = make_blobs(160, 12, side, seed=seed).images
+        noise = gen_noise("uniform", 160, (1, side, side), seed).images
+        images = np.concatenate([blobs, noise])
+        sigmas = np.sqrt(Stream(seed).uniform(len(images), *BLUR_VARIANCE))
+        sigmas[:2] = math.sqrt(BLUR_VARIANCE[1])  # radius 7
+        for part in (images, images[:, :, :, 1:-1]):  # square, then not
+            out = blur_images(part, sigmas)
+            want = reference_blur_images(part, sigmas)
+            assert out.tobytes() == want.tobytes(), (side, seed, part.shape)
 
 
 def test_blur_matches_direct_2d_convolution():
@@ -217,7 +249,7 @@ def test_blur_matches_direct_2d_convolution():
     out = blur_images(img[None], [sigma])[0]
     # direct 2-D Gaussian evaluated on the grid; far from edges the
     # reflected padding contributes nothing
-    k = gaussian_kernel(sigma)
+    (k,) = gaussian_kernels([sigma])
     want = np.outer(k, k)
     r = (k.shape[0] - 1) // 2
     np.testing.assert_allclose(

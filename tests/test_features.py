@@ -6,8 +6,13 @@ import pytest
 from xood.errors import ContractError, FormatError
 from xood.features import (
     ALL_FEATURE_KINDS,
+    LAMBDA_HI,
+    LAMBDA_LO,
+    LAMBDA_TOL,
     FeatureKind,
     PowerTransform,
+    _lockstep_loglik,
+    _yeo_johnson_base,
     apply_power_transform,
     extract_features,
     feature_names,
@@ -15,13 +20,12 @@ from xood.features import (
     fit_power_transform,
     reduce_tap,
     yeo_johnson,
-    yeo_johnson_loglik,
 )
 from xood.keyvalue import write_table
 from xood.pipeline import load_power_transform, save_power_transform
 from xood.rng import Stream
 
-from helpers import read_feature_csv
+from helpers import golden_max, read_feature_csv, yeo_johnson_loglik
 
 
 def reduce_one(values, kind):
@@ -217,6 +221,72 @@ def test_constant_column_flagged(caplog):
     y = apply_power_transform(pt, x)
     assert np.isfinite(y).all()
     np.testing.assert_allclose(y[:, 0], 0.0, atol=1e-12)
+
+
+def edge_column(rows: int = 300) -> np.ndarray:
+    """Values near 0 and one outlier at 50: the likelihood still rises at
+    the bracket's lower edge."""
+    col = Stream(3).uniform(rows) * 1e-3
+    col[-1] = 50.0
+    return col
+
+
+def scalar_fit(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lambdas, means, stds) of a column-by-column fit: one golden-section
+    search per varying column on its own likelihood, lambda 1 for a
+    constant column."""
+    lambdas, means, stds = (np.empty(x.shape[1]) for _ in range(3))
+    for j in range(x.shape[1]):
+        col = x[:, j]
+        lambdas[j] = 1.0 if float(col.max()) - float(col.min()) == 0.0 else golden_max(
+            lambda lam: yeo_johnson_loglik(col, lam), LAMBDA_LO, LAMBDA_HI, LAMBDA_TOL)
+        y = yeo_johnson(col, lambdas[j])
+        means[j], stds[j] = y.mean(), y.std()
+    return lambdas, means, stds
+
+
+def test_lockstep_fit_is_bitwise_the_column_by_column_fit(caplog):
+    # every column keeps its own bracket, so the lambdas, and the means and
+    # stds they give, are the bits of a search on that column alone
+    for seed in (1, 2, 3, 4):
+        s = Stream(seed)
+        skewed = np.exp(s.normal(1400 * 5).reshape(1400, 5))
+        skewed[:, 1] = s.normal(1400) ** 3
+        skewed[:, 3] = 0.7  # constant
+        small = s.uniform(300 * 3).reshape(300, 3) * 1e-3
+        small[:, 1] = edge_column()
+        features = s.normal(700 * 6).reshape(700, 6).astype(np.float32)
+        for x in (skewed, small, features):
+            x = x.astype(np.float64)
+            pt = fit_power_transform(x)
+            lambdas, means, stds = scalar_fit(x)
+            stds[pt.flags] = 1.0  # pinned
+            for got, want in ((pt.lambdas, lambdas), (pt.means, means), (pt.stds, stds)):
+                assert got.tobytes() == want.tobytes(), seed
+
+
+def test_lockstep_loglik_is_bitwise_each_columns_own():
+    # one likelihood per row of the transposed matrix, each at its own
+    # lambda, the limits 0 and 2 and the bracket's edges included
+    s = Stream(8)
+    x = np.stack([s.normal(500) ** 3, np.exp(s.normal(500)), edge_column(500),
+                  -np.exp(s.normal(500))], axis=1)
+    rows = np.ascontiguousarray(x.T)
+    skew = np.sum(np.sign(rows) * np.log1p(np.abs(rows)), axis=1)
+    parts = _yeo_johnson_base(rows)
+    for lam in ([0.0, 2.0, -5.0, 5.0], *s.uniform(40 * 4, -5.0, 5.0).reshape(40, 4)):
+        got = _lockstep_loglik(parts, skew, np.array(lam))
+        want = [yeo_johnson_loglik(x[:, j], float(lam[j])) for j in range(4)]
+        assert got.tolist() == want, lam
+
+
+def test_edge_lambdas_are_listed():
+    x = np.stack([edge_column(), Stream(4).normal(300), np.full(300, 2.0)], axis=1)
+    pt = fit_power_transform(x)
+    assert pt.lambdas[0] == pytest.approx(-4.99995, abs=1e-5)
+    assert pt.lambdas_at_edge == (0,)
+    assert PowerTransform(np.array([-5.0, 4.99991, 4.9998, 0.0]), np.zeros(4),
+                          np.ones(4), np.zeros(4, bool)).lambdas_at_edge == (0, 1)
 
 
 def test_fit_contract_checks():

@@ -24,6 +24,8 @@ from xood.network import TrainConfig, forward_with_taps, train_reference_cnn
 from xood.pipeline import DetectorBundle, _l_training_set, load_bundle, save_bundle
 from xood.rng import Stream
 
+from helpers import cold_cv_losses
+
 
 @pytest.fixture(scope="module")
 def fixture():
@@ -88,6 +90,21 @@ def test_detector_refuses_invalid_tensors(name, value, message):
     """The rules hold for a detector built in memory, not only for a load."""
     with pytest.raises(ContractError, match=message):
         LDetector(reg_lambda=1.0, **_l_with(name, value))
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"reg_lambda": -1.0}, "reg_lambda must be finite and >= 0"),
+    ({"reg_lambda": np.nan}, "reg_lambda must be finite and >= 0"),
+    ({"reg_lambda": np.inf}, "reg_lambda must be finite and >= 0"),
+    ({"threshold": np.nan}, "threshold must be finite"),
+    ({"threshold": -np.inf}, "threshold must be finite"),
+], ids=["negative-penalty", "nan-penalty", "inf-penalty", "nan-threshold",
+        "inf-threshold"])
+def test_detector_refuses_invalid_scalars(fields, message):
+    with pytest.raises(ContractError, match=message):
+        LDetector(**{**_l_with("weights", np.ones(5)), "reg_lambda": 1.0, **fields})
+    # zero penalty and no threshold yet are both valid
+    assert LDetector(**_l_with("weights", np.ones(5)), reg_lambda=0.0).threshold is None
 
 
 def test_detector_dim_is_the_feature_width():
@@ -168,6 +185,28 @@ def test_gradient_matches_finite_differences():
         got = logreg_gradient(w, x, y, lam)
         want = numeric_gradient(w, x, y, lam)
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-8)
+
+
+def test_gradient_reuses_given_probabilities_bit_for_bit():
+    s = Stream(17)
+    for _ in range(5):
+        x, y = make_problem(s)
+        w = s.normal(5)
+        lam = float(s.uniform(1, 0.0, 2.0)[0])
+        given = logreg_gradient(w, x, y, lam, probabilities=_sigmoid(w[0] + x @ w[1:]))
+        assert given.tobytes() == logreg_gradient(w, x, y, lam).tobytes()
+
+
+def test_fit_logreg_from_a_start():
+    x, y = make_problem(Stream(18))
+    w = fit_logreg(x, y, 0.1)
+    # from its own optimum the fit takes no step; from another lambda's
+    # weights it reaches the same optimum
+    assert fit_logreg(x, y, 0.1, start=w).tobytes() == w.tobytes()
+    np.testing.assert_allclose(fit_logreg(x, y, 0.1, start=fit_logreg(x, y, 10.0)), w,
+                               rtol=1e-7, atol=1e-9)
+    with pytest.raises(ContractError, match="start has shape"):
+        fit_logreg(x, y, 0.1, start=w[1:])
 
 
 def test_loss_stays_finite_at_extreme_weights():
@@ -273,6 +312,26 @@ def test_cross_validate_ties_prefer_larger_lambda():
         cv = cross_validate(x, y, fold_ids, grid)
         assert np.ptp(cv.mean_losses) == 0.0
         assert cv.best_lambda == 100.0
+
+
+def test_warm_started_cv_matches_cold_starts(fixture):
+    # each fold walks lambda downwards from the previous fit's weights; the
+    # held-out losses stay within 1e-7 of fitting every cell from zeros
+    net, pt, calib = fixture
+    ts = _l_training_set(net, calib, pt, 5, FeatureKind.MINMAX)
+    _, _, _, x = fit_split_scaler(ts.features)
+    synthetic = make_problem(Stream(19), n=300, p=6)
+    for x, y, fold_ids in ((x, ts.labels, ts.fold_ids),
+                           (*synthetic, np.arange(300) % 5)):
+        ascending = cross_validate(x, y, fold_ids, LAMBDA_GRID)
+        descending = cross_validate(x, y, fold_ids, LAMBDA_GRID[::-1])
+        cold = cold_cv_losses(x, y, fold_ids, LAMBDA_GRID)
+        np.testing.assert_allclose(ascending.fold_losses, cold, rtol=1e-7, atol=0)
+        # the walk's order does not follow the grid's
+        assert descending.fold_losses[::-1].tobytes() == ascending.fold_losses.tobytes()
+        means = cold.mean(axis=1)
+        want = max(np.asarray(LAMBDA_GRID)[means == means.min()])
+        assert ascending.best_lambda == descending.best_lambda == want
 
 
 def test_cross_validate_needs_two_folds():

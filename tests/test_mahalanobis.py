@@ -164,6 +164,21 @@ def test_detector_refuses_invalid_tensors(name, value, message):
         MDetector(reg_c=1.0, **_m_with(name, value))
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"reg_c": -1.0}, "reg_c must be finite and >= 0"),
+    ({"reg_c": np.nan}, "reg_c must be finite and >= 0"),
+    ({"reg_c": np.inf}, "reg_c must be finite and >= 0"),
+    ({"threshold": np.nan}, "threshold must be finite"),
+    ({"threshold": np.inf}, "threshold must be finite"),
+], ids=["negative-penalty", "nan-penalty", "inf-penalty", "nan-threshold",
+        "inf-threshold"])
+def test_detector_refuses_invalid_scalars(fields, message):
+    with pytest.raises(ContractError, match=message):
+        MDetector(**{**_m_with("mean", np.zeros(2)), "reg_c": 1.0, **fields})
+    # zero penalty and no threshold yet are both valid
+    assert MDetector(**_m_with("mean", np.zeros(2)), reg_c=0.0).threshold is None
+
+
 def test_detector_refuses_factor_without_finite_inverse():
     factor = np.array([[5.7e-216, 0.0], [-5.9e266, 1.38]])
     with pytest.raises(SingularityError, match="factor has no finite inverse"):

@@ -222,6 +222,21 @@ def test_load_bundle_rejects_wrong_detector_tag(tmp_path, bundles):
             load_bundle(target)
 
 
+@pytest.mark.parametrize("method, key, value, message", [
+    ("m", "reg_c", "-1.0", "reg_c must be finite and >= 0, got -1.0"),
+    ("l", "reg_lambda", "-0.5", "reg_lambda must be finite and >= 0, got -0.5"),
+])
+def test_load_bundle_names_detector_txt_for_a_refused_penalty(
+    tmp_path, bundles, method, key, value, message
+):
+    target = tmp_path / method
+    save_bundle(bundles[method], target)
+    text = (target / "detector.txt").read_text()
+    (target / "detector.txt").write_text(re.sub(f"{key}=.*", f"{key}={value}", text))
+    with pytest.raises(FormatError, match=re.escape(f"detector.txt: {message}")):
+        load_bundle(target)
+
+
 def test_load_bundle_rejects_mismatched_weights(tmp_path, bundles):
     target = tmp_path / "det"
     save_bundle(bundles["l"], target)

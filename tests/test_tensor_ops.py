@@ -1,4 +1,5 @@
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -298,6 +299,23 @@ def test_relu_and_backward():
     g = np.ones_like(x)
     # gradient at exactly zero is defined as zero
     np.testing.assert_array_equal(relu_backward(x, g), [[0.0, 0.0, 1.0]])
+
+
+def test_relu_backward_is_bitwise_the_where_form():
+    # the mask multiplies the gradient's bits: signed zeros, NaN and inf
+    # gradients pass unchanged where x > 0, and a NaN input gives +0.0
+    specials = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1.5, -2.5],
+                        np.float32)
+    inputs = np.array([1.0, -1.0, 0.0, -0.0, np.nan, np.inf, -np.inf], np.float32)
+    s = Stream(41)
+    shape = (4, 8, 14, 14)
+    random = [s.normal(math.prod(shape)).reshape(shape).astype(np.float32)
+              for _ in range(2)]
+    for x, g in ((np.repeat(inputs, 8), np.tile(specials, 7)), random):
+        got = relu_backward(x, g)
+        want = np.where(x > 0, g, np.float32(0))
+        assert got.dtype == np.float32 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_maxpool_matches_loop_oracle():
