@@ -10,7 +10,8 @@ writes per-layer extreme-value histograms.
 Conventions:
 
 * long-form flags only; an optional ``--config`` file supplies key=value
-  defaults, required options included, which explicit flags override
+  defaults, required options included, which the flags that argparse
+  reports as given override
 * an existing output is refused before any work starts unless ``--force``
   is given (``eval --append`` adds rows to an existing table)
 * every run writes a ``.manifest`` next to its primary output echoing the
@@ -52,7 +53,7 @@ from .errors import (
     NumericalError,
     XoodError,
 )
-from .features import FeatureKind, feature_names
+from .features import FeatureKind, feature_names, is_penalty
 from .keyvalue import (
     read_key_values, read_table, read_utf8, refuse_non_finite, write_table,
 )
@@ -97,9 +98,7 @@ def _checked(convert, rule: str, ok):
 _COUNT = _checked(int, "an integer >= 1", lambda v: v >= 1)
 _CLASSES = _checked(int, "an integer >= 2", lambda v: v >= 2)
 _FRACTION = _checked(float, "a number in (0, 1)", lambda v: 0.0 < v < 1.0)
-_PENALTY = _checked(
-    float, "a finite number >= 0", lambda v: math.isfinite(v) and v >= 0.0
-)
+_PENALTY = _checked(float, "a finite number >= 0", is_penalty)
 
 
 def _lambda_grid(text: str) -> tuple[float, ...]:
@@ -220,35 +219,25 @@ _SCHEMAS: dict[str, dict[str, dict]] = {
 _OUTPUTS = ("out", "images-out", "labels-out")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(given_only: bool = False) -> argparse.ArgumentParser:
+    """The parser; with ``given_only``, no defaults and no required options,
+    so a parse's namespace holds just the options the command line gave."""
     parser = argparse.ArgumentParser(
         prog="xood",
         description="extreme-value out-of-distribution detection toolkit",
     )
     subs = parser.add_subparsers(dest="command", required=True)
     for command, schema in _SCHEMAS.items():
-        sub = subs.add_parser(command)
+        sub = subs.add_parser(command, add_help=not given_only)
         for name, kwargs in schema.items():
+            if given_only:
+                kwargs = {**kwargs, "default": argparse.SUPPRESS, "required": False}
             sub.add_argument(f"--{name}", **kwargs)
     return parser
 
 
-def _given(tokens: list[str], schema: dict[str, dict]) -> set[str]:
-    """The options of ``schema`` that command-line ``tokens`` give, with
-    unique prefixes resolved the way argparse resolves them."""
-    given = set()
-    for token in tokens:
-        if token.startswith("--"):
-            flag = token[2:].partition("=")[0]
-            hits = ([n for n in schema if n == flag]
-                    or [n for n in schema if n.startswith(flag)])
-            if len(hits) == 1:
-                given.update(hits)
-    return given
-
-
-def _config_flags(path: str, schema: dict[str, dict], tokens: list[str]) -> list[str]:
-    """The entries of a config file as flags, except those ``tokens`` give."""
+def _config_flags(path: str, schema: dict[str, dict], given: set[str]) -> list[str]:
+    """The entries of a config file as flags, except the ``given`` ones."""
     try:
         entries = read_key_values(path).entries
     except (OSError, FormatError) as exc:
@@ -256,7 +245,6 @@ def _config_flags(path: str, schema: dict[str, dict], tokens: list[str]) -> list
     unknown = set(entries) - set(schema)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    given = _given(tokens, schema)
     flags = []
     for key, text in entries.items():
         if key in given:
@@ -275,13 +263,14 @@ def _config_flags(path: str, schema: dict[str, dict], tokens: list[str]) -> list
 def _parse(argv: list[str]) -> tuple[str, dict]:
     """The command and its options by flag name: flags > config file >
     defaults. A config file may supply required options, so its entries
-    join the flags before the one full parse."""
+    join the flags before the full parse."""
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     config = pre.parse_known_args(argv)[0].config
     if config and argv[0] in _SCHEMAS:
-        argv = [argv[0], *_config_flags(config, _SCHEMAS[argv[0]], argv[1:]),
-                *argv[1:]]
+        given = vars(_build_parser(given_only=True).parse_known_args(argv)[0])
+        given = {key.replace("_", "-") for key in given}
+        argv = [argv[0], *_config_flags(config, _SCHEMAS[argv[0]], given), *argv[1:]]
     cfg = {key.replace("_", "-"): value
            for key, value in vars(_build_parser().parse_args(argv)).items()}
     return cfg.pop("command"), cfg
@@ -448,7 +437,13 @@ def read_scores_csv(path: str | Path) -> np.ndarray:
     return read_table(path, "index", ("score",))[:, 0]
 
 
-_EVAL_HEADER = "in_dist,out_dist,method,auroc,tnr95,det_acc,fpr95"
+# An eval table's metric columns, in order, and the metric each one holds
+_EVAL_COLUMNS = (
+    ("auroc", metrics.auroc),
+    ("tnr95", metrics.tnr_at_95tpr),
+    ("det_acc", metrics.detection_accuracy),
+    ("fpr95", metrics.fpr_at_95tpr),
+)
 
 
 def cmd_eval(cfg: dict) -> dict:
@@ -461,44 +456,31 @@ def cmd_eval(cfg: dict) -> dict:
             f"{len(names)} names for {len(ood_files)} OOD score files"
         )
     id_name = cfg["id-name"] or Path(cfg["id-scores"]).stem
-    rows = []
-    table = np.empty((len(ood_files), 4))
-    for i, (ood_file, name) in enumerate(zip(ood_files, names)):
+    table = np.empty((len(ood_files), len(_EVAL_COLUMNS)))
+    for i, ood_file in enumerate(ood_files):
         ood = read_scores_csv(ood_file)
         scores = np.concatenate([id_scores, ood])
         is_id = np.concatenate(
             [np.ones(id_scores.shape[0], bool), np.zeros(ood.shape[0], bool)]
         )
-        table[i] = (
-            metrics.auroc(scores, is_id),
-            metrics.tnr_at_95tpr(scores, is_id),
-            metrics.detection_accuracy(scores, is_id),
-            metrics.fpr_at_95tpr(scores, is_id),
-        )
-        rows.append(
-            f"{id_name},{name},{cfg['method']},"
-            + ",".join(f"{v:.6f}" for v in table[i])
-        )
+        table[i] = [metric(scores, is_id) for _, metric in _EVAL_COLUMNS]
     if len(ood_files) > 1:
-        rows.append(
-            f"{id_name},average,{cfg['method']},"
-            + ",".join(f"{v:.6f}" for v in table.mean(axis=0))
-        )
+        names, table = [*names, "average"], np.vstack([table, table.mean(axis=0)])
+    rows = [f"{id_name},{name},{cfg['method']}," + ",".join(f"{v:.6f}" for v in values)
+            for name, values in zip(names, table)]
     out = Path(cfg["out"])
     if cfg["append"] and out.is_file():
         existing = read_utf8(out).rstrip("\n")
         out.write_text(existing + "\n" + "\n".join(rows) + "\n")
     else:
-        out.write_text(_EVAL_HEADER + "\n" + "\n".join(rows) + "\n")
+        header = "in_dist,out_dist,method," + ",".join(c for c, _ in _EVAL_COLUMNS)
+        out.write_text(header + "\n" + "\n".join(rows) + "\n")
     return {"rows": len(rows)}
 
 
 def cmd_distort(cfg: dict) -> dict:
-    kind = cfg["kind"]
     ds = _load_dataset(cfg["images"], cfg["labels"])
-    distorted = DISTORTION_FAMILIES[kind](
-        ds, derive_seed(cfg["seed"], f"distort-{kind}")
-    )
+    distorted = pipeline.distortion_fold(ds, cfg["kind"], cfg["seed"])
     _save_images(distorted, cfg)
     return {"distorted": len(distorted)}
 

@@ -1,7 +1,8 @@
 """Dataset container, file IO, and synthetic data generators.
 
 Images are float32 NCHW with pixel values in [0, 1]; labels are optional
-int64 class ids. Supported on disk:
+int64 class ids, non-negative integers (``class_ids``, checked before any
+cast, in memory and for every file format). Supported on disk:
 
 * IDX image/label files (big-endian, magics 0x00000803 / 0x00000801);
   uint8 pixels are scaled by 1/255 and a singleton channel axis is added
@@ -35,6 +36,20 @@ IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
 
+def class_ids(values) -> np.ndarray:
+    """``values`` as int64, refused with a ContractError before the cast
+    unless every one is a non-negative integer."""
+    values = np.asarray(values)
+    # NaN, inf and out-of-range values fail both tests without a cast
+    if values.dtype.kind not in "biuf" or not (
+            (np.abs(values) < 2.0**62) & (np.trunc(values) == values)).all():
+        raise ContractError("labels hold non-integer values")
+    ids = values.astype(np.int64, copy=False)
+    if ids.size and ids.min() < 0:
+        raise ContractError("labels must be non-negative class ids")
+    return ids
+
+
 @dataclass
 class Dataset:
     images: np.ndarray  # (N, C, H, W) float32 in [0, 1]
@@ -49,14 +64,12 @@ class Dataset:
             raise ContractError("pixel values must lie in [0, 1]")
         self.images = images.astype(np.float32, copy=False)
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
+            self.labels = class_ids(self.labels)
             if self.labels.shape != (self.images.shape[0],):
                 raise ContractError(
                     f"labels shape {self.labels.shape} does not match "
                     f"{self.images.shape[0]} images"
                 )
-            if self.labels.size and self.labels.min() < 0:
-                raise ContractError("labels must be non-negative class ids")
 
     def __len__(self) -> int:
         return self.images.shape[0]
@@ -168,32 +181,29 @@ def load_images_any(path: str | Path) -> Dataset:
 
 
 def load_labels_any(path: str | Path, expected: int) -> np.ndarray:
-    """Load labels from XTEN, IDX, or one-integer-per-line text."""
+    """Load labels from XTEN, IDX, or one-integer-per-line text as ``class_ids``."""
     with open(path, "rb") as f:
         head = f.read(4)
     if head and b"XTEN".startswith(head):
-        values = read_tensor(path)
-        if values.ndim != 1:
-            raise FormatError(f"label tensor must be 1-D, got {values.shape}")
-        # NaN, inf and out-of-range values fail both tests without a cast
-        if not ((np.abs(values) < 2.0**62) & (np.trunc(values) == values)).all():
-            raise FormatError("label tensor holds non-integer values")
-        labels = values.astype(np.int64)
+        labels = read_tensor(path)
+        if labels.ndim != 1:
+            raise FormatError(f"label tensor must be 1-D, got {labels.shape}")
     elif head and struct.pack(">I", IDX_LABELS_MAGIC).startswith(head):
         labels = _load_idx_labels(path, expected)
     else:
         try:
             lines = read_utf8(path).split()
             labels = np.array([int(v) for v in lines], dtype=np.int64)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise FormatError(f"labels are not integers: {exc}") from None
     if labels.shape[0] != expected:
         raise FormatError(
             f"label count {labels.shape[0]} does not match {expected} images"
         )
-    if labels.size and labels.min() < 0:
-        raise FormatError("labels must be non-negative")
-    return labels
+    try:
+        return class_ids(labels)
+    except ContractError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

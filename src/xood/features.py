@@ -26,6 +26,8 @@ are bit for bit those of a search on that column alone. The transform
 runs its log1p-limit passes only when some element's power lies at the
 limit, and applying a fitted transform standardizes in place. This module
 holds only the math: ``pipeline`` saves and loads fitted transforms.
+It also holds the penalty rule, ``is_penalty``, that the CLI, both fits
+and both detectors apply to xood-m's C and xood-l's lambda.
 """
 
 from __future__ import annotations
@@ -261,6 +263,17 @@ class PowerTransform:
         return tuple(np.flatnonzero(edge).tolist())
 
 
+def is_penalty(value: float) -> bool:
+    """The penalty rule: a penalty is finite and >= 0."""
+    return math.isfinite(value) and value >= 0
+
+
+def check_penalty(name: str, value: float) -> None:
+    """Refuse a bad penalty with a ContractError that starts with ``name``."""
+    if not is_penalty(value):
+        raise ContractError(f"{name} must be finite and >= 0, got {value!r}")
+
+
 def check_fields(
     owner: object, shapes: dict[str, tuple[int, ...]], penalty: str
 ) -> None:
@@ -277,9 +290,7 @@ def check_fields(
         if not np.isfinite(values).all():
             raise ContractError(f"{name} holds non-finite values")
         setattr(owner, name, values)
-    value = getattr(owner, penalty)
-    if not (math.isfinite(value) and value >= 0):
-        raise ContractError(f"{penalty} must be finite and >= 0, got {value!r}")
+    check_penalty(penalty, getattr(owner, penalty))
     if owner.threshold is not None and not math.isfinite(owner.threshold):
         raise ContractError(f"threshold must be finite, got {owner.threshold!r}")
 

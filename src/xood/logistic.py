@@ -46,7 +46,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import ContractError, NumericalError
-from .features import check_fields, pin_constant_stds
+from .features import check_fields, check_penalty, pin_constant_stds
 
 logger = logging.getLogger(__name__)
 
@@ -155,8 +155,7 @@ def fit_logreg(
         raise ContractError("labels must be 0 or 1")
     if y.min() == y.max():
         raise ContractError("training labels are single-class")
-    if lam < 0:
-        raise ContractError(f"penalty must be >= 0, got {lam}")
+    check_penalty("lambda", lam)
     n, p = x.shape
     xb = np.hstack([np.ones((n, 1)), x])
     reg = np.full(p + 1, lam)

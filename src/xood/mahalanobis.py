@@ -29,7 +29,7 @@ from typing import ClassVar, TypeVar
 import numpy as np
 
 from .errors import ContractError, SingularityError
-from .features import check_fields
+from .features import check_fields, check_penalty
 
 DEFAULT_REG_C = 10.0
 THRESHOLD_QUANTILE = 0.05
@@ -115,8 +115,7 @@ def fit_mahalanobis(features: np.ndarray, reg_c: float = DEFAULT_REG_C) -> MDete
     n, d = x.shape
     if n <= d:
         raise ContractError(f"need more rows than dimensions, got {n} rows for d={d}")
-    if reg_c < 0:
-        raise ContractError(f"regularizer must be >= 0, got {reg_c}")
+    check_penalty("reg_c", reg_c)
     if not np.all(np.isfinite(x)):
         raise ContractError("features contain non-finite values")
     mean = x.mean(axis=0)

@@ -448,8 +448,9 @@ def train_reference_cnn(
     net = build_reference_cnn(images.shape[1:], num_classes, config.seed)
     if config.epochs == 0:
         return net
-    if config.batch_size < 1 or config.learning_rate <= 0:
-        raise ContractError("batch size must be >= 1 and learning rate > 0")
+    rate = config.learning_rate
+    if config.batch_size < 1 or not (math.isfinite(rate) and rate > 0):
+        raise ContractError("batch size must be >= 1 and learning rate finite and > 0")
 
     shuffle = Stream(derive_seed(config.seed, "epoch-shuffle"))
     n = images.shape[0]

@@ -134,6 +134,12 @@ def fit_m_bundle(
     return DetectorBundle(kind, pt, det)
 
 
+def distortion_fold(ds: Dataset, name: str, seed: int) -> Dataset:
+    """xood-l's fold ``name``: that family, looked up at call time, applied to
+    ``ds`` with the stream derived from the fit's ``seed``, as xood distort does."""
+    return DISTORTION_FAMILIES[name](ds, derive_seed(seed, f"distort-{name}"))
+
+
 def _l_training_set(
     net: Network, calibration: Dataset, pt: PowerTransform, seed: int, kind: FeatureKind
 ) -> logistic.LabeledFeatureSet:
@@ -145,8 +151,7 @@ def _l_training_set(
     that fold ends in a block of 16 or fewer images (see ``run_network``),
     as a 400-image calibration split does."""
     sources = [calibration] + [
-        family(calibration, derive_seed(seed, f"distort-{name}"))
-        for name, family in DISTORTION_FAMILIES.items()
+        distortion_fold(calibration, name, seed) for name in DISTORTION_FAMILIES
     ]
     folds = {}
     for name, source in zip(FOLD_NAMES, sources):

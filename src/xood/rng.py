@@ -10,7 +10,9 @@ Streams are counter-based SplitMix64 generators: the k-th output word is
 ``mix64(seed + (k+1) * GOLDEN)``.  That makes bulk generation a single
 vectorized uint64 expression, keeps results identical across platforms
 (no libm or BLAS involvement), and lets per-item streams be forked as
-``seed XOR item_index``, one at a time or many in lockstep.
+``seed XOR item_index``, one at a time or many in lockstep. The finalizer
+``mix64`` exists once, on arrays (``_mix64_array``): ``derive_seed`` runs
+it on a one-element array, as numpy warns on scalar uint64 wrap-around.
 """
 
 from __future__ import annotations
@@ -30,14 +32,6 @@ _FNV_PRIME = 0x100000001B3
 _U53 = 1.0 / (1 << 53)
 
 
-def mix64(value: int) -> int:
-    """SplitMix64 finalizer on a Python int, modulo 2**64."""
-    z = value & _MASK64
-    z = ((z ^ (z >> 30)) * _MIX_A) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX_B) & _MASK64
-    return z ^ (z >> 31)
-
-
 def _fnv1a64(tag: str) -> int:
     h = _FNV_OFFSET
     for byte in tag.encode("utf-8"):
@@ -47,7 +41,8 @@ def _fnv1a64(tag: str) -> int:
 
 def derive_seed(seed: int, tag: str) -> int:
     """Derive an independent stream seed from a master seed and a purpose tag."""
-    return mix64((seed & _MASK64) ^ _fnv1a64(tag))
+    state = np.array([(seed & _MASK64) ^ _fnv1a64(tag)], dtype=np.uint64)
+    return int(_mix64_array(state)[0])
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
@@ -113,7 +108,3 @@ class Stream:
     def permutation(self, n: int) -> np.ndarray:
         """A uniformly random permutation of range(n)."""
         return np.argsort(self.uniform(n), kind="stable")
-
-    def bernoulli(self, n: int, p: float) -> np.ndarray:
-        """``n`` boolean variates, True with probability ``p``."""
-        return self.uniform(n) < p

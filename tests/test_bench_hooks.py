@@ -109,3 +109,27 @@ def test_traced_scoring_spans_one_forward_call_per_request(bench_trace):
         assert calls["tensor_ops.dense"] == 2 * blocks
         assert calls["tensor_ops.softmax"] == blocks
         assert_bindings_restored(before)
+
+
+def test_benchmark_set_up_and_requests_run_clean(monkeypatch, tmp_path):
+    """One set-up and three 4-image requests of the benchmark at its smoke
+    scale and seed: this runs the calls ``bench_workloads`` makes itself,
+    ``Stream.integers``, ``derive_seed``, its ``xood`` argv and the manifest
+    keys its stage checks read, so a change to any of them fails here."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import bench_trace
+    import bench_workloads
+
+    tracer = bench_trace.Tracer()
+    bench = bench_workloads.Bench(
+        tmp_path, bench_workloads.SMOKE, 2, False, tracer,
+        bench_trace.Instrumentation(tracer, bench_workloads.SMOKE.side),
+    )
+    pool, is_id = bench.generate_inputs()
+    bench.cli_flow(traced=False)
+    loaded = bench.load()
+    ref = bench.reference(loaded, pool, is_id, traced=False)
+    bench.requests(loaded, pool, ref, 4, lambda measured: measured < 3)
+    samples = bench.samples
+    assert len(samples.times["untraced"]["m"]) == 3
+    assert samples.attempted == 7 and samples.failed == 0

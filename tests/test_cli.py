@@ -8,7 +8,10 @@ import pytest
 from xood import cli, logistic, pipeline
 from xood.features import LAMBDA_LO, LAMBDA_TOL
 from xood.cli import main, read_scores_csv
+from xood.datasets import Dataset, load_images_any, load_labels_any
+from xood.distortions import DISTORTION_FAMILIES
 from xood.network import load_network, save_network
+from xood.rng import derive_seed
 from xood.xten import read_tensor, write_tensor
 
 from helpers import read_feature_csv
@@ -317,8 +320,6 @@ def test_distort_round_trip(ws, tmp_path):
         "--labels", root / "labels.xten", "--seed", 5,
         "--images-out", tmp_path / "mix.xten", "--labels-out", tmp_path / "mix_l.xten",
     ) == 0
-    from xood.datasets import load_images_any, load_labels_any
-
     ds = load_images_any(tmp_path / "mix.xten")
     assert ds.images.shape == (240, 1, 16, 16)
     labels = load_labels_any(tmp_path / "mix_l.xten", 240)
@@ -328,6 +329,25 @@ def test_distort_round_trip(ws, tmp_path):
         "distort", "--kind", "wobble", "--images", root / "train.xten",
         "--images-out", tmp_path / "w.xten",
     ) == 2
+
+
+@pytest.mark.parametrize("kind", list(DISTORTION_FAMILIES))
+def test_distort_writes_fit_ls_fold(ws, tmp_path, kind):
+    """``xood distort --seed s`` and fit-l's fold of the same images and
+    seed are one function of them, bit for bit."""
+    root, run = ws
+    ds = Dataset(load_images_any(root / "train.xten").images,
+                 load_labels_any(root / "labels.xten", 240))
+    fold = pipeline.distortion_fold(ds, kind, 5)
+    want = DISTORTION_FAMILIES[kind](ds, derive_seed(5, f"distort-{kind}"))
+    assert fold.images.tobytes() == want.images.tobytes()
+    assert fold.labels.tobytes() == want.labels.tobytes()
+    assert run(
+        "distort", "--kind", kind, "--images", root / "train.xten",
+        "--labels", root / "labels.xten", "--seed", 5,
+        "--images-out", tmp_path / "d.xten",
+    ) == 0
+    assert read_tensor(tmp_path / "d.xten").tobytes() == fold.images.tobytes()
 
 
 def test_hist_outputs(ws, tmp_path):
@@ -378,21 +398,35 @@ def test_config_file_may_supply_required_options(ws, tmp_path):
     assert manifest(str(tmp_path / "m.xnet") + ".manifest")["epochs"] == "1"
 
 
-@pytest.mark.parametrize("flag", ["--ood-scores", "--ood-sc"])
+@pytest.mark.parametrize("flag", ["--ood-scores", "--ood-sc", "--ood-scores="])
 def test_config_repeatable_option_is_replaced_by_flags(ws, tmp_path, flag):
     root, run = ws
     cfg = tmp_path / "eval.cfg"
     cfg.write_text(f"ood-scores={root / 'id_scores.csv'}\n")
     out = tmp_path / "m.csv"
+    ood = root / "ood_scores.csv"
+    given = [f"{flag}{ood}"] if flag.endswith("=") else [flag, ood]
     assert run(
         "eval", "--config", cfg, "--id-scores", root / "id_scores.csv",
-        flag, root / "ood_scores.csv", "--out", out,
+        *given, "--out", out,
     ) == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 2 and lines[1].split(",")[1] == "ood_scores"
     assert manifest(str(out) + ".manifest")["ood-scores"] == str(
         root / "ood_scores.csv"
     )
+
+
+def test_config_with_an_ambiguous_flag_prefix_exits_2(ws, tmp_path):
+    # --ood is a prefix of both --ood-scores and --ood-names
+    root, run = ws
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text(f"ood-scores={root / 'id_scores.csv'}\n")
+    assert run(
+        "eval", "--config", cfg, "--id-scores", root / "id_scores.csv",
+        "--ood", root / "ood_scores.csv", "--out", tmp_path / "m.csv",
+    ) == 2
+    assert not (tmp_path / "m.csv").exists()
 
 
 _MODEL = ("--model", "{root}/model.xnet")

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -31,6 +32,14 @@ def test_dataset_contract_checks():
         Dataset(np.zeros((2, 1, 2, 2), np.float32), labels=[0, 1, 2])
     with pytest.raises(ContractError, match="non-negative"):
         Dataset(np.zeros((2, 1, 2, 2), np.float32), labels=[0, -1])
+    # refused before the int64 cast could truncate them or warn on NaN
+    for labels in ([0.7, 1.2], [0.0, np.nan], [0.0, np.inf], [1.0, 1e300]):
+        with pytest.raises(ContractError, match="non-integer"):
+            Dataset(np.zeros((2, 1, 2, 2), np.float32), labels=labels)
+    with pytest.raises(ContractError, match="non-integer"):
+        Dataset(np.zeros((2, 1, 2, 2), np.float32), labels=["0", "1"])
+    ds = Dataset(np.zeros((2, 1, 2, 2), np.float32), labels=[1.0, 0.0])
+    assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [1, 0]
 
 
 def test_idx_round_trip(tmp_path):
@@ -109,6 +118,12 @@ def test_text_labels(tmp_path):
         load_labels_any(p, 4)
     p.write_text("0\nx\n1\n")
     with pytest.raises(FormatError, match="not integers"):
+        load_labels_any(p, 3)
+    p.write_text("0\n99999999999999999999\n1\n")
+    with pytest.raises(FormatError, match="not integers"):
+        load_labels_any(p, 3)
+    p.write_text("0\n-2\n1\n")
+    with pytest.raises(FormatError, match=f"{re.escape(str(p))}: .*non-negative"):
         load_labels_any(p, 3)
 
 

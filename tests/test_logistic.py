@@ -262,8 +262,9 @@ def test_fit_logreg_contract_checks():
         fit_logreg(x, np.full(10, 0.5), 1.0)
     with pytest.raises(ContractError, match="single-class"):
         fit_logreg(x, np.ones(10), 1.0)
-    with pytest.raises(ContractError, match=">= 0"):
-        fit_logreg(x, np.r_[np.ones(5), np.zeros(5)], -1.0)
+    for lam in (-1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ContractError, match="lambda must be finite and >= 0"):
+            fit_logreg(x, np.r_[np.ones(5), np.zeros(5)], lam)
 
 
 def test_fit_logreg_raises_after_max_newton_steps(monkeypatch):
@@ -338,6 +339,14 @@ def test_cross_validate_needs_two_folds():
     with pytest.raises(ContractError, match="2 folds"):
         cross_validate(np.zeros((10, 1)), np.r_[np.ones(5), np.zeros(5)],
                        np.zeros(10))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_cross_validate_refuses_a_bad_penalty(bad):
+    x, y = make_problem(Stream(3))
+    fold_ids = np.arange(len(y)) % 3
+    with pytest.raises(ContractError, match="lambda must be finite and >= 0"):
+        cross_validate(x, y, fold_ids, (1.0, bad, 0.1))
 
 
 def test_build_training_set_layout(fixture):

@@ -215,8 +215,9 @@ def test_degenerate_covariance_fails_loudly_at_c_zero():
 def test_fit_contract_checks():
     with pytest.raises(ContractError, match="more rows"):
         fit_mahalanobis(np.zeros((3, 3)))
-    with pytest.raises(ContractError, match=">= 0"):
-        fit_mahalanobis(np.zeros((10, 2)), reg_c=-1.0)
+    for reg_c in (-1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ContractError, match="reg_c must be finite and >= 0"):
+            fit_mahalanobis(np.zeros((10, 2)), reg_c=reg_c)
     bad = np.zeros((10, 2))
     bad[0, 0] = np.nan
     with pytest.raises(ContractError, match="non-finite"):

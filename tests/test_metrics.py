@@ -44,7 +44,7 @@ def det_acc_sweep(scores, is_id):
 
 def random_tied_scores(stream, n):
     scores = np.round(stream.uniform(n, -2.0, 2.0) * 4.0) / 4.0  # heavy ties
-    is_id = stream.bernoulli(n, 0.5)
+    is_id = stream.uniform(n) < 0.5
     if is_id.all() or not is_id.any():
         is_id[0] = ~is_id[0]
     return scores, is_id

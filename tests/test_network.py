@@ -428,8 +428,9 @@ def test_training_input_validation():
         train_reference_cnn(ds.images + 10.0, ds.labels, cfg)
     with pytest.raises(ContractError, match="2 classes"):
         train_reference_cnn(ds.images, np.zeros(30, np.int64), cfg)
-    with pytest.raises(ContractError, match="learning rate"):
-        train_reference_cnn(ds.images, ds.labels, TrainConfig(learning_rate=0.0))
+    for rate in (0.0, -0.1, np.nan, np.inf):
+        with pytest.raises(ContractError, match="learning rate"):
+            train_reference_cnn(ds.images, ds.labels, TrainConfig(learning_rate=rate))
 
 
 def test_class_count_inferred_from_labels():

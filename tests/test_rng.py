@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from xood.rng import Stream, derive_seed, mix64
+from xood.rng import Stream, derive_seed
 
 MASK = (1 << 64) - 1
 
@@ -84,12 +84,6 @@ def test_permutation_is_permutation():
     assert not np.array_equal(Stream(1).permutation(257), Stream(2).permutation(257))
 
 
-def test_bernoulli_rate():
-    b = Stream(23).bernoulli(100000, 0.3)
-    assert b.dtype == np.bool_
-    assert abs(b.mean() - 0.3) < 0.01
-
-
 def test_fork_streams_are_distinct():
     parent = Stream(1000)
     seen = {tuple(int(w) for w in parent.fork(i).words(4)) for i in range(1, 64)}
@@ -112,11 +106,27 @@ def test_derive_seed_tag_sensitivity():
     assert 0 <= derive_seed(12, "x") <= MASK
 
 
+@pytest.mark.parametrize("seed, tag, want", [
+    (0, "train", 0x6C4DE05E3AC71DAD),
+    (7, "calibration-split", 0x79684CE13FE68908),
+    (MASK, "distort-noise", 0xD2CA1CC5E6FB1AEA),
+    (-1, "train", 0x066F8004B392D199),
+    (-123456789, "distort-blur", 0x7144409CACB38DFD),
+    (42, "", 0x4E43D7F82E037C16),
+])
+def test_derive_seed_is_pinned(seed, tag, want):
+    # every split, initialization and fold hangs on these values
+    got = derive_seed(seed, tag)
+    assert type(got) is int and got == want
+
+
 def test_mix64_avalanche():
-    # flipping one input bit should flip roughly half the output bits
+    # flipping one seed bit flips one input bit of the finalizer, which
+    # should flip roughly half the output bits
     flips = []
     for bit in range(0, 64, 7):
-        flips.append(bin(mix64(1234567) ^ mix64(1234567 ^ (1 << bit))).count("1"))
+        flipped = derive_seed(1234567, "x") ^ derive_seed(1234567 ^ (1 << bit), "x")
+        flips.append(bin(flipped).count("1"))
     assert min(flips) > 10 and max(flips) < 54
 
 
