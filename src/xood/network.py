@@ -18,10 +18,22 @@ a Relu that feeds a max-pool runs after that pool, on a quarter of the
 values, with bit-identical results (see ``forward_with_taps``). Training
 runs in the same order and walks it back, bit for bit the gradients of
 the stack's own order (see ``_batch_loss_and_grad``). A network derives
-that run order and counts its Relus once, when it is built. A batch of at
-most 64 images is one block, whose tensors are returned as the outputs
-without a copy, so a one-image request pays only for its layers. Layers
-dispatch through one table keyed by layer kind.
+that run order, its tap shapes and its Relu count once, when it is built.
+A batch of at most 64 images is one block, whose tensors are returned as
+the outputs without a copy, so a one-image request pays only for its
+layers. Layers dispatch through one table keyed by layer kind.
+
+A larger batch's blocks are independent, and each writes only its own
+rows of outputs allocated before any block starts, so they run
+concurrently on a module-level thread pool with one worker per CPU the
+process may use, each worker pinned to its own CPU (unpinned workers were
+seen to settle on one CPU after a stretch of one-image calls and then ran
+no faster than one thread). The pool is used only when BLAS was limited to
+one thread when this module loaded (``OPENBLAS_NUM_THREADS`` or
+``OMP_NUM_THREADS`` equal to 1); otherwise BLAS's own threads compete with
+the workers, and the blocks run one after another on the calling thread.
+Either way every output is bit for bit the same. A forked child makes
+its own pool.
 
 The trainer is plain seeded SGD with cross-entropy, no momentum. The
 classifier is a fixture for the detection pipeline, not a contribution in
@@ -48,7 +60,10 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -73,6 +88,19 @@ logger = logging.getLogger(__name__)
 NETWORK_MAGIC = b"XNET"
 NETWORK_VERSION = 1
 DEFAULT_BATCH = 64
+# Blocks run on a pool, one pinned worker per CPU the process may use, only
+# when BLAS was limited to one thread at load and threads can be pinned;
+# otherwise they run one after another.
+_BLAS_ONE_THREAD = any(
+    os.environ.get(name) == "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+)
+_WORKERS = (
+    len(os.sched_getaffinity(0))
+    if _BLAS_ONE_THREAD and hasattr(os, "sched_setaffinity")
+    else 1
+)
+_pool: tuple[int, ThreadPoolExecutor] | None = None  # (workers, pool)
+_pool_lock = threading.Lock()
 
 
 class LayerKind(str, Enum):
@@ -115,13 +143,17 @@ class Network:
     """A validated feed-forward stack ending in softmax over num_classes.
 
     ``run_order``, the (layer, tap index or None) steps in the order the
-    layers run (see ``_run_order``), and ``num_activation_layers``, the
-    Relu count, are derived once, when the network is built."""
+    layers run (see ``_run_order``), ``tap_shapes``, each Relu input's
+    per-image shape, and ``num_activation_layers``, the Relu count, are
+    derived once, when the network is built."""
 
     layers: list[LayerSpec]
     input_shape: tuple[int, int, int]
     num_classes: int
     run_order: tuple[tuple[LayerSpec, int | None], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    tap_shapes: tuple[tuple[int, ...], ...] = field(
         init=False, repr=False, compare=False
     )
     num_activation_layers: int = field(init=False, repr=False, compare=False)
@@ -140,6 +172,7 @@ class Network:
         # An empty batch runs each kernel's own shape checks and allocates
         # nothing, whatever extents the layers declare.
         x = np.zeros((0, *shape), np.float32)
+        tap_shapes = []
         try:
             for i, layer in enumerate(self.layers):
                 where = f"layer {i}"
@@ -157,6 +190,8 @@ class Network:
                         raise DimensionError(
                             f"{name} {value} exceeds {_MAX_HYPERPARAMETER}"
                         )
+                if layer.kind is LayerKind.RELU:
+                    tap_shapes.append(x.shape[1:])
                 x = _apply_layer(layer, x)
                 if math.prod(x.shape[1:]) > ops.MAX_IMAGE_VALUES:
                     raise DimensionError(
@@ -172,7 +207,8 @@ class Network:
         if not self.layers or self.layers[-1].kind is not LayerKind.SOFTMAX:
             raise ContractError("network must end in softmax")
         self.run_order = _run_order(self.layers)
-        self.num_activation_layers = sum(tap is not None for _, tap in self.run_order)
+        self.tap_shapes = tuple(tap_shapes)
+        self.num_activation_layers = len(tap_shapes)
 
 
 def _run_order(layers: list[LayerSpec]) -> tuple[tuple[LayerSpec, int | None], ...]:
@@ -242,17 +278,24 @@ def forward_with_taps(
     in ``net.run_order`` (each Relu that feeds a max-pool after that pool,
     its tap taken on the pool's input), so every layer reads its input
     from cache (see the module docstring for why 64). The shape is
-    checked once. A batch of at most 64 rows is one block, and
-    that block's tensors are the outputs: its softmax output becomes the
-    probabilities and its taps the raw taps, without a copy. A larger
-    batch writes each block's probabilities and raw taps into arrays
-    allocated once. An empty batch still runs one empty block, which
-    checks the layer shapes, and gives empty outputs.
+    checked once. A batch of at most 64 rows is one block, run on the
+    calling thread, and that block's tensors are the outputs: its softmax
+    output becomes the probabilities and its taps the raw taps, without a
+    copy. An empty batch still runs one empty block, which checks the
+    layer shapes, and gives empty outputs. A larger batch's blocks each
+    write their probabilities and raw taps into their own rows of arrays
+    allocated before any block starts; when BLAS was limited to one thread
+    at load they run concurrently on the module's pinned worker pool, each
+    under the caller's ``np.geterr()`` settings, and otherwise one after
+    another. Every block has finished when this returns, and an exception
+    raised in a block reaches the caller as itself (the first block's, in
+    row order, if several fail).
 
     Without ``tap_map`` each taps entry is the raw (N, ...) Relu input.
-    With it, the j-th tap of the block holding ``rows`` goes to
-    ``tap_map(j, rows, tap)`` while it is cache-resident, and taps comes
-    back empty.
+    With it, ``tap_map(j, rows, tap)`` is called once per block with the
+    block's j-th tap, while it is cache-resident, for j in order; blocks
+    may run concurrently and in any order, so ``tap_map`` must touch only
+    what belongs to ``rows``. Taps then comes back empty.
 
     An image's outputs do not depend on the other images in its block,
     except the dense layers' sums: a trailing block of 16 or fewer rows
@@ -265,29 +308,84 @@ def forward_with_taps(
             f"(N,{','.join(map(str, net.input_shape))})"
         )
     n = batch.shape[0]
-    one_block = n <= DEFAULT_BATCH
     taps: list = []
-    if not one_block:
-        probabilities = np.empty((n, net.num_classes), np.float32)
-    for start in range(0, max(n, 1), DEFAULT_BATCH):
+    if n <= DEFAULT_BATCH:
+        on_tap = tap_map or (lambda index, rows, tap: taps.append(tap))
+        probabilities = _forward_block(net, batch, slice(0, DEFAULT_BATCH), on_tap)
+        return ForwardResult(probabilities.argmax(axis=1), probabilities, taps)
+
+    probabilities = np.empty((n, net.num_classes), np.float32)
+    if tap_map is None:
+        taps = [np.empty((n, *shape), np.float32) for shape in net.tap_shapes]
+
+        def tap_map(index: int, rows: slice, tap: np.ndarray) -> None:
+            taps[index][rows] = tap
+
+    def run(start: int) -> None:
         rows = slice(start, start + DEFAULT_BATCH)
-        x = batch[rows]
-        for layer, tap in net.run_order:
-            if tap is not None:
-                if tap_map is not None:
-                    tap_map(tap, rows, x)
-                elif one_block:
-                    taps.append(x)
-                else:
-                    if start == 0:
-                        taps.append(np.empty((n, *x.shape[1:]), np.float32))
-                    taps[tap][rows] = x
-            x = _FORWARD[layer.kind](layer, x)
-        if one_block:
-            probabilities = x
-        else:
-            probabilities[rows] = x
+        probabilities[rows] = _forward_block(net, batch[rows], rows, tap_map)
+
+    starts = range(0, n, DEFAULT_BATCH)
+    if _WORKERS > 1:
+        errors = np.geterr()
+
+        def run_under_callers_errstate(start: int) -> None:
+            with np.errstate(**errors):
+                run(start)
+
+        pool = _worker_pool()
+        blocks = [pool.submit(run_under_callers_errstate, start) for start in starts]
+        wait(blocks)
+        for block in blocks:
+            block.result()
+    else:
+        for start in starts:
+            run(start)
     return ForwardResult(probabilities.argmax(axis=1), probabilities, taps)
+
+
+def _forward_block(
+    net: Network,
+    x: np.ndarray,
+    rows: slice,
+    tap_map: Callable[[int, slice, np.ndarray], None],
+) -> np.ndarray:
+    """One block through ``net.run_order``, each tap to ``tap_map`` in order;
+    returns the softmax output."""
+    for layer, tap in net.run_order:
+        if tap is not None:
+            tap_map(tap, rows, x)
+        x = _FORWARD[layer.kind](layer, x)
+    return x
+
+
+def _worker_pool() -> ThreadPoolExecutor:
+    """The pool of ``_WORKERS`` threads, each pinned to one CPU of the
+    process's affinity set, made on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != _WORKERS:
+            if _pool is not None:
+                _pool[1].shutdown(wait=False)
+            cpus = sorted(os.sched_getaffinity(0))
+            cpus = [cpus[i % len(cpus)] for i in range(_WORKERS)]
+
+            def pin() -> None:
+                os.sched_setaffinity(0, {cpus.pop()})
+
+            _pool = (_WORKERS, ThreadPoolExecutor(_WORKERS, "xood-forward", pin))
+        return _pool[1]
+
+
+def _forget_pool() -> None:
+    """A forked child has none of its parent's threads: without this its
+    first multi-block forward would queue blocks no thread runs."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 # ---------------------------------------------------------------------------

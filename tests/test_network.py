@@ -1,12 +1,20 @@
 import copy
+import multiprocessing
+import os
 import struct
+import subprocess
+import sys
+import threading
 import time
 import tracemalloc
+import warnings
+from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from xood import tensor_ops
+from xood import network, tensor_ops
 from xood.datasets import make_blobs
 from xood.errors import ContractError, DimensionError, FormatError
 from xood.network import (
@@ -29,6 +37,10 @@ from xood.tensor_ops import conv2d, dense, flatten, maxpool2d, relu, softmax
 from xood.xten import encode_tensor
 
 from helpers import networks_equal
+
+
+# the CPUs this process may run on, where the system can tell
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else 1
 
 
 def assert_bitwise(got, want):
@@ -126,6 +138,13 @@ def test_forward_batch_invariance(toy_net):
             np.testing.assert_allclose(t_whole[i], t_part[0], atol=1e-6)
 
 
+@pytest.fixture
+def workers(monkeypatch):
+    """Sets the forward pass's worker count whatever the BLAS setting: 1
+    runs a batch's blocks one after another, more on the worker pool."""
+    return lambda count: monkeypatch.setattr(network, "_WORKERS", count)
+
+
 # the stack's own order (Relu before pool) through the public ops
 PUBLIC_OPS = {
     LayerKind.CONV2D: lambda l, x: conv2d(x, l.weight, l.bias, l.stride, l.padding),
@@ -148,8 +167,9 @@ def reference_forward(net, x):
 
 @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 130])
 def test_blocked_forward_is_the_stack_order_loop_on_64_row_slices(
-    toy_net, monkeypatch, n
+    toy_net, monkeypatch, workers, n
 ):
+    workers(1)
     x = Stream(32).normal(max(n, 1) * 64).astype(np.float32)[: n * 64]
     x = x.reshape(n, 1, 8, 8)
     x.flat[::5] = -0.0
@@ -199,7 +219,8 @@ def test_relu_deferred_past_pools_on_any_stack():
     assert_bitwise(got.probabilities, np.concatenate([p for _, p in want]))
 
 
-def test_tap_map_gets_each_blocks_taps_in_order(toy_net):
+def test_tap_map_gets_each_blocks_taps_in_order(toy_net, workers):
+    workers(1)
     x = Stream(33).normal(130 * 64).astype(np.float32).reshape(130, 1, 8, 8)
     whole = forward_with_taps(toy_net, x)
     seen = []
@@ -212,6 +233,168 @@ def test_tap_map_gets_each_blocks_taps_in_order(toy_net):
     assert result.taps == []
     assert seen == [(j, start) for start in (0, 64, 128) for j in range(3)]
     assert_bitwise(result.probabilities, whole.probabilities)
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 130, 300])
+def test_pooled_forward_is_the_serial_loop_bit_for_bit(toy_net, workers, n):
+    x = Stream(36).normal(max(n, 1) * 64).astype(np.float32)[: n * 64]
+    x = x.reshape(n, 1, 8, 8)
+    raw, mapped = [], []
+    for count in (1, 2):
+        workers(count)
+        raw.append(forward_with_taps(toy_net, x))
+        seen = {}
+
+        def tap_map(index, rows, tap, seen=seen):
+            seen[index, rows.start] = tap.copy()
+
+        result = forward_with_taps(toy_net, x, tap_map=tap_map)
+        assert result.taps == []
+        assert_bitwise(result.probabilities, raw[-1].probabilities)
+        mapped.append(seen)
+    serial, got = raw
+    assert len(got.taps) == len(serial.taps) == 3
+    for tap, want in zip(got.taps, serial.taps):
+        assert_bitwise(tap, want)
+    assert_bitwise(got.probabilities, serial.probabilities)
+    np.testing.assert_array_equal(got.predictions, serial.predictions)
+    assert mapped[1].keys() == mapped[0].keys()
+    for key, tap in mapped[0].items():
+        assert_bitwise(mapped[1][key], tap)
+
+
+def test_pooled_blocks_run_the_stack_order_loop_on_worker_threads(
+    toy_net, workers, monkeypatch
+):
+    workers(2)
+    # blocks run concurrently and in any order, so only each block's own
+    # Relu and tap order is fixed, on whichever worker runs it
+    x = Stream(37).normal(300 * 64).astype(np.float32).reshape(300, 1, 8, 8)
+    relu_inputs = defaultdict(list)
+    monkeypatch.setattr(
+        tensor_ops, "relu",
+        lambda t: relu_inputs[threading.get_ident()].append(t.shape) or relu(t),
+    )
+    taps_seen = defaultdict(list)
+
+    def tap_map(index, rows, tap):
+        assert threading.current_thread().name.startswith("xood-forward")
+        taps_seen[rows.start].append(index)
+
+    forward_with_taps(toy_net, x, tap_map=tap_map)
+    assert taps_seen == {start: [0, 1, 2] for start in range(0, 300, 64)}
+    sizes = []
+    for shapes in relu_inputs.values():
+        for i in range(0, len(shapes), 3):
+            b = shapes[i][0]
+            assert shapes[i : i + 3] == [(b, 8, 4, 4), (b, 16, 2, 2), (b, 64)]
+            sizes.append(b)
+    assert sorted(sizes) == [44, 64, 64, 64, 64]
+
+
+def test_concurrent_callers_on_more_workers_than_cpus(toy_net, workers):
+    # blocks of several calls interleave on one pool; each call's rows must
+    # still hold exactly its own blocks' outputs
+    batches = [
+        Stream(40 + i).normal(n * 64).astype(np.float32).reshape(n, 1, 8, 8)
+        for i, n in enumerate((65, 130, 300, 200))
+    ]
+    workers(1)
+    want = [forward_with_taps(toy_net, x) for x in batches]
+    workers(CPUS + 2)
+    got = [None] * len(batches)
+
+    def call(i):
+        for _ in range(5):
+            got[i] = forward_with_taps(toy_net, batches[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(4)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    for result, expected in zip(got, want, strict=True):
+        assert_bitwise(result.probabilities, expected.probabilities)
+        for tap, want_tap in zip(result.taps, expected.taps, strict=True):
+            assert_bitwise(tap, want_tap)
+
+
+def test_pooled_blocks_use_the_callers_errstate(toy_net, workers):
+    workers(2)
+    big = copy.deepcopy(toy_net)
+    for layer in big.layers:
+        if layer.weight is not None:
+            layer.weight[...] = 1e20
+    x = np.ones((130, 1, 8, 8), np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = forward_with_taps(big, x)
+        assert not np.isfinite(result.taps[2]).all()
+        # a worker's warning, raised as an error there, reaches the caller
+        with np.errstate(over="warn", invalid="warn"), pytest.raises(
+            RuntimeWarning, match="overflow"
+        ):
+            forward_with_taps(big, x)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        forward_with_taps(big, x)
+
+
+def _forward_in_child(net, x, conn):
+    result = forward_with_taps(net, x)
+    conn.send((result.probabilities, result.taps))
+
+
+# a fork of a process whose pool threads are running is the point here
+@pytest.mark.filterwarnings("ignore:.*multi-threaded.*fork:DeprecationWarning")
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork"
+)
+def test_forked_child_runs_its_own_pool(toy_net, workers):
+    workers(2)
+    x = Stream(38).normal(130 * 64).astype(np.float32).reshape(130, 1, 8, 8)
+    parent = forward_with_taps(toy_net, x)  # the parent's pool now has threads
+    context = multiprocessing.get_context("fork")
+    receive, send = context.Pipe(duplex=False)
+    child = context.Process(target=_forward_in_child, args=(toy_net, x, send))
+    child.start()
+    try:
+        assert receive.poll(60), "the forked child's forward pass hung"
+        probabilities, taps = receive.recv()
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+    assert child.exitcode == 0
+    assert_bitwise(probabilities, parent.probabilities)
+    for tap, want in zip(taps, parent.taps, strict=True):
+        assert_bitwise(tap, want)
+
+
+@pytest.mark.skipif(CPUS < 2, reason="the pool needs at least 2 CPUs")
+def test_pool_is_used_only_with_blas_on_one_thread():
+    src = str(Path(network.__file__).resolve().parent.parent)
+    env = {
+        name: value for name, value in os.environ.items()
+        if name not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    }
+
+    def pool_size(**blas):
+        out = subprocess.run(
+            [sys.executable, "-c", "import xood.network as n; print(n._WORKERS)"],
+            env={**env, "PYTHONPATH": src, **blas},
+            capture_output=True, text=True, check=True,
+        )
+        return int(out.stdout)
+
+    assert pool_size() == 1
+    assert pool_size(OPENBLAS_NUM_THREADS="1") == CPUS
 
 
 def test_forward_shape_check(toy_net):

@@ -4,7 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
-from xood import pipeline
+from xood import network, pipeline
 from xood.datasets import Dataset, gen_noise, make_blobs, split
 from xood.errors import ContractError, DimensionError, FormatError
 from xood.features import FeatureKind, apply_power_transform, extract_features
@@ -130,6 +130,20 @@ def test_score_images_matches_manual_route(world):
     # in-distribution scores higher than noise scores on average
     id_scores = score_images(bundle, net, calib.images)
     assert id_scores.mean() > got.mean()
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 130, 300])
+def test_pooled_scores_are_the_serial_loops(world, bundles, monkeypatch, n):
+    net, train, calib = world
+    images = np.concatenate([train.images, calib.images])[:n]
+    for bundle in bundles.values():
+        scores = []
+        for workers in (1, 2):
+            monkeypatch.setattr(network, "_WORKERS", workers)
+            scores.append(score_images(bundle, net, images))
+        serial, pooled = (s.view(np.uint64) for s in scores)
+        np.testing.assert_array_equal(pooled, serial)
+        assert scores[1].shape == (n,)
 
 
 def test_fit_l_bundle_cv_structure(world):
