@@ -329,7 +329,11 @@ def fit_l_detector(
 
 def score_l(det: LDetector, features: np.ndarray) -> np.ndarray:
     """P(classifier is correct | features), in [0, 1]; higher means
-    more in-distribution."""
+    more in-distribution. Features not of shape (n, ``det.dim``) are refused."""
+    if np.shape(features)[1:] != (det.dim,):
+        raise ContractError(
+            f"features shape {np.shape(features)} does not match detector dim {det.dim}"
+        )
     scores = np.empty(len(features))
     # blocks of at most 2**16 split values (512 KiB) stay in a 2 MiB L2 cache
     step = max(1, 2**16 // det.weights.shape[0])

@@ -25,20 +25,21 @@ layers. Layers dispatch through one table keyed by layer kind.
 
 A larger batch's blocks are independent, and each writes only its own
 rows of outputs allocated before any block starts, so they run
-concurrently on a module-level thread pool with one worker per CPU the
+concurrently on a cached thread pool with one worker per CPU the
 process may use, each worker pinned to its own CPU (unpinned workers were
 seen to settle on one CPU after a stretch of one-image calls and then ran
 no faster than one thread). The pool is used only when BLAS was limited to
 one thread when this module loaded (``OPENBLAS_NUM_THREADS`` or
 ``OMP_NUM_THREADS`` equal to 1); otherwise BLAS's own threads compete with
 the workers, and the blocks run one after another on the calling thread.
-Either way every output is bit for bit the same. A forked child makes
-its own pool.
+For a given BLAS thread count the two ways give bit for bit the same
+outputs; OpenBLAS's threaded GEMM sums in another order, so weights,
+features, bundles and scores are reproducible only for that count.
 
 The trainer is plain seeded SGD with cross-entropy, no momentum. The
 classifier is a fixture for the detection pipeline, not a contribution in
 itself, so the trainer stays minimal but fully deterministic: the same
-seed produces bit-identical weights.
+seed produces bit-identical weights under the same BLAS thread count.
 
 Network file format (magic "XNET", version 1):
 
@@ -58,11 +59,11 @@ layer. Save/load round trips are bit-exact for the float32 parameters.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import os
 import struct
-import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from enum import Enum
@@ -88,9 +89,6 @@ logger = logging.getLogger(__name__)
 NETWORK_MAGIC = b"XNET"
 NETWORK_VERSION = 1
 DEFAULT_BATCH = 64
-# Blocks run on a pool, one pinned worker per CPU the process may use, only
-# when BLAS was limited to one thread at load and threads can be pinned;
-# otherwise they run one after another.
 _BLAS_ONE_THREAD = any(
     os.environ.get(name) == "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 )
@@ -99,8 +97,6 @@ _WORKERS = (
     if _BLAS_ONE_THREAD and hasattr(os, "sched_setaffinity")
     else 1
 )
-_pool: tuple[int, ThreadPoolExecutor] | None = None  # (workers, pool)
-_pool_lock = threading.Lock()
 
 
 class LayerKind(str, Enum):
@@ -192,7 +188,7 @@ class Network:
                         )
                 if layer.kind is LayerKind.RELU:
                     tap_shapes.append(x.shape[1:])
-                x = _apply_layer(layer, x)
+                x = _FORWARD[layer.kind](layer, x)
                 if math.prod(x.shape[1:]) > ops.MAX_IMAGE_VALUES:
                     raise DimensionError(
                         f"output {x.shape[1:]} exceeds {ops.MAX_IMAGE_VALUES} "
@@ -254,10 +250,6 @@ _FORWARD = {
 }
 
 
-def _apply_layer(layer: LayerSpec, x: np.ndarray) -> np.ndarray:
-    return _FORWARD[layer.kind](layer, x)
-
-
 @dataclass
 class ForwardResult:
     """Predictions, probabilities, and the per-Relu tap tensors."""
@@ -284,12 +276,11 @@ def forward_with_taps(
     copy. An empty batch still runs one empty block, which checks the
     layer shapes, and gives empty outputs. A larger batch's blocks each
     write their probabilities and raw taps into their own rows of arrays
-    allocated before any block starts; when BLAS was limited to one thread
-    at load they run concurrently on the module's pinned worker pool, each
-    under the caller's ``np.geterr()`` settings, and otherwise one after
-    another. Every block has finished when this returns, and an exception
-    raised in a block reaches the caller as itself (the first block's, in
-    row order, if several fail).
+    allocated before any block starts, under the caller's ``np.geterr()``,
+    on the pinned worker pool when BLAS was limited to one thread at load
+    and otherwise one after another. Every block has finished when this
+    returns, and an exception raised in a block reaches the caller as
+    itself (the first block's, in row order, if several fail).
 
     Without ``tap_map`` each taps entry is the raw (N, ...) Relu input.
     With it, ``tap_map(j, rows, tap)`` is called once per block with the
@@ -321,20 +312,17 @@ def forward_with_taps(
         def tap_map(index: int, rows: slice, tap: np.ndarray) -> None:
             taps[index][rows] = tap
 
+    errors = np.geterr()
+
     def run(start: int) -> None:
         rows = slice(start, start + DEFAULT_BATCH)
-        probabilities[rows] = _forward_block(net, batch[rows], rows, tap_map)
+        with np.errstate(**errors):
+            probabilities[rows] = _forward_block(net, batch[rows], rows, tap_map)
 
     starts = range(0, n, DEFAULT_BATCH)
     if _WORKERS > 1:
-        errors = np.geterr()
-
-        def run_under_callers_errstate(start: int) -> None:
-            with np.errstate(**errors):
-                run(start)
-
-        pool = _worker_pool()
-        blocks = [pool.submit(run_under_callers_errstate, start) for start in starts]
+        pool = _worker_pool(_WORKERS)
+        blocks = [pool.submit(run, start) for start in starts]
         wait(blocks)
         for block in blocks:
             block.result()
@@ -359,33 +347,25 @@ def _forward_block(
     return x
 
 
-def _worker_pool() -> ThreadPoolExecutor:
-    """The pool of ``_WORKERS`` threads, each pinned to one CPU of the
-    process's affinity set, made on first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None or _pool[0] != _WORKERS:
-            if _pool is not None:
-                _pool[1].shutdown(wait=False)
-            cpus = sorted(os.sched_getaffinity(0))
-            cpus = [cpus[i % len(cpus)] for i in range(_WORKERS)]
+@functools.cache
+def _worker_pool(workers: int) -> ThreadPoolExecutor:
+    """A pool of ``workers`` threads, each pinned to one CPU of the process's
+    affinity set; a forked child, which has none of its parent's threads,
+    starts with an empty cache. No lock is needed: two threads that miss the
+    cache at once can each build a pool; the one not kept is garbage-collected,
+    and ``ThreadPoolExecutor``'s weakref callback then lets its threads exit
+    once the blocks already queued have run."""
+    cpus = sorted(os.sched_getaffinity(0))
+    cpus = [cpus[i % len(cpus)] for i in range(workers)]
 
-            def pin() -> None:
-                os.sched_setaffinity(0, {cpus.pop()})
+    def pin() -> None:
+        os.sched_setaffinity(0, {cpus.pop()})
 
-            _pool = (_WORKERS, ThreadPoolExecutor(_WORKERS, "xood-forward", pin))
-        return _pool[1]
-
-
-def _forget_pool() -> None:
-    """A forked child has none of its parent's threads: without this its
-    first multi-block forward would queue blocks no thread runs."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
+    return ThreadPoolExecutor(workers, "xood-forward", pin)
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+    os.register_at_fork(after_in_child=_worker_pool.cache_clear)
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +468,7 @@ def _batch_loss_and_grad(
                 cols=columns[s],
             )
         else:
-            x = _apply_layer(layer, x)
+            x = _FORWARD[layer.kind](layer, x)
         acts.append(x)
     logits = acts.pop().astype(np.float64)
     n = logits.shape[0]
@@ -572,15 +552,11 @@ def train_reference_cnn(
     return net
 
 
-def _drop_tap(index: int, rows: slice, tap: np.ndarray) -> None:
-    """A ``tap_map`` that keeps nothing."""
-
-
 def evaluate_accuracy(net: Network, images: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of images whose argmax prediction matches the label; the
     forward pass drops its taps unreduced."""
-    predictions = forward_with_taps(net, images, tap_map=_drop_tap).predictions
-    return int((predictions == labels).sum()) / images.shape[0]
+    result = forward_with_taps(net, images, tap_map=lambda index, rows, tap: None)
+    return int((result.predictions == labels).sum()) / images.shape[0]
 
 
 # ---------------------------------------------------------------------------

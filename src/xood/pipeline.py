@@ -102,7 +102,7 @@ def _fit_transform(
     net: Network, train: Dataset, kind: FeatureKind
 ) -> tuple[PowerTransform, np.ndarray]:
     """Fit the power transform on the correctly classified training rows;
-    returns it and those rows transformed."""
+    returns it and those rows, untransformed."""
     if train.labels is None:
         raise ContractError("training dataset must be labeled")
     outputs = run_network(net, train.images, kind)
@@ -114,8 +114,8 @@ def _fit_transform(
             f"only {n_correct} correctly classified training images; "
             "train the classifier first"
         )
-    pt = fit_power_transform(outputs.features[correct])
-    return pt, apply_power_transform(pt, outputs.features[correct])
+    rows = outputs.features[correct]
+    return fit_power_transform(rows), rows
 
 
 def fit_m_bundle(
@@ -127,8 +127,8 @@ def fit_m_bundle(
 ) -> DetectorBundle:
     """Fit the unsupervised detector from correctly classified training
     images and calibrate its threshold on the held-out split."""
-    pt, transformed = _fit_transform(net, train, kind)
-    det = mahalanobis.fit_mahalanobis(transformed, reg_c)
+    pt, rows = _fit_transform(net, train, kind)
+    det = mahalanobis.fit_mahalanobis(apply_power_transform(pt, rows), reg_c)
     calib_rows, _ = _forward_transform(net, calibration.images, pt, kind)
     mahalanobis.calibrate(det, det.score(calib_rows))
     return DetectorBundle(kind, pt, det)

@@ -113,6 +113,16 @@ def test_detector_dim_is_the_feature_width():
     assert det.scale_means.dtype == det.scale_stds.dtype == np.float64
 
 
+def test_score_l_refuses_features_of_another_width():
+    det = LDetector(np.zeros(4), np.ones(4), np.zeros(5), 1.0)
+    for shape in ((3, 3), (3,), (3, 2, 1)):
+        with pytest.raises(ContractError, match=(
+            rf"features shape \({shape[0]},.*\) does not match detector dim 2"
+        )):
+            det.score(np.zeros(shape))
+    assert det.score(np.zeros((3, 2))).shape == (3,)
+
+
 def test_score_l_in_row_blocks_matches_one_pass():
     # at width 64, 1300 rows span three of score_l's 508-row blocks
     s = Stream(3)

@@ -22,7 +22,6 @@ from xood.network import (
     LayerSpec,
     Network,
     TrainConfig,
-    _apply_layer,
     _batch_loss_and_grad,
     _encode_network,
     build_reference_cnn,
@@ -325,8 +324,9 @@ def test_concurrent_callers_on_more_workers_than_cpus(toy_net, workers):
             assert_bitwise(tap, want_tap)
 
 
-def test_pooled_blocks_use_the_callers_errstate(toy_net, workers):
-    workers(2)
+@pytest.mark.parametrize("count", [1, 2])
+def test_pooled_blocks_use_the_callers_errstate(toy_net, workers, count):
+    workers(count)
     big = copy.deepcopy(toy_net)
     for layer in big.layers:
         if layer.weight is not None:
@@ -344,6 +344,11 @@ def test_pooled_blocks_use_the_callers_errstate(toy_net, workers):
             forward_with_taps(big, x)
     with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
         forward_with_taps(big, x)
+
+
+def test_worker_pool_is_made_once_per_size():
+    assert network._worker_pool(2) is network._worker_pool(2)
+    assert network._worker_pool(3) is not network._worker_pool(2)
 
 
 def _forward_in_child(net, x, conn):
@@ -458,7 +463,7 @@ def batch_step_loop(net, xb, yb):
     inputs, x = [], xb
     for layer in net.layers[:-1]:
         inputs.append(x)
-        x = _apply_layer(layer, x)
+        x = network._FORWARD[layer.kind](layer, x)
     logits = x.astype(np.float64)
     n = logits.shape[0]
     m = logits.max(axis=1, keepdims=True)
