@@ -40,6 +40,11 @@ The trainer is plain seeded SGD with cross-entropy, no momentum. The
 classifier is a fixture for the detection pipeline, not a contribution in
 itself, so the trainer stays minimal but fully deterministic: the same
 seed produces bit-identical weights under the same BLAS thread count.
+Within a step, the per-image conv work (convs, pools, Relus and their
+backward passes, up to the flatten) runs on the same pool in contiguous
+row parts, one per worker, while the calling thread runs the dense head,
+the loss and every sum over the batch axis on the whole batch, so the
+weights do not depend on the worker count (see ``_batch_loss_and_grad``).
 
 Network file format (magic "XNET", version 1):
 
@@ -312,23 +317,10 @@ def forward_with_taps(
         def tap_map(index: int, rows: slice, tap: np.ndarray) -> None:
             taps[index][rows] = tap
 
-    errors = np.geterr()
+    def run(rows: slice) -> None:
+        probabilities[rows] = _forward_block(net, batch[rows], rows, tap_map)
 
-    def run(start: int) -> None:
-        rows = slice(start, start + DEFAULT_BATCH)
-        with np.errstate(**errors):
-            probabilities[rows] = _forward_block(net, batch[rows], rows, tap_map)
-
-    starts = range(0, n, DEFAULT_BATCH)
-    if _WORKERS > 1:
-        pool = _worker_pool(_WORKERS)
-        blocks = [pool.submit(run, start) for start in starts]
-        wait(blocks)
-        for block in blocks:
-            block.result()
-    else:
-        for start in starts:
-            run(start)
+    _run_parts(run, [slice(i, i + DEFAULT_BATCH) for i in range(0, n, DEFAULT_BATCH)])
     return ForwardResult(probabilities.argmax(axis=1), probabilities, taps)
 
 
@@ -345,6 +337,27 @@ def _forward_block(
             tap_map(tap, rows, x)
         x = _FORWARD[layer.kind](layer, x)
     return x
+
+
+def _run_parts(run: Callable, parts: list) -> list:
+    """``[run(part) for part in parts]`` under the caller's ``np.geterr()``:
+    on the pinned worker pool when BLAS was limited to one thread at load
+    and there is more than one part, else one after another on the calling
+    thread. Every part has finished when this returns, and an exception
+    raised by a part reaches the caller as itself (the first part's, in
+    order, if several fail)."""
+    errors = np.geterr()
+
+    def run_part(part):
+        with np.errstate(**errors):
+            return run(part)
+
+    if _WORKERS == 1 or len(parts) == 1:
+        return [run_part(part) for part in parts]
+    pool = _worker_pool(_WORKERS)
+    futures = [pool.submit(run_part, part) for part in parts]
+    wait(futures)
+    return [future.result() for future in futures]
 
 
 @functools.cache
@@ -452,26 +465,37 @@ def _batch_loss_and_grad(
     stack's own order. The backward pass reuses each conv layer's forward
     im2col buffer and each pool layer's output, and computes no gradient
     for the images.
+
+    The steps before the first dense layer work on each image alone, so
+    the batch's rows are split into ``min(_WORKERS, n)`` contiguous parts
+    that run those steps, forward and then backward, through
+    ``_run_parts``: on the pinned worker pool when BLAS was limited to one
+    thread at load, else as one part on the calling thread. The caller
+    runs the dense head, the loss and the head's backward on the whole
+    batch, since a dense GEMM split by rows would sum in another order.
+    Each part writes its rows of every conv layer's per-image kernel
+    products and output gradient into whole-batch arrays, and the caller
+    takes each sum over the batch axis once (``conv2d_batch_sums``). Each
+    image's conv GEMMs are their own BLAS calls, and pools and Relus work
+    per image or per value, so the gradients are bit for bit the same for
+    any number of parts; as in inference, they depend on the BLAS thread
+    count.
     """
     steps = [layer for layer, _ in net.run_order[:-1]]  # stop before the softmax
-    acts = [xb]  # acts[s] is step s's input, acts[s + 1] its output
-    columns = {}
-    for s, layer in enumerate(steps):
-        x = acts[s]
-        if layer.kind is LayerKind.CONV2D:
-            kh, kw = layer.weight.shape[2:]
-            columns[s] = ops.conv2d_columns(
-                x, kh, kw, layer.stride, layer.padding
-            )
-            x = ops.conv2d(
-                x, layer.weight, layer.bias, layer.stride, layer.padding,
-                cols=columns[s],
-            )
-        else:
-            x = _FORWARD[layer.kind](layer, x)
-        acts.append(x)
+    cut = next(
+        (s for s, layer in enumerate(steps) if layer.kind is LayerKind.DENSE),
+        len(steps),
+    )
+    prefix, head = steps[:cut], steps[cut:]
+    n = xb.shape[0]
+    k = min(_WORKERS, n)
+    parts = [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
+    saved = _run_parts(lambda rows: _forward_steps(prefix, xb[rows]), parts)
+    outputs = [part_acts[-1] for part_acts, _ in saved]
+    acts, columns = _forward_steps(
+        head, outputs[0] if k == 1 else np.concatenate(outputs)
+    )
     logits = acts.pop().astype(np.float64)
-    n = logits.shape[0]
     # mean cross-entropy via logsumexp; never produces NaN on finite logits
     m = logits.max(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
@@ -481,6 +505,64 @@ def _batch_loss_and_grad(
     grad[np.arange(n), yb] -= 1.0
     grad = (grad / n).astype(np.float32)
 
+    grad, updates = _backward_steps(head, acts, columns, grad)
+    # Several parts write their rows of each conv layer's batch terms, last
+    # layer first, into whole-batch arrays; a single part's are the whole.
+    first = saved[0][0]
+    whole = [] if k == 1 else [
+        (layer, np.empty((n, *layer.weight.shape), np.float32),
+         np.empty((n, *first[s + 1].shape[1:]), np.float32))
+        for s, layer in reversed(list(enumerate(prefix)))
+        if layer.kind is LayerKind.CONV2D
+    ]
+
+    def back(part: tuple) -> list:
+        rows, (part_acts, part_columns) = part
+        terms = _backward_steps(prefix, part_acts, part_columns, grad[rows])[1]
+        for (_, products, grad_out), (_, all_products, all_grad_out) in zip(
+            terms, whole
+        ):
+            all_products[rows] = products
+            all_grad_out[rows] = grad_out
+        return terms
+
+    terms = _run_parts(back, list(zip(parts, saved)))
+    for layer, products, grad_out in whole or terms[0]:
+        updates.append((layer, *ops.conv2d_batch_sums(products, grad_out)))
+    return loss, updates
+
+
+def _forward_steps(
+    steps: list[LayerSpec], x: np.ndarray
+) -> tuple[list[np.ndarray], dict[int, np.ndarray]]:
+    """Run ``steps`` on ``x``. Returns every step's input followed by the
+    last step's output, and each conv step's im2col buffer by step index."""
+    acts, columns = [x], {}
+    for s, layer in enumerate(steps):
+        if layer.kind is LayerKind.CONV2D:
+            kh, kw = layer.weight.shape[2:]
+            columns[s] = ops.conv2d_columns(x, kh, kw, layer.stride, layer.padding)
+            x = ops.conv2d(
+                x, layer.weight, layer.bias, layer.stride, layer.padding,
+                cols=columns[s],
+            )
+        else:
+            x = _FORWARD[layer.kind](layer, x)
+        acts.append(x)
+    return acts, columns
+
+
+def _backward_steps(
+    steps: list[LayerSpec],
+    acts: list[np.ndarray],
+    columns: dict[int, np.ndarray],
+    grad: np.ndarray,
+) -> tuple[np.ndarray | None, list]:
+    """Walk ``_forward_steps``'s run back from ``grad``, the gradient at its
+    output. Returns the gradient at its input, None when ``steps[0]`` is a
+    conv (its input is the images), and one (layer, weight term, bias term)
+    per weighted step, last step first: a dense layer's gradients, and a
+    conv layer's ``conv2d_backward(..., batch_sums=False)`` terms."""
     updates = []
     for s in reversed(range(len(steps))):
         layer, x_in = steps[s], acts[s]
@@ -499,12 +581,12 @@ def _batch_loss_and_grad(
         elif kind is LayerKind.CONV2D:
             grad, gw, gb = ops.conv2d_backward(
                 x_in, layer.weight, grad, layer.padding,
-                cols=columns[s], input_grad=s > 0,
+                cols=columns[s], input_grad=s > 0, batch_sums=False,
             )
             updates.append((layer, gw, gb))
         else:
             raise ContractError(f"no backward pass for layer kind {kind}")
-    return loss, updates
+    return grad, updates
 
 
 def train_reference_cnn(
@@ -512,8 +594,10 @@ def train_reference_cnn(
 ) -> Network:
     """Train the reference CNN with plain SGD and cross-entropy.
 
-    ``epochs == 0`` returns the seeded initialization unchanged. A
-    non-finite epoch loss raises TrainingDivergedError naming the epoch.
+    A batch size below 1 or a learning rate not finite and > 0 raises
+    ContractError, also with ``epochs == 0``, which returns the seeded
+    initialization unchanged. A non-finite epoch loss raises
+    TrainingDivergedError naming the epoch.
     """
     ds = Dataset(images, labels)
     images, labels = ds.images, ds.labels
@@ -523,12 +607,12 @@ def train_reference_cnn(
     if num_classes < 2:
         raise ContractError("training data must contain at least 2 classes")
 
-    net = build_reference_cnn(images.shape[1:], num_classes, config.seed)
-    if config.epochs == 0:
-        return net
     rate = config.learning_rate
     if config.batch_size < 1 or not (math.isfinite(rate) and rate > 0):
         raise ContractError("batch size must be >= 1 and learning rate finite and > 0")
+    net = build_reference_cnn(images.shape[1:], num_classes, config.seed)
+    if config.epochs == 0:
+        return net
 
     shuffle = Stream(derive_seed(config.seed, "epoch-shuffle"))
     n = images.shape[0]

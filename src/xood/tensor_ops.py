@@ -15,6 +15,9 @@ once: ``conv2d`` and ``conv2d_backward`` accept the im2col buffer built by
 ``conv2d_columns`` (``cols=``), ``conv2d_backward(..., input_grad=False)``
 skips the input gradient (the layer that reads the images needs none), and
 ``maxpool2d_backward`` accepts the pooled forward output (``pooled=``).
+``conv2d_backward(..., batch_sums=False)`` leaves the kernel and bias
+gradients' sums over the batch to ``conv2d_batch_sums``, so a batch's rows
+can be differentiated in parts and summed once.
 Each reuse is an exact copy of what the kernel would otherwise compute, so
 results are bit-identical with or without it.
 
@@ -187,32 +190,50 @@ def conv2d_backward(
     *,
     cols: np.ndarray | None = None,
     input_grad: bool = True,
+    batch_sums: bool = True,
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Gradients of a stride-1 conv2d w.r.t. input, kernel, and bias.
 
     ``cols``, if given, is the forward pass's
     ``conv2d_columns(x, kh, kw, 1, padding)``. With ``input_grad=False``
-    the input gradient is not computed and comes back as None.
+    the input gradient is not computed and comes back as None. With
+    ``batch_sums=False`` the kernel and bias gradients come back as the
+    terms they sum over the batch: the (N, F, C, kh, kw) per-image kernel
+    products and ``grad_out`` itself. ``conv2d_batch_sums`` of those terms
+    is the two gradients bit for bit, also when their rows were computed
+    in separate calls, since each image's product is its own GEMM.
     """
     x = _as_f32("input", x, 4)
     kernel = _as_f32("kernel", kernel, 4)
     grad_out = _as_f32("grad_out", grad_out, 4)
     f, c, kh, kw = kernel.shape
     n, _, ho, wo = grad_out.shape
-    grad_bias = grad_out.sum(axis=(0, 2, 3))
     cols = _columns(cols, x, kh, kw, 1, padding, ho, wo)
-    # (n, f, ho*wo) @ (n, ho*wo, c*kh*kw), summed over n -> (f, c, kh, kw)
-    grad_kernel = np.matmul(
+    # (n, f, ho*wo) @ (n, ho*wo, c*kh*kw) -> (n, f, c, kh, kw)
+    products = np.matmul(
         grad_out.reshape(n, f, ho * wo), cols.transpose(0, 2, 1)
-    ).sum(axis=0).reshape(f, c, kh, kw)
-    if not input_grad:
-        return None, grad_kernel, grad_bias
-    # full correlation of grad_out with the flipped, channel-swapped kernel
-    flipped = kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-    grad_xp = conv2d(grad_out, flipped, np.zeros(c, np.float32), padding=kh - 1)
-    h, w = x.shape[2], x.shape[3]
-    grad_x = grad_xp[:, :, padding : padding + h, padding : padding + w]
-    return np.ascontiguousarray(grad_x), grad_kernel, grad_bias
+    ).reshape(n, f, c, kh, kw)
+    grad_x = None
+    if input_grad:
+        # full correlation of grad_out with the flipped, channel-swapped kernel
+        flipped = kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        grad_xp = conv2d(grad_out, flipped, np.zeros(c, np.float32), padding=kh - 1)
+        h, w = x.shape[2], x.shape[3]
+        grad_x = np.ascontiguousarray(
+            grad_xp[:, :, padding : padding + h, padding : padding + w]
+        )
+    if not batch_sums:
+        return grad_x, products, grad_out
+    return (grad_x, *conv2d_batch_sums(products, grad_out))
+
+
+def conv2d_batch_sums(
+    products: np.ndarray, grad_out: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel and bias gradients from ``conv2d_backward``'s
+    ``batch_sums=False`` terms, each summed over the whole batch in one
+    call."""
+    return products.sum(axis=0), grad_out.sum(axis=(0, 2, 3))
 
 
 def dense(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:

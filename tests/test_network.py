@@ -16,7 +16,12 @@ import pytest
 
 from xood import network, tensor_ops
 from xood.datasets import make_blobs
-from xood.errors import ContractError, DimensionError, FormatError
+from xood.errors import (
+    ContractError,
+    DimensionError,
+    FormatError,
+    TrainingDivergedError,
+)
 from xood.network import (
     LayerKind,
     LayerSpec,
@@ -139,8 +144,9 @@ def test_forward_batch_invariance(toy_net):
 
 @pytest.fixture
 def workers(monkeypatch):
-    """Sets the forward pass's worker count whatever the BLAS setting: 1
-    runs a batch's blocks one after another, more on the worker pool."""
+    """Sets the worker count whatever the BLAS setting: 1 runs a batch's
+    blocks one after another and a training step's conv work as one part,
+    more on the worker pool."""
     return lambda count: monkeypatch.setattr(network, "_WORKERS", count)
 
 
@@ -292,20 +298,24 @@ def test_pooled_blocks_run_the_stack_order_loop_on_worker_threads(
 
 
 def test_concurrent_callers_on_more_workers_than_cpus(toy_net, workers):
-    # blocks of several calls interleave on one pool; each call's rows must
-    # still hold exactly its own blocks' outputs
+    # blocks and training-step parts of several calls interleave on one
+    # pool; each call's rows must still hold exactly its own parts' outputs
     batches = [
         Stream(40 + i).normal(n * 64).astype(np.float32).reshape(n, 1, 8, 8)
         for i, n in enumerate((65, 130, 300, 200))
     ]
+    labels = [np.arange(x.shape[0]) % 3 for x in batches]
     workers(1)
     want = [forward_with_taps(toy_net, x) for x in batches]
+    want_steps = [_batch_loss_and_grad(toy_net, x, y) for x, y in zip(batches, labels)]
     workers(CPUS + 2)
     got = [None] * len(batches)
+    got_steps = [None] * len(batches)
 
     def call(i):
         for _ in range(5):
             got[i] = forward_with_taps(toy_net, batches[i])
+            got_steps[i] = _batch_loss_and_grad(toy_net, batches[i], labels[i])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -322,6 +332,13 @@ def test_concurrent_callers_on_more_workers_than_cpus(toy_net, workers):
         assert_bitwise(result.probabilities, expected.probabilities)
         for tap, want_tap in zip(result.taps, expected.taps, strict=True):
             assert_bitwise(tap, want_tap)
+    for (loss, updates), (want_loss, want_updates) in zip(got_steps, want_steps):
+        assert loss == want_loss
+        for (_, gw, gb), (_, want_gw, want_gb) in zip(
+            updates, want_updates, strict=True
+        ):
+            assert_bitwise(gw, want_gw)
+            assert_bitwise(gb, want_gb)
 
 
 @pytest.mark.parametrize("count", [1, 2])
@@ -491,60 +508,73 @@ def batch_step_loop(net, xb, yb):
     return loss, updates
 
 
-def test_training_step_is_bitwise_the_default_kernels():
+def test_training_step_is_bitwise_the_default_kernels(workers):
+    """On one part or on the pool, with more workers than CPUs or rows."""
     ds = make_blobs(24, 3, 8, seed=6)
     net = build_reference_cnn((1, 8, 8), 3, seed=7)
-    loss, updates = _batch_loss_and_grad(net, ds.images, ds.labels)
-    want_loss, want = batch_step_loop(net, ds.images, ds.labels)
-    assert loss == want_loss
-    assert len(updates) == len(want) == 4
-    for (layer, gw, gb), (want_layer, want_gw, want_gb) in zip(updates, want):
-        assert layer is want_layer
-        for got, expected in ((gw, want_gw), (gb, want_gb)):
-            assert got.dtype == expected.dtype == np.float32
-            np.testing.assert_array_equal(
-                got.view(np.uint32), expected.view(np.uint32)
-            )
+    for count in (1, 2, 3):
+        workers(count)
+        for n in (24, 2, 1):
+            images, labels = ds.images[:n], ds.labels[:n]
+            loss, updates = _batch_loss_and_grad(net, images, labels)
+            want_loss, want = batch_step_loop(net, images, labels)
+            assert loss == want_loss, (count, n)
+            assert len(updates) == len(want) == 4
+            for (layer, gw, gb), (want_layer, want_gw, want_gb) in zip(
+                updates, want
+            ):
+                assert layer is want_layer
+                assert_bitwise(gw, want_gw)
+                assert_bitwise(gb, want_gb)
 
 
-def test_training_is_bitwise_sgd_over_the_stack_order_step(monkeypatch):
+def test_training_is_bitwise_sgd_over_the_stack_order_step(monkeypatch, workers):
     """Two epochs of train_reference_cnn write the .xnet bytes of the same
-    SGD driven by batch_step_loop, which runs each Relu before its pool.
-    Blank image rows give conv outputs whose windows tie, some at or
-    below zero, so the pool backward's tie pass runs too."""
-    ds = make_blobs(60, 3, 8, seed=2)
-    ds.images[::3, :, :4] = 0.0
-    ds.images[1::3, :, :, 2:] = -0.0
-    cfg = TrainConfig(epochs=2, batch_size=16, seed=4)
+    SGD driven by batch_step_loop, which runs each Relu before its pool,
+    on one part or on 2 or 3 workers, with a trailing batch of 12 or of 1
+    image, or batches of 1. Blank image rows give conv outputs whose
+    windows tie, some at or below zero, so the pool backward's tie pass
+    runs too."""
     ties = []
     keep_first_hits = tensor_ops._keep_first_hits
     monkeypatch.setattr(
         tensor_ops, "_keep_first_hits",
         lambda hit: ties.append(hit.shape) or keep_first_hits(hit),
     )
-    net = train_reference_cnn(ds.images, ds.labels, cfg)
-    assert ties
-    want = build_reference_cnn((1, 8, 8), 3, cfg.seed)
-    shuffle = Stream(derive_seed(cfg.seed, "epoch-shuffle"))
-    lr = np.float32(cfg.learning_rate)
-    for _ in range(cfg.epochs):
-        order = shuffle.permutation(60)
-        for start in range(0, 60, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            _, updates = batch_step_loop(want, ds.images[idx], ds.labels[idx])
-            for layer, gw, gb in updates:
-                layer.weight -= lr * gw
-                layer.bias -= lr * gb
-    assert _encode_network(net) == _encode_network(want)
+    for images, batch_size in ((60, 16), (49, 16), (10, 1)):
+        ds = make_blobs(images, 3, 8, seed=2)
+        ds.images[::3, :, :4] = 0.0
+        ds.images[1::3, :, :, 2:] = -0.0
+        cfg = TrainConfig(epochs=2, batch_size=batch_size, seed=4)
+        want = build_reference_cnn((1, 8, 8), 3, cfg.seed)
+        shuffle = Stream(derive_seed(cfg.seed, "epoch-shuffle"))
+        lr = np.float32(cfg.learning_rate)
+        for _ in range(cfg.epochs):
+            order = shuffle.permutation(images)
+            for start in range(0, images, cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                _, updates = batch_step_loop(want, ds.images[idx], ds.labels[idx])
+                for layer, gw, gb in updates:
+                    layer.weight -= lr * gw
+                    layer.bias -= lr * gb
+        for count in (1, 2, 3):
+            workers(count)
+            ties.clear()
+            net = train_reference_cnn(ds.images, ds.labels, cfg)
+            assert ties, (images, batch_size, count)
+            assert _encode_network(net) == _encode_network(want), (
+                images, batch_size, count
+            )
 
 
-def test_training_step_does_each_piece_of_work_once(monkeypatch):
-    """The forward pass convolves and pools each layer once; backward
-    re-pools nothing and computes no gradient for the images, so the only
-    conv2d inside conv2d_backward is the second conv's input gradient.
-    Each Relu that feeds a pool runs, and is differentiated, on the pooled
-    values."""
-    calls = {"conv2d": 0, "conv2d in backward": 0, "maxpool2d": 0}
+def test_training_step_does_each_piece_of_work_once(monkeypatch, workers):
+    """The forward pass convolves and pools each layer once per part of the
+    batch; backward re-pools nothing and computes no gradient for the
+    images, so the only conv2d inside conv2d_backward is the second conv's
+    input gradient. Each Relu that feeds a pool runs, and is
+    differentiated, on the pooled values of its part; the dense head runs
+    once on the whole batch."""
+    calls = defaultdict(int)
     in_backward = []
     conv, conv_backward, pool = (
         tensor_ops.conv2d, tensor_ops.conv2d_backward, tensor_ops.maxpool2d
@@ -581,11 +611,123 @@ def test_training_step_does_each_piece_of_work_once(monkeypatch):
         lambda x, g: relu_backward_shapes.append((x.shape, g.shape))
         or relu_backward(x, g),
     )
-    _batch_loss_and_grad(net, ds.images, ds.labels)
-    assert calls == {"conv2d": 2, "conv2d in backward": 1, "maxpool2d": 2}
-    pooled = [(12, 8, 4, 4), (12, 16, 2, 2), (12, 64)]
-    assert relu_shapes == pooled
-    assert relu_backward_shapes == [(shape, shape) for shape in reversed(pooled)]
+    for parts in (1, 2):
+        workers(parts)
+        calls.clear()
+        relu_shapes.clear()
+        relu_backward_shapes.clear()
+        _batch_loss_and_grad(net, ds.images, ds.labels)
+        assert calls == {
+            "conv2d": 2 * parts, "conv2d in backward": parts, "maxpool2d": 2 * parts
+        }
+        rows = 12 // parts
+        pooled = [(rows, 8, 4, 4), (rows, 16, 2, 2)] * parts + [(12, 64)]
+        # parts run concurrently, so their calls interleave in any order
+        assert sorted(relu_shapes) == sorted(pooled)
+        assert sorted(relu_backward_shapes) == sorted((x, x) for x in pooled)
+        if parts == 1:
+            assert relu_shapes == pooled
+            assert relu_backward_shapes == [(x, x) for x in reversed(pooled)]
+
+
+@pytest.mark.parametrize("kernel", ["conv2d_columns", "conv2d_backward"])
+def test_pooled_step_raises_a_parts_own_exception(monkeypatch, workers, kernel):
+    """With 2 workers, an exception raised in the second part's forward or
+    backward conv work reaches the caller as itself; when both parts
+    fail, the first part's does."""
+    workers(2)
+    ds = make_blobs(8, 3, 8, seed=6)
+    net = build_reference_cnn((1, 8, 8), 3, seed=7)
+    # each part's first image carries a mark: rows 0-3 and 4-7
+    ds.images[0, 0, 0, 0], ds.images[4, 0, 0, 0] = 0.25, 0.75
+    failures = {}
+    original = getattr(tensor_ops, kernel)
+
+    def failing(x, *args, **kwargs):
+        error = failures.get(float(x[0, 0, 0, 0])) if x.shape[1] == 1 else None
+        if error is not None:
+            raise error
+        return original(x, *args, **kwargs)
+
+    monkeypatch.setattr(tensor_ops, kernel, failing)
+    for mark, name in ((0.75, "second"), (0.25, "first")):
+        failures[mark] = error = RuntimeError(f"{name} part")
+        with pytest.raises(RuntimeError) as caught:
+            _batch_loss_and_grad(net, ds.images, ds.labels)
+        assert caught.value is error
+
+
+def _with_big_weights(net):
+    for layer in net.layers:
+        if layer.weight is not None:
+            layer.weight[...] = 1e20
+    return net
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_training_step_uses_the_callers_errstate(monkeypatch, workers, count):
+    """1e20 weights overflow in the second conv, which runs in the parts."""
+    workers(count)
+    big = _with_big_weights(build_reference_cnn((1, 8, 8), 3, seed=7))
+    x = np.ones((8, 1, 8, 8), np.float32)
+    y = np.arange(8) % 3
+    # under the suite's warnings-as-errors, a part that ignored the
+    # caller's errstate would raise a RuntimeWarning here
+    with np.errstate(all="ignore"):
+        loss, _ = _batch_loss_and_grad(big, x, y)
+    assert not np.isfinite(loss)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        _batch_loss_and_grad(big, x, y)
+    build = network.build_reference_cnn
+    monkeypatch.setattr(
+        network, "build_reference_cnn", lambda *args: _with_big_weights(build(*args))
+    )
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        train_reference_cnn(x, y, TrainConfig(epochs=1, batch_size=8))
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_diverging_training_names_its_epoch(workers, count):
+    workers(count)
+    ds = make_blobs(40, 3, 8, seed=1)
+    cfg = TrainConfig(epochs=3, learning_rate=1e30, batch_size=8, seed=2)
+    with np.errstate(all="ignore"), pytest.raises(
+        TrainingDivergedError, match="epoch 0"
+    ) as caught:
+        train_reference_cnn(ds.images, ds.labels, cfg)
+    assert caught.value.epoch == 0
+
+
+def _train_in_child(images, labels, cfg, conn):
+    conn.send(_encode_network(train_reference_cnn(images, labels, cfg)))
+
+
+# a fork of a process whose pool threads are running is the point here
+@pytest.mark.filterwarnings("ignore:.*multi-threaded.*fork:DeprecationWarning")
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork"
+)
+def test_forked_child_trains_bitwise_as_its_parent(workers):
+    workers(2)
+    ds = make_blobs(40, 3, 8, seed=3)
+    cfg = TrainConfig(epochs=2, batch_size=16, seed=5)
+    # the parent's pool now has threads
+    parent = _encode_network(train_reference_cnn(ds.images, ds.labels, cfg))
+    context = multiprocessing.get_context("fork")
+    receive, send = context.Pipe(duplex=False)
+    child = context.Process(
+        target=_train_in_child, args=(ds.images, ds.labels, cfg, send)
+    )
+    child.start()
+    try:
+        assert receive.poll(60), "the forked child's training hung"
+        got = receive.recv()
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+    assert child.exitcode == 0
+    assert got == parent
 
 
 def accuracy_loop(net, images, labels, batch_size):
@@ -616,9 +758,14 @@ def test_training_input_validation():
         train_reference_cnn(ds.images + 10.0, ds.labels, cfg)
     with pytest.raises(ContractError, match="2 classes"):
         train_reference_cnn(ds.images, np.zeros(30, np.int64), cfg)
-    for rate in (0.0, -0.1, np.nan, np.inf):
-        with pytest.raises(ContractError, match="learning rate"):
-            train_reference_cnn(ds.images, ds.labels, TrainConfig(learning_rate=rate))
+    for epochs in (1, 0):
+        for rate in (0.0, -0.1, np.nan, np.inf):
+            with pytest.raises(ContractError, match="learning rate"):
+                train_reference_cnn(
+                    ds.images, ds.labels, TrainConfig(epochs, learning_rate=rate)
+                )
+        with pytest.raises(ContractError, match="batch size"):
+            train_reference_cnn(ds.images, ds.labels, TrainConfig(epochs, batch_size=0))
 
 
 def test_class_count_inferred_from_labels():

@@ -11,6 +11,7 @@ from xood.tensor_ops import (
     _pad,
     conv2d,
     conv2d_backward,
+    conv2d_batch_sums,
     conv2d_columns,
     dense,
     dense_backward,
@@ -256,6 +257,31 @@ def test_conv2d_reuse_of_columns_is_bitwise():
         conv2d(x, k, b, 1, cols=cols)
     with pytest.raises(DimensionError, match="bad stride"):
         conv2d_columns(x, 2, 2, stride=0)
+
+
+def test_conv2d_batch_sums_over_row_parts_are_bitwise():
+    """The kernel and bias gradients are conv2d_batch_sums of the
+    batch_sums=False terms, also when each part of the rows was
+    differentiated in its own call."""
+    s = Stream(225)
+    for shape, kshape in REFERENCE_CONV_SHAPES:
+        shape = (5, *shape[1:])
+        x, k = rand(s, *shape), rand(s, *kshape) * 0.3
+        grad = rand(s, shape[0], kshape[0], *shape[2:])
+        want = conv2d_backward(x, k, grad, 1)
+        grad_x, products, grad_out = conv2d_backward(x, k, grad, 1, batch_sums=False)
+        assert_bitwise(grad_x, want[0])
+        assert products.shape == (shape[0], *kshape)
+        assert_bitwise(grad_out, grad)
+        for cut in (1, 2, 4):
+            parts = [
+                conv2d_backward(x[rows], k, grad[rows], 1, batch_sums=False)
+                for rows in (slice(0, cut), slice(cut, None))
+            ]
+            joined = [np.concatenate([part[i] for part in parts]) for i in range(3)]
+            assert_bitwise(joined[0], want[0])
+            for got, expected in zip(conv2d_batch_sums(*joined[1:]), want[1:]):
+                assert_bitwise(got, expected)
 
 
 def test_pad_is_bitwise_np_pad():
