@@ -473,12 +473,15 @@ def _batch_loss_and_grad(
     thread at load, else as one part on the calling thread. The caller
     runs the dense head, the loss and the head's backward on the whole
     batch, since a dense GEMM split by rows would sum in another order.
-    Each part writes its rows of every conv layer's per-image kernel
-    products and output gradient into whole-batch arrays, and the caller
-    takes each sum over the batch axis once (``conv2d_batch_sums``). Each
-    image's conv GEMMs are their own BLAS calls, and pools and Relus work
-    per image or per value, so the gradients are bit for bit the same for
-    any number of parts; as in inference, they depend on the BLAS thread
+    Each part writes its rows of every conv layer's
+    ``conv2d_backward(..., batch_sums=False)`` terms into whole-batch
+    arrays: the per-image kernel products and the (N, F) bias terms, each
+    image's output gradient summed over its positions, so no part copies a
+    whole output gradient. The caller takes each sum over the batch axis
+    once (``conv2d_batch_sums``). Each image's conv GEMMs are their own
+    BLAS calls, its bias terms its own sums, and pools and Relus work per
+    image or per value, so the gradients are bit for bit the same for any
+    number of parts; as in inference, they depend on the BLAS thread
     count.
     """
     steps = [layer for layer, _ in net.run_order[:-1]]  # stop before the softmax
@@ -508,27 +511,26 @@ def _batch_loss_and_grad(
     grad, updates = _backward_steps(head, acts, columns, grad)
     # Several parts write their rows of each conv layer's batch terms, last
     # layer first, into whole-batch arrays; a single part's are the whole.
-    first = saved[0][0]
     whole = [] if k == 1 else [
         (layer, np.empty((n, *layer.weight.shape), np.float32),
-         np.empty((n, *first[s + 1].shape[1:]), np.float32))
-        for s, layer in reversed(list(enumerate(prefix)))
+         np.empty((n, layer.weight.shape[0]), np.float32))
+        for layer in reversed(prefix)
         if layer.kind is LayerKind.CONV2D
     ]
 
     def back(part: tuple) -> list:
         rows, (part_acts, part_columns) = part
         terms = _backward_steps(prefix, part_acts, part_columns, grad[rows])[1]
-        for (_, products, grad_out), (_, all_products, all_grad_out) in zip(
+        for (_, products, bias_terms), (_, all_products, all_bias_terms) in zip(
             terms, whole
         ):
             all_products[rows] = products
-            all_grad_out[rows] = grad_out
+            all_bias_terms[rows] = bias_terms
         return terms
 
     terms = _run_parts(back, list(zip(parts, saved)))
-    for layer, products, grad_out in whole or terms[0]:
-        updates.append((layer, *ops.conv2d_batch_sums(products, grad_out)))
+    for layer, products, bias_terms in whole or terms[0]:
+        updates.append((layer, *ops.conv2d_batch_sums(products, bias_terms)))
     return loss, updates
 
 

@@ -15,11 +15,16 @@ once: ``conv2d`` and ``conv2d_backward`` accept the im2col buffer built by
 ``conv2d_columns`` (``cols=``), ``conv2d_backward(..., input_grad=False)``
 skips the input gradient (the layer that reads the images needs none), and
 ``maxpool2d_backward`` accepts the pooled forward output (``pooled=``).
-``conv2d_backward(..., batch_sums=False)`` leaves the kernel and bias
-gradients' sums over the batch to ``conv2d_batch_sums``, so a batch's rows
-can be differentiated in parts and summed once.
 Each reuse is an exact copy of what the kernel would otherwise compute, so
 results are bit-identical with or without it.
+``conv2d_backward(..., batch_sums=False)`` returns, in place of the kernel
+and bias gradients, the terms they sum over the batch: each image's kernel
+product (N, F, C, kh, kw) and its bias term, its output gradient summed
+over its positions (N, F). ``conv2d_batch_sums`` sums both over axis 0, so
+a batch's rows can be differentiated in parts and summed once, bit for bit
+the gradients of one call; the bias sum is also bit for bit
+``grad_out.sum(axis=(0, 2, 3))`` on the reference CNN's shapes with numpy
+2.4, a fact of numpy's reduction order that the tests pin.
 
 The spatial kernels work on whole strided views, never per window.
 Pooling is a separable fold: ``np.maximum`` over the strided column views
@@ -39,11 +44,22 @@ and copy only).
 Convolution makes its (N, C*kh*kw, Ho*Wo) im2col buffer with one copy of a
 (N, C, kh, kw, Ho, Wo) window view of the padded input, then does one
 batched matmul per call, whose output is already NCHW; the kernel gradient
-is a batched product with the same buffer. The GEMM reorders the float32
-sums: against the earlier sliding-window tensordot kernel, with numpy's
-OpenBLAS 0.3 on x86-64, the 1-channel reference layer came out
-bit-identical and the 8-channel one within ~2e-7 relative. The float64
-loop oracle in the tests bounds the error at rtol 1e-5.
+is a batched product with the same buffer. At stride 1 the Wo cells of a
+window row are adjacent in the input, so the view holds each row as one
+Wo-value ``np.void`` segment and the copy moves whole rows (at 32 and 64
+images about 15-20% faster than cell by cell for the reference CNN's
+1-channel layer and 38% for its 8-channel one); a strided view copies
+cell by cell. Both are pure copies, bit for bit the per-offset im2col. The
+input gradient correlates ``grad_out`` with the flipped, channel-swapped
+kernel at padding ``k - 1 - padding`` per axis, which gives exactly the
+input's extent (``grad_out`` is cropped instead where padding > k - 1).
+The GEMMs reorder the float32 sums: against the earlier sliding-window
+tensordot kernel, with numpy's OpenBLAS 0.3 on x86-64, the 1-channel
+reference layer came out bit-identical and the 8-channel one within
+~2e-7 relative. The input gradient in this form differs from the one
+computed at padding k - 1 and then cropped on about 1% of its values, by
+at most 3.5e-7 of its largest magnitude on the reference layers. The
+float64 loop oracles in the tests bound the error at rtol 1e-5.
 """
 
 from __future__ import annotations
@@ -86,29 +102,47 @@ def _im2col(
     """(N,C,H,W) -> (N, C*kh*kw, ho*wo), rows ordered like kernel.reshape(F, -1).
 
     Element [n, c, dy, dx, i, j] of the window view is the (dy, dx) cell of
-    output (i, j)'s window; copying it is the only pass over the data.
+    output (i, j)'s window; copying it is the only pass over the data. At
+    stride 1 the wo cells of a window row are adjacent in x, so the view
+    holds each row as one wo-value segment and the copy moves whole rows.
     """
     x = np.ascontiguousarray(x)
     n, c = x.shape[:2]
     sn, sc, sh, sw = x.strides
+    # numpy's void type holds under 2**31 bytes; longer rows go by cells
+    if stride == 1 and x.itemsize * wo < 2**31:
+        cells, segments = np.dtype(f"V{x.itemsize * wo}"), 1
+    else:
+        cells, segments = x.dtype, wo
     # a plain ndarray over x's buffer: as_strided's Python overhead costs
     # about as much as the copy on a one-image batch
     windows = np.ndarray(
-        (n, c, kh, kw, ho, wo), np.float32, buffer=x,
+        (n, c, kh, kw, ho, segments), cells, buffer=x,
         strides=(sn, sc, sh, sw, sh * stride, sw * stride),
     )
-    return windows.copy().reshape(n, c * kh * kw, ho * wo)
+    return windows.copy().view(np.float32).reshape(n, c * kh * kw, ho * wo)
 
 
-def _pad(x: np.ndarray, padding: int) -> np.ndarray:
-    """Zero-pad the two spatial axes; bitwise ``np.pad``, at a fraction of
-    its per-call cost."""
-    if not padding:
+def _pad(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """Zero-pad the two spatial axes by ph rows and pw columns on each side;
+    bitwise ``np.pad``, at a fraction of its per-call cost."""
+    if not (ph or pw):
         return x
     n, c, h, w = x.shape
-    out = np.zeros((n, c, h + 2 * padding, w + 2 * padding), x.dtype)
-    out[:, :, padding : padding + h, padding : padding + w] = x
+    out = np.zeros((n, c, h + 2 * ph, w + 2 * pw), x.dtype)
+    out[:, :, ph : ph + h, pw : pw + w] = x
     return out
+
+
+def _expect_shape(name: str, x: np.ndarray, want: tuple[int, ...]) -> None:
+    """DimensionError naming the axes where ``x.shape`` differs from ``want``
+    (same rank)."""
+    if x.shape != want:
+        axes = [str(i) for i, (a, b) in enumerate(zip(x.shape, want)) if a != b]
+        raise DimensionError(
+            f"{name} has shape {x.shape}, expected {want} "
+            f"({'axis' if len(axes) == 1 else 'axes'} {', '.join(axes)})"
+        )
 
 
 def _conv_extents(
@@ -132,7 +166,7 @@ def conv2d_columns(
     once for both."""
     x = _as_f32("input", x, 4)
     ho, wo = _conv_extents(x, kh, kw, stride, padding)
-    return _im2col(_pad(x, padding), kh, kw, stride, ho, wo)
+    return _im2col(_pad(x, padding, padding), kh, kw, stride, ho, wo)
 
 
 def _columns(
@@ -142,12 +176,18 @@ def _columns(
     """The im2col buffer of ``x``: ``cols`` after a shape check, or built
     when ``cols`` is None."""
     if cols is None:
-        return _im2col(_pad(x, padding), kh, kw, stride, ho, wo)
+        return _im2col(_pad(x, padding, padding), kh, kw, stride, ho, wo)
     cols = _as_f32("cols", cols, 3)
-    want = (x.shape[0], x.shape[1] * kh * kw, ho * wo)
-    if cols.shape != want:
-        raise DimensionError(f"im2col buffer has shape {cols.shape}, expected {want}")
+    _expect_shape("im2col buffer", cols, (x.shape[0], x.shape[1] * kh * kw, ho * wo))
     return cols
+
+
+def _check_channels(kernel: np.ndarray, x: np.ndarray) -> None:
+    if kernel.shape[1] != x.shape[1]:
+        raise DimensionError(
+            f"kernel expects {kernel.shape[1]} input channels, input has "
+            f"{x.shape[1]} (axis 1)"
+        )
 
 
 def conv2d(
@@ -166,12 +206,9 @@ def conv2d(
     x = _as_f32("input", x, 4)
     kernel = _as_f32("kernel", kernel, 4)
     bias = _as_f32("bias", bias, 1)
-    n, c = x.shape[:2]
-    f, kc, kh, kw = kernel.shape
-    if kc != c:
-        raise DimensionError(
-            f"kernel expects {kc} input channels, input has {c} (axis 1)"
-        )
+    _check_channels(kernel, x)
+    n = x.shape[0]
+    f, _, kh, kw = kernel.shape
     if bias.shape[0] != f:
         raise DimensionError(f"bias has {bias.shape[0]} entries for {f} filters")
     ho, wo = _conv_extents(x, kh, kw, stride, padding)
@@ -194,20 +231,24 @@ def conv2d_backward(
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Gradients of a stride-1 conv2d w.r.t. input, kernel, and bias.
 
-    ``cols``, if given, is the forward pass's
-    ``conv2d_columns(x, kh, kw, 1, padding)``. With ``input_grad=False``
-    the input gradient is not computed and comes back as None. With
-    ``batch_sums=False`` the kernel and bias gradients come back as the
-    terms they sum over the batch: the (N, F, C, kh, kw) per-image kernel
-    products and ``grad_out`` itself. ``conv2d_batch_sums`` of those terms
-    is the two gradients bit for bit, also when their rows were computed
-    in separate calls, since each image's product is its own GEMM.
+    ``grad_out`` must have the conv output's shape. ``cols``, if given, is
+    the forward pass's ``conv2d_columns(x, kh, kw, 1, padding)``. With
+    ``input_grad=False`` the input gradient is not computed and comes back
+    as None. With ``batch_sums=False`` the kernel and bias gradients come
+    back as the terms they sum over the batch: the (N, F, C, kh, kw)
+    per-image kernel products and the (N, F) per-image bias terms
+    ``grad_out.sum(axis=(2, 3))``. ``conv2d_batch_sums`` of those terms is
+    the two gradients bit for bit, also when their rows were computed in
+    separate calls, since each image's terms depend on that image alone.
     """
     x = _as_f32("input", x, 4)
     kernel = _as_f32("kernel", kernel, 4)
     grad_out = _as_f32("grad_out", grad_out, 4)
-    f, c, kh, kw = kernel.shape
-    n, _, ho, wo = grad_out.shape
+    _check_channels(kernel, x)
+    n, c = x.shape[:2]
+    f, _, kh, kw = kernel.shape
+    ho, wo = _conv_extents(x, kh, kw, 1, padding)
+    _expect_shape("grad_out", grad_out, (n, f, ho, wo))
     cols = _columns(cols, x, kh, kw, 1, padding, ho, wo)
     # (n, f, ho*wo) @ (n, ho*wo, c*kh*kw) -> (n, f, c, kh, kw)
     products = np.matmul(
@@ -215,36 +256,48 @@ def conv2d_backward(
     ).reshape(n, f, c, kh, kw)
     grad_x = None
     if input_grad:
-        # full correlation of grad_out with the flipped, channel-swapped kernel
-        flipped = kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        grad_xp = conv2d(grad_out, flipped, np.zeros(c, np.float32), padding=kh - 1)
-        h, w = x.shape[2], x.shape[3]
-        grad_x = np.ascontiguousarray(
-            grad_xp[:, :, padding : padding + h, padding : padding + w]
+        # Correlating grad_out with the flipped, channel-swapped kernel at
+        # padding k - 1 - padding per axis gives exactly the input's extent;
+        # where padding > k - 1, grad_out is cropped by the excess instead.
+        ph, pw = kh - 1 - padding, kw - 1 - padding
+        crop_h, crop_w = max(-ph, 0), max(-pw, 0)
+        grad = _pad(
+            grad_out[:, :, crop_h : ho - crop_h, crop_w : wo - crop_w],
+            max(ph, 0), max(pw, 0),
         )
+        flipped = kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        grad_x = conv2d(grad, flipped, np.zeros(c, np.float32))
+    bias_terms = grad_out.sum(axis=(2, 3))
     if not batch_sums:
-        return grad_x, products, grad_out
-    return (grad_x, *conv2d_batch_sums(products, grad_out))
+        return grad_x, products, bias_terms
+    return (grad_x, *conv2d_batch_sums(products, bias_terms))
 
 
 def conv2d_batch_sums(
-    products: np.ndarray, grad_out: np.ndarray
+    products: np.ndarray, bias_terms: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The kernel and bias gradients from ``conv2d_backward``'s
     ``batch_sums=False`` terms, each summed over the whole batch in one
     call."""
-    return products.sum(axis=0), grad_out.sum(axis=(0, 2, 3))
+    return products.sum(axis=0), bias_terms.sum(axis=0)
 
 
-def dense(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Affine map (N,D) @ (D,K) + (K,)."""
+def _dense_args(
+    x: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     x = _as_f32("input", x, 2)
     weights = _as_f32("weights", weights, 2)
-    bias = _as_f32("bias", bias, 1)
     if x.shape[1] != weights.shape[0]:
         raise DimensionError(
             f"input width {x.shape[1]} vs weight rows {weights.shape[0]} (axis 1)"
         )
+    return x, weights
+
+
+def dense(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Affine map (N,D) @ (D,K) + (K,)."""
+    x, weights = _dense_args(x, weights)
+    bias = _as_f32("bias", bias, 1)
     if bias.shape[0] != weights.shape[1]:
         raise DimensionError(
             f"bias has {bias.shape[0]} entries for {weights.shape[1]} outputs"
@@ -255,7 +308,11 @@ def dense(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
 def dense_backward(
     x: np.ndarray, weights: np.ndarray, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of dense() w.r.t. input, weights, and bias."""
+    """Gradients of dense() w.r.t. input, weights, and bias; ``grad_out``
+    must have the output's shape (N, K)."""
+    x, weights = _dense_args(x, weights)
+    grad_out = _as_f32("grad_out", grad_out, 2)
+    _expect_shape("grad_out", grad_out, (x.shape[0], weights.shape[1]))
     grad_x = grad_out @ weights.T
     grad_w = x.T @ grad_out
     grad_b = grad_out.sum(axis=0)
@@ -334,15 +391,9 @@ def maxpool2d_backward(
         pooled = maxpool2d(x, window, window)
     else:
         pooled = _as_f32("pooled", pooled, 4)
-        if pooled.shape != (n, c, ho, wo):
-            raise DimensionError(
-                f"pooled has shape {pooled.shape}, expected {(n, c, ho, wo)}"
-            )
+        _expect_shape("pooled", pooled, (n, c, ho, wo))
     grad_out = _as_f32("grad_out", grad_out, 4)
-    if grad_out.shape != (n, c, ho, wo):
-        raise DimensionError(
-            f"grad_out has shape {grad_out.shape}, expected {(n, c, ho, wo)}"
-        )
+    _expect_shape("grad_out", grad_out, (n, c, ho, wo))
     # axis 3 is a window's row offset dy; axis 4 runs over every window
     # column of that row, each pooled value repeated across its window
     rows = x.reshape(n, c, ho, window, w)

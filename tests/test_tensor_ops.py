@@ -195,6 +195,69 @@ def test_conv2d_backward_matches_finite_differences():
     np.testing.assert_allclose(gb, numeric_grad(loss, b), rtol=2e-2, atol=2e-3)
 
 
+def conv2d_backward_loops(x, kernel, grad_out, padding):
+    """The three conv2d gradients in float64, one output cell at a time:
+    each cell's gradient spread over its window of the padded input."""
+    n, c, h, w = x.shape
+    f, _, kh, kw = kernel.shape
+    ho, wo = grad_out.shape[2:]
+    xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
+    xp[:, :, padding : padding + h, padding : padding + w] = x
+    k, g = kernel.astype(np.float64), grad_out.astype(np.float64)
+    grad_xp, grad_k = np.zeros_like(xp), np.zeros(kernel.shape)
+    for y in range(ho):
+        for z in range(wo):
+            cell = g[:, :, y, z]  # (n, f)
+            grad_xp[:, :, y : y + kh, z : z + kw] += np.einsum("nf,fcij->ncij", cell, k)
+            grad_k += np.einsum("nf,ncij->fcij", cell, xp[:, :, y : y + kh, z : z + kw])
+    grad_x = grad_xp[:, :, padding : padding + h, padding : padding + w]
+    return grad_x, grad_k, g.sum(axis=(0, 2, 3))
+
+
+@pytest.mark.parametrize("kh", [1, 2, 3, 5])
+@pytest.mark.parametrize("kw", [1, 2, 3, 5])
+def test_conv2d_backward_matches_loop_oracle(kh, kw):
+    """Square and non-square kernels on a non-square input, at every
+    padding from 0 to one past the larger kernel extent, where grad_out
+    is cropped instead of padded on one or both axes."""
+    s = Stream(205)
+    for n in (0, 1, 5):
+        for padding in range(max(kh, kw) + 1):
+            x, k = rand(s, n, 2, 6, 7), rand(s, 3, 2, kh, kw) * 0.5
+            ho, wo = 6 + 2 * padding - kh + 1, 7 + 2 * padding - kw + 1
+            grad = rand(s, n, 3, ho, wo)
+            got = conv2d_backward(x, k, grad, padding)
+            want = conv2d_backward_loops(x, k, grad, padding)
+            for g, wnt in zip(got, want):
+                assert g.dtype == np.float32 and g.shape == wnt.shape
+                np.testing.assert_allclose(g, wnt, rtol=1e-5, atol=1e-5)
+
+
+def test_backward_shape_errors():
+    """Each mismatch is a DimensionError naming the axes, never a numpy
+    error or a gradient of the wrong shape."""
+    s = Stream(206)
+    x, k = rand(s, 2, 3, 7, 7), rand(s, 4, 3, 3, 3)
+    # a 5 x 5 grad_out for the 7 x 7 output at padding 1
+    for grad, axes in [
+        (rand(s, 2, 4, 5, 5), "axes 2, 3"),
+        (rand(s, 2, 5, 7, 7), "axis 1"),
+        (rand(s, 3, 4, 7, 7), "axis 0"),
+    ]:
+        with pytest.raises(DimensionError, match=f"grad_out has shape .*{axes}"):
+            conv2d_backward(x, k, grad, 1)
+    with pytest.raises(DimensionError, match=r"channels.*\(axis 1\)"):
+        conv2d_backward(x, rand(s, 4, 2, 3, 3), rand(s, 2, 4, 7, 7), 1)
+    with pytest.raises(DimensionError, match="exceeds"):
+        conv2d_backward(x, rand(s, 4, 3, 9, 9), rand(s, 2, 4, 1, 1))
+    w = rand(s, 6, 3)
+    with pytest.raises(DimensionError, match=r"width.*\(axis 1\)"):
+        dense_backward(rand(s, 4, 5), w, rand(s, 4, 3))
+    for grad, axes in [(rand(s, 4, 2), "axis 1"), (rand(s, 5, 3), "axis 0")]:
+        with pytest.raises(DimensionError, match=f"grad_out has shape .*{axes}"):
+            dense_backward(rand(s, 4, 6), w, grad)
+
+
 # the reference CNN's two conv layers: 1->8 channels at 28x28, 8->16 at 14x14
 REFERENCE_CONV_SHAPES = [((2, 1, 28, 28), (8, 1, 3, 3)), ((2, 8, 14, 14), (16, 8, 3, 3))]
 
@@ -262,17 +325,19 @@ def test_conv2d_reuse_of_columns_is_bitwise():
 def test_conv2d_batch_sums_over_row_parts_are_bitwise():
     """The kernel and bias gradients are conv2d_batch_sums of the
     batch_sums=False terms, also when each part of the rows was
-    differentiated in its own call."""
+    differentiated in its own call. The bias terms are each image's output
+    gradient summed over its positions, and summing them over the batch is
+    bit for bit the one-call sum over the batch and the positions."""
     s = Stream(225)
     for shape, kshape in REFERENCE_CONV_SHAPES:
         shape = (5, *shape[1:])
         x, k = rand(s, *shape), rand(s, *kshape) * 0.3
         grad = rand(s, shape[0], kshape[0], *shape[2:])
         want = conv2d_backward(x, k, grad, 1)
-        grad_x, products, grad_out = conv2d_backward(x, k, grad, 1, batch_sums=False)
+        grad_x, products, bias_terms = conv2d_backward(x, k, grad, 1, batch_sums=False)
         assert_bitwise(grad_x, want[0])
         assert products.shape == (shape[0], *kshape)
-        assert_bitwise(grad_out, grad)
+        assert_bitwise(bias_terms, grad.sum(axis=(2, 3)))
         for cut in (1, 2, 4):
             parts = [
                 conv2d_backward(x[rows], k, grad[rows], 1, batch_sums=False)
@@ -284,18 +349,30 @@ def test_conv2d_batch_sums_over_row_parts_are_bitwise():
                 assert_bitwise(got, expected)
 
 
+@pytest.mark.parametrize("n", [1, 5, 12, 32, 64])
+def test_bias_gradient_sum_order_is_pinned(n):
+    """Summing the per-image bias terms over the batch gives the bits of
+    the one-call ``grad_out.sum(axis=(0, 2, 3))`` on the reference layers'
+    output gradients, at training-batch and row-part sizes."""
+    s = Stream(226)
+    for shape, kshape in REFERENCE_CONV_SHAPES:
+        grad = rand(s, n, kshape[0], *shape[2:])
+        grad *= np.float32(10.0) ** rand(s, n, 1, 1, 1)
+        x, k = rand(s, n, *shape[1:]), rand(s, *kshape)
+        assert_bitwise(conv2d_backward(x, k, grad, 1, input_grad=False)[2],
+                       grad.sum(axis=(0, 2, 3)))
+
+
 def test_pad_is_bitwise_np_pad():
     s = Stream(230)
     for shape in [(2, 3, 5, 4), (1, 1, 1, 1), (0, 2, 4, 4)]:
         x = rand(s, *shape)
         if x.size:
             x.flat[0] = -0.0
-        assert _pad(x, 0) is x
-        for padding in (1, 2):
-            want = np.pad(
-                x, ((0, 0), (0, 0), (padding, padding), (padding, padding))
-            )
-            assert_bitwise(_pad(x, padding), want)
+        assert _pad(x, 0, 0) is x
+        for ph, pw in ((1, 1), (2, 2), (0, 1), (2, 0), (1, 3)):
+            want = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+            assert_bitwise(_pad(x, ph, pw), want)
 
 
 def test_dense_matches_matmul_and_backward():
@@ -482,19 +559,37 @@ def test_maxpool_nans_and_signed_zero_ties_resolve_in_window_order():
 
 @pytest.mark.parametrize("kh,stride,side", [(3, 1, 9), (2, 2, 8), (3, 2, 9)])
 def test_im2col_is_the_per_offset_copy_on_non_contiguous_input(kh, stride, side):
+    """At stride 1 the buffer copies whole window rows, otherwise single
+    cells; either way it is the per-offset copy, also on empty and
+    one-image batches, which building a network runs."""
     s = Stream(430)
     base = rand(s, 2, 3, 9, 18)
     base.flat[::7] = -0.0
-    x = base[:, :, :side, : 2 * side : 2]  # every other column: not contiguous
-    assert not x.flags.c_contiguous
-    assert_bitwise(conv2d_columns(x, kh, kh, stride, 0),
-                   im2col_per_offset(x, kh, kh, stride))
     k, b = rand(s, 4, 3, kh, kh), rand(s, 4)
-    dense_x = np.ascontiguousarray(x)
-    assert_bitwise(conv2d(x, k, b, stride), conv2d(dense_x, k, b, stride))
+    for n in (0, 1, 2):
+        x = base[:n, :, :side, : 2 * side : 2]  # every other column: not contiguous
+        assert n == 0 or not x.flags.c_contiguous
+        dense_x = np.ascontiguousarray(x)
+        for padding in (0, 1, 2):
+            padded = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+            assert_bitwise(conv2d_columns(x, kh, kh, stride, padding),
+                           im2col_per_offset(padded, kh, kh, stride))
+            assert_bitwise(conv2d(x, k, b, stride, padding),
+                           conv2d(dense_x, k, b, stride, padding))
     # a 1 x 1 window view of a contiguous input is contiguous too; the
     # buffer is still a fresh copy
     assert not np.shares_memory(conv2d_columns(dense_x, 1, 1), dense_x)
+
+
+def test_im2col_takes_rows_too_long_for_one_segment_by_cells():
+    """A window row of 2**29 or more float32 values is no numpy void type;
+    such a layer still checks on an empty batch, as building a network
+    does."""
+    for width in (2**29 - 1, 2**29, 2**30):
+        x = np.zeros((0, 1, 1, width), np.float32)
+        assert conv2d_columns(x, 1, 1).shape == (0, 1, width)
+        assert conv2d(x, np.ones((2, 1, 1, 1), np.float32),
+                      np.zeros(2, np.float32)).shape == (0, 2, 1, width)
 
 
 def test_maxpool_backward_routes_to_first_max():
