@@ -386,7 +386,7 @@ def cmd_train(cfg: dict) -> dict:
 def cmd_extract(cfg: dict) -> dict:
     net = load_network(cfg["model"])
     ds = _load_dataset(cfg["images"])
-    outputs = pipeline.run_network(net, ds.images, cfg["feature-kind"])
+    outputs = pipeline.run_network(net, ds.images, cfg["feature-kind"], head=False)
     names = feature_names(cfg["feature-kind"], net.num_activation_layers)
     write_table(cfg["out"], "image_id",
                 dict(zip(names, outputs.features.T, strict=True)))
@@ -489,8 +489,8 @@ def cmd_hist(cfg: dict) -> dict:
     net = load_network(cfg["model"])
     id_ds = _load_dataset(cfg["id-images"])
     ood_ds = _load_dataset(cfg["ood-images"])
-    id_feats = pipeline.run_network(net, id_ds.images).features
-    ood_feats = pipeline.run_network(net, ood_ds.images).features
+    id_feats = pipeline.run_network(net, id_ds.images, head=False).features
+    ood_feats = pipeline.run_network(net, ood_ds.images, head=False).features
     num_layers = net.num_activation_layers
     names = feature_names(FeatureKind.MINMAX, num_layers)
     for population, feats in (("ID", id_feats), ("OOD", ood_feats)):

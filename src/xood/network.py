@@ -20,8 +20,10 @@ runs in the same order and walks it back, bit for bit the gradients of
 the stack's own order (see ``_batch_loss_and_grad``). A network derives
 that run order, its tap shapes and its Relu count once, when it is built.
 A batch of at most 64 images is one block, whose tensors are returned as
-the outputs without a copy, so a one-image request pays only for its
-layers. Layers dispatch through one table keyed by layer kind.
+the outputs without a copy. A caller that reads only the taps asks for no
+head: each block then stops at the last tap, so a one-image scoring
+request pays for the layers up to it and no more. Layers dispatch through
+one table keyed by layer kind.
 
 A larger batch's blocks are independent, and each writes only its own
 rows of outputs allocated before any block starts, so they run
@@ -78,7 +80,7 @@ from typing import Callable
 import numpy as np
 
 from . import tensor_ops as ops
-from .datasets import Dataset
+from .datasets import Dataset, class_ids
 from .errors import (
     ContractError,
     DimensionError,
@@ -259,8 +261,8 @@ _FORWARD = {
 class ForwardResult:
     """Predictions, probabilities, and the per-Relu tap tensors."""
 
-    predictions: np.ndarray  # (N,) int64, argmax ties -> lowest class id
-    probabilities: np.ndarray  # (N, K) float32
+    predictions: np.ndarray | None  # (N,) int64, argmax ties -> lowest class id
+    probabilities: np.ndarray | None  # (N, K) float32
     taps: list  # r (N, ...) Relu inputs, or empty; see forward_with_taps
 
 
@@ -268,6 +270,7 @@ def forward_with_taps(
     net: Network,
     batch: np.ndarray,
     tap_map: Callable[[int, slice, np.ndarray], None] | None = None,
+    head: bool = True,
 ) -> ForwardResult:
     """Run the network, recording the input of every Relu layer.
 
@@ -293,6 +296,13 @@ def forward_with_taps(
     may run concurrently and in any order, so ``tap_map`` must touch only
     what belongs to ``rows``. Taps then comes back empty.
 
+    With ``head=False`` each block stops once its last tap has been
+    handed over: the steps after it (for the reference CNN the last Relu,
+    the last dense layer and the softmax) do not run, no probabilities are
+    allocated, and predictions and probabilities come back as None. The
+    taps are computed as with the head, bit for bit. A network with no
+    Relu runs no layer.
+
     An image's outputs do not depend on the other images in its block,
     except the dense layers' sums: a trailing block of 16 or fewer rows
     can differ from a full block's by about 1e-6.
@@ -307,21 +317,27 @@ def forward_with_taps(
     taps: list = []
     if n <= DEFAULT_BATCH:
         on_tap = tap_map or (lambda index, rows, tap: taps.append(tap))
-        probabilities = _forward_block(net, batch, slice(0, DEFAULT_BATCH), on_tap)
-        return ForwardResult(probabilities.argmax(axis=1), probabilities, taps)
+        probabilities = _forward_block(
+            net, batch, slice(0, DEFAULT_BATCH), on_tap, head
+        )
+    else:
+        probabilities = np.empty((n, net.num_classes), np.float32) if head else None
+        if tap_map is None:
+            taps = [np.empty((n, *shape), np.float32) for shape in net.tap_shapes]
 
-    probabilities = np.empty((n, net.num_classes), np.float32)
-    if tap_map is None:
-        taps = [np.empty((n, *shape), np.float32) for shape in net.tap_shapes]
+            def tap_map(index: int, rows: slice, tap: np.ndarray) -> None:
+                taps[index][rows] = tap
 
-        def tap_map(index: int, rows: slice, tap: np.ndarray) -> None:
-            taps[index][rows] = tap
+        def run(rows: slice) -> None:
+            out = _forward_block(net, batch[rows], rows, tap_map, head)
+            if head:
+                probabilities[rows] = out
 
-    def run(rows: slice) -> None:
-        probabilities[rows] = _forward_block(net, batch[rows], rows, tap_map)
-
-    _run_parts(run, [slice(i, i + DEFAULT_BATCH) for i in range(0, n, DEFAULT_BATCH)])
-    return ForwardResult(probabilities.argmax(axis=1), probabilities, taps)
+        _run_parts(
+            run, [slice(i, i + DEFAULT_BATCH) for i in range(0, n, DEFAULT_BATCH)]
+        )
+    predictions = probabilities.argmax(axis=1) if head else None
+    return ForwardResult(predictions, probabilities, taps)
 
 
 def _forward_block(
@@ -329,12 +345,19 @@ def _forward_block(
     x: np.ndarray,
     rows: slice,
     tap_map: Callable[[int, slice, np.ndarray], None],
-) -> np.ndarray:
+    head: bool,
+) -> np.ndarray | None:
     """One block through ``net.run_order``, each tap to ``tap_map`` in order;
-    returns the softmax output."""
+    returns the softmax output, or None without ``head``, right after the
+    last tap."""
+    last = net.num_activation_layers - 1
+    if last < 0 and not head:
+        return None
     for layer, tap in net.run_order:
         if tap is not None:
             tap_map(tap, rows, x)
+            if tap == last and not head:
+                return None
         x = _FORWARD[layer.kind](layer, x)
     return x
 
@@ -640,9 +663,19 @@ def train_reference_cnn(
 
 def evaluate_accuracy(net: Network, images: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of images whose argmax prediction matches the label; the
-    forward pass drops its taps unreduced."""
+    forward pass drops its taps unreduced. Before it runs, labels that are
+    not class ids (``class_ids``) or not of shape (N,), and an empty set,
+    raise ContractError."""
+    images = np.asarray(images, dtype=np.float32)
+    labels = class_ids(labels)
+    if labels.shape != images.shape[:1]:
+        raise ContractError(
+            f"labels shape {labels.shape} does not match images {images.shape}"
+        )
+    if labels.size == 0:
+        raise ContractError("accuracy of an empty image set is undefined")
     result = forward_with_taps(net, images, tap_map=lambda index, rows, tap: None)
-    return int((result.predictions == labels).sum()) / images.shape[0]
+    return int((result.predictions == labels).sum()) / labels.size
 
 
 # ---------------------------------------------------------------------------

@@ -56,8 +56,8 @@ class DetectorBundle:
 
 @dataclass
 class NetworkOutputs:
-    predictions: np.ndarray  # (N,) int64
-    probabilities: np.ndarray  # (N, K) float32
+    predictions: np.ndarray | None  # (N,) int64
+    probabilities: np.ndarray | None  # (N, K) float32
     features: np.ndarray  # (N, width) float32, untransformed
 
 
@@ -65,6 +65,7 @@ def run_network(
     net: Network,
     images: np.ndarray,
     kind: FeatureKind = FeatureKind.MINMAX,
+    head: bool = True,
 ) -> NetworkOutputs:
     """Forward a whole image set, reducing taps as they appear.
 
@@ -76,6 +77,8 @@ def run_network(
     The columns match extract_features on retained taps bit for bit, an
     empty image set gives empty outputs, and as in ``forward_with_taps``
     only a trailing block of 16 or fewer images can move, by about 1e-6.
+    With ``head=False`` each block stops at the last tap, the features are
+    bit for bit the same, and predictions and probabilities are None.
     """
     per_tap = feature_width(kind, 1)
     features = np.empty(
@@ -86,16 +89,17 @@ def run_network(
     def reduce(index: int, rows: slice, tap: np.ndarray) -> None:
         reduce_tap(tap, kind, features[rows, index * per_tap : (index + 1) * per_tap])
 
-    result = forward_with_taps(net, images, tap_map=reduce)
+    result = forward_with_taps(net, images, tap_map=reduce, head=head)
     return NetworkOutputs(result.predictions, result.probabilities, features)
 
 
-def _forward_transform(
+def _detector_rows(
     net: Network, images: np.ndarray, pt: PowerTransform, kind: FeatureKind
-) -> tuple[np.ndarray, np.ndarray]:
-    """The images' detector rows (transformed features) and predictions."""
-    outputs = run_network(net, images, kind)
-    return apply_power_transform(pt, outputs.features), outputs.predictions
+) -> np.ndarray:
+    """The images' detector rows (transformed features), forwarded without
+    the head."""
+    features = run_network(net, images, kind, head=False).features
+    return apply_power_transform(pt, features)
 
 
 def _fit_transform(
@@ -129,7 +133,7 @@ def fit_m_bundle(
     images and calibrate its threshold on the held-out split."""
     pt, rows = _fit_transform(net, train, kind)
     det = mahalanobis.fit_mahalanobis(apply_power_transform(pt, rows), reg_c)
-    calib_rows, _ = _forward_transform(net, calibration.images, pt, kind)
+    calib_rows = _detector_rows(net, calibration.images, pt, kind)
     mahalanobis.calibrate(det, det.score(calib_rows))
     return DetectorBundle(kind, pt, det)
 
@@ -155,8 +159,9 @@ def _l_training_set(
     ]
     folds = {}
     for name, source in zip(FOLD_NAMES, sources):
-        rows, predictions = _forward_transform(net, source.images, pt, kind)
-        folds[name] = (rows, predictions == source.labels)
+        outputs = run_network(net, source.images, kind)
+        rows = apply_power_transform(pt, outputs.features)
+        folds[name] = (rows, outputs.predictions == source.labels)
     return logistic.build_training_set(folds)
 
 
@@ -184,7 +189,9 @@ def score_images(
 ) -> np.ndarray:
     """Confidence scores for raw images (forward, extract, transform, score).
 
-    A bundle whose feature kind gives ``net`` a width other than its power
+    The forward pass stops at the last tap (``head=False``): the scores
+    read only the taps, so the classifier's head is never run. A bundle
+    whose feature kind gives ``net`` a width other than its power
     transform's is refused before the forward pass."""
     layers = net.num_activation_layers
     width = feature_width(bundle.kind, layers)
@@ -194,8 +201,9 @@ def score_images(
             f"network with {layers} activation layers, but the bundle's power "
             f"transform has {bundle.transform.dim}"
         )
-    rows, _ = _forward_transform(net, images, bundle.transform, bundle.kind)
-    return bundle.detector.score(rows)
+    return bundle.detector.score(
+        _detector_rows(net, images, bundle.transform, bundle.kind)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,47 @@ def test_extract_writes_feature_table(ws, tmp_path):
     assert m["rows"] == "60" and m["width"] == "6"
 
 
+@pytest.mark.parametrize("command", ["extract", "hist", "fit-m", "score"])
+def test_headless_forward_writes_the_full_forward_passes_bytes(
+    ws, tmp_path, monkeypatch, command
+):
+    # these commands read only the taps, so they forward without the head;
+    # forced to run it, they must write the same bytes
+    root, run = ws
+    args = {
+        "extract": ("--images", root / "noise.xten", "--feature-kind", "split-l2"),
+        "hist": ("--id-images", root / "train.xten",
+                 "--ood-images", root / "noise.xten", "--bins", 10),
+        "fit-m": ("--images", root / "train.xten", "--labels", root / "labels.xten",
+                  "--seed", 7),
+        "score": ("--detector", root / "mdet", "--images", root / "noise.xten"),
+    }[command]
+    run_network = pipeline.run_network
+    heads = []
+
+    def recording(*args, head=True, **kwargs):
+        heads.append(head)
+        return run_network(*args, head=head, **kwargs)
+
+    def with_head(*args, head=True, **kwargs):
+        return run_network(*args, head=True, **kwargs)
+
+    written = {}
+    for side, forward in (("headless", recording), ("head", with_head)):
+        monkeypatch.setattr(pipeline, "run_network", forward)
+        (tmp_path / side).mkdir()
+        assert run(command, "--model", root / "model.xnet", *args,
+                   "--out", tmp_path / side / "out") == 0
+        written[side] = {
+            path.relative_to(tmp_path / side): path.read_bytes().replace(
+                str(tmp_path / side).encode(), b"<dir>"
+            )
+            for path in (tmp_path / side).rglob("*") if path.is_file()
+        }
+    assert False in heads
+    assert len(written["head"]) > 1 and written["headless"] == written["head"]
+
+
 def test_fit_manifests_record_derived_stats(ws):
     root, _ = ws
     m = manifest(root / "mdet" / "run.manifest")

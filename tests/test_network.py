@@ -170,9 +170,12 @@ def reference_forward(net, x):
     return taps, x
 
 
-@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 130])
+@pytest.mark.parametrize("n, head", [
+    pytest.param(n, head, id=str(n) if head else f"{n}-headless")
+    for head in (True, False) for n in (0, 1, 63, 64, 65, 130)
+])
 def test_blocked_forward_is_the_stack_order_loop_on_64_row_slices(
-    toy_net, monkeypatch, workers, n
+    toy_net, monkeypatch, workers, n, head
 ):
     workers(1)
     x = Stream(32).normal(max(n, 1) * 64).astype(np.float32)[: n * 64]
@@ -184,16 +187,19 @@ def test_blocked_forward_is_the_stack_order_loop_on_64_row_slices(
     monkeypatch.setattr(
         tensor_ops, "relu", lambda t: relu_inputs.append(t.shape) or relu(t)
     )
-    got = forward_with_taps(toy_net, x)
+    got = forward_with_taps(toy_net, x, head=head)
     # one block per 64 images, an empty set included, and every Relu that
-    # feeds a pool runs on the pooled values
+    # feeds a pool runs on the pooled values; without the head, a block
+    # stops at its last tap, the last Relu's input
     sizes = [block.shape[0] for block in blocks]
-    assert relu_inputs == [
-        shape for b in sizes for shape in ((b, 8, 4, 4), (b, 16, 2, 2), (b, 64))
-    ]
+    shapes = ((8, 4, 4), (16, 2, 2), (64,)) if head else ((8, 4, 4), (16, 2, 2))
+    assert relu_inputs == [(b, *shape) for b in sizes for shape in shapes]
     assert len(got.taps) == 3
     for j, tap in enumerate(got.taps):
         assert_bitwise(tap, np.concatenate([taps[j] for taps, _ in want]))
+    if not head:
+        assert got.predictions is None and got.probabilities is None
+        return
     probabilities = np.concatenate([probs for _, probs in want])
     assert_bitwise(got.probabilities, probabilities)
     np.testing.assert_array_equal(got.predictions, probabilities.argmax(axis=1))
@@ -222,6 +228,74 @@ def test_relu_deferred_past_pools_on_any_stack():
     for j, tap in enumerate(got.taps):
         assert_bitwise(tap, np.concatenate([taps[j] for taps, _ in want]))
     assert_bitwise(got.probabilities, np.concatenate([p for _, p in want]))
+
+
+def _dense(d_in, d_out, seed):
+    weight = Stream(seed).normal(d_in * d_out).astype(np.float32)
+    return LayerSpec(LayerKind.DENSE, weight=weight.reshape(d_in, d_out),
+                     bias=np.full(d_out, 0.1, np.float32))
+
+
+def _conv(c_in, c_out, seed):
+    weight = Stream(seed).normal(c_out * c_in * 9).astype(np.float32)
+    return LayerSpec(LayerKind.CONV2D, weight=weight.reshape(c_out, c_in, 3, 3),
+                     bias=np.zeros(c_out, np.float32), padding=1)
+
+
+# Stacks by the layers that follow their last Relu: a max-pool it feeds,
+# so the last tap sits on the pool step; several layers; none but the
+# softmax's way there; and no Relu at all.
+HEADLESS_STACKS = {
+    "last-relu-feeds-a-pool": [
+        _conv(1, 4, 40), LayerSpec(LayerKind.RELU),
+        LayerSpec(LayerKind.MAXPOOL2D, window=2, stride=2),
+        LayerSpec(LayerKind.FLATTEN), _dense(64, 3, 41),
+        LayerSpec(LayerKind.SOFTMAX),
+    ],
+    "several-layers-after-the-last-tap": [
+        LayerSpec(LayerKind.RELU), _conv(1, 2, 42),
+        LayerSpec(LayerKind.MAXPOOL2D, window=2, stride=2), _conv(2, 2, 43),
+        LayerSpec(LayerKind.RELU), LayerSpec(LayerKind.FLATTEN), _dense(32, 8, 44),
+        _dense(8, 5, 45), _dense(5, 3, 46), LayerSpec(LayerKind.SOFTMAX),
+    ],
+    "last-relu-before-the-softmax": [
+        LayerSpec(LayerKind.FLATTEN), _dense(64, 3, 47), LayerSpec(LayerKind.RELU),
+        LayerSpec(LayerKind.SOFTMAX),
+    ],
+    "no-relu": [
+        LayerSpec(LayerKind.FLATTEN), _dense(64, 3, 48), LayerSpec(LayerKind.SOFTMAX),
+    ],
+}
+
+
+@pytest.mark.parametrize("stack", HEADLESS_STACKS)
+@pytest.mark.parametrize("n", [0, 1, 65, 130])
+def test_headless_forward_stops_at_the_last_tap(monkeypatch, workers, stack, n):
+    # the taps are bit for bit the full pass's, and only the steps of
+    # net.run_order before the last tap's run, once per block
+    net = Network(HEADLESS_STACKS[stack], (1, 8, 8), 3)
+    x = Stream(49).normal(max(n, 1) * 64).astype(np.float32)[: n * 64]
+    x = x.reshape(n, 1, 8, 8)
+    ran = []
+
+    def recording(run):
+        return lambda layer, t: ran.append(layer) or run(layer, t)
+
+    for kind, run in list(network._FORWARD.items()):
+        monkeypatch.setitem(network._FORWARD, kind, recording(run))
+    for count in (1, 2):
+        workers(count)
+        full = forward_with_taps(net, x)
+        ran.clear()
+        got = forward_with_taps(net, x, head=False)
+        assert got.predictions is None and got.probabilities is None
+        assert len(got.taps) == len(full.taps) == net.num_activation_layers
+        for tap, want in zip(got.taps, full.taps):
+            assert_bitwise(tap, want)
+        taps = [tap for _, tap in net.run_order]
+        stop = taps.index(len(full.taps) - 1) if full.taps else 0
+        steps = [id(layer) for layer, _ in net.run_order[:stop]]
+        assert sorted(map(id, ran)) == sorted(steps * max(1, -(-n // 64)))
 
 
 def test_tap_map_gets_each_blocks_taps_in_order(toy_net, workers):
@@ -747,6 +821,27 @@ def test_training_reaches_high_accuracy(trained):
     assert accuracy >= 0.95
     for batch_size in (1, 7, 256):
         assert accuracy == accuracy_loop(net, ds.images, ds.labels, batch_size)
+
+
+@pytest.mark.parametrize("labels, message", [
+    ([0], "labels shape"),  # used to broadcast over every image
+    ([0, 1, 2], "labels shape"),  # used to raise numpy's ValueError
+    ([0, 1, 2, 0, 1.5], "non-integer"),  # used to count as a wrong label
+    ([0, 1, 2, 0, -1], "non-negative"),
+])
+def test_evaluate_accuracy_refuses_labels_that_are_not_n_class_ids(
+    toy_net, labels, message
+):
+    x = Stream(50).uniform(5 * 64).astype(np.float32).reshape(5, 1, 8, 8)
+    with pytest.raises(ContractError, match=message):
+        evaluate_accuracy(toy_net, x, np.array(labels))
+    assert evaluate_accuracy(toy_net, x, [0, 1, 2, 0, 1.0]) in {k / 5 for k in range(6)}
+
+
+def test_evaluate_accuracy_refuses_an_empty_set(toy_net):
+    # used to raise ZeroDivisionError
+    with pytest.raises(ContractError, match="empty"):
+        evaluate_accuracy(toy_net, np.zeros((0, 1, 8, 8), np.float32), [])
 
 
 def test_training_input_validation():

@@ -146,6 +146,32 @@ def test_pooled_scores_are_the_serial_loops(world, bundles, monkeypatch, n):
         assert scores[1].shape == (n,)
 
 
+@pytest.mark.parametrize("kind", list(FeatureKind))
+def test_scores_are_the_full_forward_composition_bit_for_bit(world, bundles, kind):
+    # score_images forwards without the head; its scores must be those of
+    # the features a full forward pass gives, transformed and scored
+    net, train, calib = world
+    fitted = bundles if kind is FeatureKind.MINMAX else {
+        "m": fit_m_bundle(net, train, calib, kind=kind),
+        "l": fit_l_bundle(net, train, calib, seed=77, grid=(1.0,), kind=kind)[0],
+    }
+    images = np.concatenate([train.images, calib.images])
+    for bundle in fitted.values():
+        for n in (0, 1, 63, 64, 65, 130):
+            full = run_network(net, images[:n], kind, head=True)
+            assert full.predictions.shape == (n,)
+            want = bundle.detector.score(
+                apply_power_transform(bundle.transform, full.features)
+            )
+            got = score_images(bundle, net, images[:n])
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+            headless = run_network(net, images[:n], kind, head=False)
+            assert headless.predictions is None and headless.probabilities is None
+            np.testing.assert_array_equal(
+                headless.features.view(np.uint32), full.features.view(np.uint32)
+            )
+
+
 def test_fit_l_bundle_cv_structure(world):
     net, train, calib = world
     bundle, cv = fit_l_bundle(net, train, calib, seed=77, grid=(1e-2, 1.0))
